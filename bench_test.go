@@ -462,6 +462,41 @@ func BenchmarkTrainerReplan(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainerStep measures one steady campaign step of the 16-node
+// (128-GPU) 70B PPO session: a frozen plan at a fixed workload, so every
+// timed Step re-executes the incumbent — instantiate, fence Reset and
+// dispatch over the persistent fleet — with no replan. makespan-s is the
+// step's virtual time, deterministic and gated exactly.
+func BenchmarkTrainerStep(b *testing.B) {
+	b.ReportAllocs()
+	ctx := context.Background()
+	cfg, err := PaperExperiment("ppo", "llama70b", "llama7b-critic", 16, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := NewPlanner(ClusterConfig{}).Train(ctx, cfg, WithFrozenPlan())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	// The first step pays the session's one-off costs.
+	if _, err := tr.Step(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var rep *IterationReport
+	for i := 0; i < b.N; i++ {
+		if rep, err = tr.Step(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if rep.OOM {
+			b.Fatalf("steady step ran out of memory: %v", rep.Errors)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(rep.MakespanV, "makespan-s")
+}
+
 // BenchmarkShrinkReplan measures the price of surviving a worker loss: a
 // 2-node campaign loses a device at the iteration-1 boundary, shrink-replans
 // onto the surviving node and finishes degraded, against the same campaign

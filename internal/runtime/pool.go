@@ -27,6 +27,9 @@ type WorkerPool struct {
 	fenceTimeout time.Duration
 	ownTransport bool
 	closed       bool
+	// fenced marks, per fence slot (gpu*NumStreams + stream), the fences
+	// answered during a drain; reused across Resets.
+	fenced []bool
 }
 
 // NewWorkerPool starts a pool of numGPUs workers with the given device
@@ -84,8 +87,8 @@ func (wp *WorkerPool) SetFenceTimeout(d time.Duration) {
 // fence replies can never collide with the master's node IDs (>= 0).
 func fenceID(gpu int, s Stream) int { return -(1 + gpu*NumStreams + int(s)) }
 
-// fenceGPU inverts fenceID.
-func fenceGPU(id int) int { return (-id - 1) / NumStreams }
+// fenceSlot inverts fenceID into the dense index gpu*NumStreams + stream.
+func fenceSlot(id int) int { return -id - 1 }
 
 // Reset quiesces and reinitializes the fleet for the next iteration:
 //
@@ -97,7 +100,7 @@ func fenceGPU(id int) int { return (-id - 1) / NumStreams }
 //     resting memory replaced by static[i].
 //
 // static must have one entry per worker (estimator.StaticPerGPU of the next
-// plan).
+// plan, or Program.StaticPerGPU of its compiled form).
 func (wp *WorkerPool) Reset(static []int64) error {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
@@ -122,12 +125,15 @@ func (wp *WorkerPool) Reset(static []int64) error {
 // lane), or the fences stop coming back and the fence timeout expires (a
 // wedged or silently dropped stream).
 func (wp *WorkerPool) drainLocked() error {
-	want := make(map[int]bool, len(wp.workers)*NumStreams)
+	slots := len(wp.workers) * NumStreams
+	if cap(wp.fenced) < slots {
+		wp.fenced = make([]bool, slots)
+	}
+	fenced := wp.fenced[:slots]
+	clear(fenced)
 	for gpu := range wp.workers {
 		for s := Stream(0); s < NumStreams; s++ {
-			id := fenceID(gpu, s)
-			want[id] = true
-			if err := wp.transport.Send(gpu, Request{ID: id, Kind: ReqFence, Stream: s}); err != nil {
+			if err := wp.transport.Send(gpu, Request{ID: fenceID(gpu, s), Kind: ReqFence, Stream: s}); err != nil {
 				return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
 			}
 		}
@@ -138,43 +144,66 @@ func (wp *WorkerPool) drainLocked() error {
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	for len(want) > 0 {
+	replies := wp.transport.Replies()
+	for outstanding := slots; outstanding > 0; {
 		select {
-		case rep, ok := <-wp.transport.Replies():
+		case rep, ok := <-replies:
 			if !ok {
-				return fmt.Errorf("runtime: transport closed with %d fences outstanding", len(want))
+				return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
 			}
-			delete(want, rep.ID) // non-fence IDs are stragglers; discard
+			// Node IDs (>= 0) are stragglers of an earlier run; discard.
+			if slot := fenceSlot(rep.ID); rep.ID < 0 && slot < slots && !fenced[slot] {
+				fenced[slot] = true
+				outstanding--
+			}
 		case <-timeout:
 			// Deterministic blame: the smallest device with an outstanding
-			// fence (min over a map is iteration-order independent).
+			// fence.
 			lost := -1
-			for id := range want {
-				if gpu := fenceGPU(id); lost < 0 || gpu < lost {
-					lost = gpu
+			for slot, ok := range fenced {
+				if !ok {
+					lost = slot / NumStreams
+					break
 				}
 			}
 			return fmt.Errorf("runtime: fence timeout after %v with %d fences outstanding: %w",
-				wp.fenceTimeout, len(want), &ErrWorkerLost{GPU: lost})
+				wp.fenceTimeout, outstanding, &ErrWorkerLost{GPU: lost})
 		}
 	}
 	return nil
 }
 
-// Run executes one plan over the pool's persistent workers and transport.
-// The caller is responsible for Reset between iterations (and for setting
-// the static footprints the plan implies); Run itself never rebuilds or
-// reclocks the fleet, which is the point of the pool.
+// Run executes one plan over the pool's persistent workers and transport:
+// Compile plus Execute. The caller is responsible for Reset between
+// iterations (and for setting the static footprints the plan implies); Run
+// itself never rebuilds or reclocks the fleet, which is the point of the
+// pool.
 func (wp *WorkerPool) Run(p *core.Plan, opts Options) (*Report, error) {
+	prog, err := Compile(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return wp.Execute(prog, opts)
+}
+
+// Execute runs a compiled program over the pool's workers and transport —
+// the steady-state path of a session that re-executes one plan: no
+// recompilation, only dispatch. Of opts, Context and WorkerTimeout apply;
+// UseCUDAGraph and OverlapComm were fixed by Compile and must match it.
+// Like Run, it expects a prior Reset to prog.StaticPerGPU().
+func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
+	if opts.UseCUDAGraph != prog.cudaGraph || opts.OverlapComm != prog.overlap {
+		return nil, fmt.Errorf("runtime: program compiled with UseCUDAGraph=%t OverlapComm=%t executed under UseCUDAGraph=%t OverlapComm=%t",
+			prog.cudaGraph, prog.overlap, opts.UseCUDAGraph, opts.OverlapComm)
+	}
 	wp.mu.Lock()
 	if wp.closed {
 		wp.mu.Unlock()
 		return nil, fmt.Errorf("runtime: worker pool closed")
 	}
-	opts.Transport = wp.transport
-	opts.Workers = wp.workers
+	transport, workers := wp.transport, wp.workers
 	wp.mu.Unlock()
-	return Run(p, opts)
+	return prog.execute(opts, transport, workers)
 }
 
 // Resize replaces the fleet with numGPUs workers of the given memory — the

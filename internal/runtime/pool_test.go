@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"realhf/internal/estimator"
 	"realhf/internal/model"
@@ -181,6 +183,43 @@ func TestSendAfterStopPromptError(t *testing.T) {
 	}
 	if err := tr.Send(0, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
 		t.Fatalf("tcp send after Close = %v, want prompt transport-closed error", err)
+	}
+}
+
+// TestChanTransportCloseWithBackedUpLane: a fleet whose replies nobody reads
+// backs up, yet Send keeps returning (the shard queues are unbounded) and
+// Close still returns promptly, with no executor goroutine outliving it.
+func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	ct := NewChanTransport([]*ModelWorker{NewModelWorker(0, 1<<30)})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 400; i++ {
+			if err := ct.Send(0, Request{ID: i, Kind: ReqRunCall, DurV: 1}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- ct.Close()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send or Close hung on a backed-up lane")
+	}
+	deadline := time.After(10 * time.Second)
+	for goruntime.NumGoroutine() > before {
+		select {
+		case <-deadline:
+			t.Fatalf("%d goroutines outlived Close (started with %d)", goruntime.NumGoroutine(), before)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if err := ct.Send(0, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
+		t.Fatalf("send after Close = %v, want prompt transport-closed error", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
 	"realhf/internal/gpumodel"
-	"realhf/internal/hardware"
 	"realhf/internal/realloc"
 )
 
@@ -32,7 +31,8 @@ type Options struct {
 	// report accumulated so far together with a wrapping error.
 	Context context.Context
 	// WorkerTimeout bounds how long the dispatch loop waits for the next
-	// worker reply while nodes are in flight. When it expires, the run is
+	// worker reply while nodes are in flight. When a wait outlasts it
+	// (detected within a quarter of it more), the run is
 	// abandoned with a partial report and an error chaining a typed
 	// *ErrWorkerLost naming the smallest device that still owes a reply —
 	// the failure-detection half of the resilience contract (a dead worker
@@ -109,51 +109,31 @@ func (r *Report) IterTime() float64 {
 	return r.MakespanV / float64(iters)
 }
 
-// Master is the centralized controller of §6: it owns the augmented graph,
-// resolves dependencies with an event-driven ready-queue scheduler, and
-// drives model workers through a Transport. Workers execute concurrently on
-// their own goroutines; the master's conservative dispatch gate (see Run)
-// keeps every per-stream request sequence deterministic, so the virtual
-// timeline is byte-reproducible run to run regardless of goroutine
-// scheduling.
-type Master struct {
-	plan    *core.Plan
-	hw      hardware.Cluster
-	oracles map[dfg.Role]*gpumodel.Oracle
-	comm    gpumodel.Comm
-	opts    Options
+// Program is a plan compiled for execution: everything the centralized
+// master of §6 knows before the first request goes out — the augmented
+// graph, each node's devices, per-device virtual durations, label and
+// transient allocation, and every device's static footprint. A Program is
+// immutable once compiled, so one compile serves any number of executions
+// (a training session re-executes its incumbent plan every iteration).
+type Program struct {
+	graph *core.AugGraph
+	works []nodeWork
+	// static is estimator.StaticPerGPU of the plan: each device's resting
+	// memory, what a fleet is Reset to before executing the program.
+	static []int64
+	// callsPerIter counts call nodes per RLHF iteration.
+	callsPerIter []int
+
+	cudaGraph, overlap bool
 }
 
-// NewMaster prepares a master for one plan.
-func NewMaster(p *core.Plan, opts Options) *Master {
-	oracles := map[dfg.Role]*gpumodel.Oracle{}
-	for role, ms := range p.Models {
-		o := gpumodel.NewOracle(p.Cluster, ms.Cfg)
-		o.UseCUDAGraph = opts.UseCUDAGraph
-		oracles[role] = o
-	}
-	return &Master{
-		plan:    p,
-		hw:      p.Cluster,
-		oracles: oracles,
-		comm:    gpumodel.Comm{HW: p.Cluster},
-		opts:    opts,
-	}
-}
-
-// Run executes the plan: it validates and expands it into the augmented
-// graph, spawns (or adopts) model workers, and runs the event-driven
-// dispatch loop until every node completes.
-func Run(p *core.Plan, opts Options) (*Report, error) {
-	m := NewMaster(p, opts)
-	return m.Run()
-}
-
-// nodeWork is the master's precomputed knowledge about one augmented node.
+// nodeWork is the compiled knowledge about one augmented node.
 type nodeWork struct {
-	node  *core.AugNode
-	label string
-	// gpus are the devices the node occupies (deduplicated, sorted).
+	label  string
+	handle string
+	kind   RequestKind // ReqComm exactly for comm-like nodes
+	stream Stream
+	// gpus are the devices the node occupies (deduplicated, ascending).
 	gpus []int
 	// durs gives each of gpus' busy time; nil means uniform `dur`.
 	durs  []float64
@@ -163,47 +143,98 @@ type nodeWork struct {
 	breakdown gpumodel.Breakdown
 }
 
-func (m *Master) prepare(g *core.AugGraph) ([]nodeWork, error) {
-	works := make([]nodeWork, len(g.Nodes))
+// Compile validates the plan, expands it into the augmented graph and
+// prices every node for execution. Of opts, only UseCUDAGraph and
+// OverlapComm shape a compile; the rest matter to an execution.
+func Compile(p *core.Plan, opts Options) (*Program, error) {
+	g, err := p.BuildAugGraph()
+	if err != nil {
+		return nil, err
+	}
+	oracles := map[dfg.Role]*gpumodel.Oracle{}
+	for role, ms := range p.Models {
+		o := gpumodel.NewOracle(p.Cluster, ms.Cfg)
+		o.UseCUDAGraph = opts.UseCUDAGraph
+		oracles[role] = o
+	}
+	comm := gpumodel.Comm{HW: p.Cluster}
+	prog := &Program{
+		graph:     g,
+		works:     make([]nodeWork, len(g.Nodes)),
+		static:    estimator.StaticPerGPU(p),
+		cudaGraph: opts.UseCUDAGraph,
+		overlap:   opts.OverlapComm,
+	}
 	var cs realloc.CostScratch
+	// mark is a bitmap over the cluster's devices, reused across nodes to
+	// deduplicate the GPUs of a node's (possibly overlapping) meshes.
+	mark := make([]bool, p.Cluster.NumGPUs())
 	for _, n := range g.Nodes {
-		w := nodeWork{node: n, label: n.Label()}
-		set := map[int]bool{}
-		for _, ms := range n.Meshes {
-			for _, gpu := range ms.GPUs() {
-				set[gpu] = true
+		w := nodeWork{
+			label:  n.Label(),
+			handle: string(n.Role),
+			kind:   ReqRunCall,
+			stream: StreamCompute,
+			gpus:   meshGPUs(mark, n),
+		}
+		if n.Kind.CommLike() {
+			w.kind = ReqComm
+			if opts.OverlapComm {
+				w.stream = StreamComm
 			}
 		}
-		for gpu := range set {
-			w.gpus = append(w.gpus, gpu)
-		}
-		sort.Ints(w.gpus)
-
 		switch n.Kind {
 		case core.KindCall:
-			spec, err := estimator.CallSpecOf(m.plan, n.Call)
+			spec, err := estimator.CallSpecOf(p, n.Call)
 			if err != nil {
 				return nil, err
 			}
-			oracle, ok := m.oracles[n.Call.Role]
+			oracle, ok := oracles[n.Call.Role]
 			if !ok {
 				return nil, fmt.Errorf("runtime: no oracle for role %q", n.Call.Role)
 			}
-			w.breakdown = gpumodel.AssembleCall(oracle, m.comm, spec)
+			w.breakdown = gpumodel.AssembleCall(oracle, comm, spec)
 			w.dur = w.breakdown.Total()
-			w.alloc = estimator.CallActiveBytes(m.plan, n.Call)
+			w.alloc = estimator.CallActiveBytes(p, n.Call)
+			for len(prog.callsPerIter) <= n.Call.Iter {
+				prog.callsPerIter = append(prog.callsPerIter, 0)
+			}
+			prog.callsPerIter[n.Call.Iter]++
 		case core.KindParamRealloc:
-			ms := m.plan.Models[n.Role]
-			w.setBusy(realloc.ParamsBusy(&cs, ms.Cfg.NumLayers, ms.Cfg.LayerParamBytes(), n.Src, n.Dst, m.hw))
+			ms := p.Models[n.Role]
+			w.setBusy(realloc.ParamsBusy(&cs, ms.Cfg.NumLayers, ms.Cfg.LayerParamBytes(), n.Src, n.Dst, p.Cluster))
 		case core.KindDataTransfer:
-			w.setBusy(realloc.DataBusy(&cs, n.Bytes, n.Src, n.Dst, m.hw))
+			w.setBusy(realloc.DataBusy(&cs, n.Bytes, n.Src, n.Dst, p.Cluster))
 		case core.KindOffload:
 			perGPU := n.Bytes / int64(n.Dst.Mesh.NumGPUs())
-			w.dur = m.comm.OffloadTransfer(perGPU)
+			w.dur = comm.OffloadTransfer(perGPU)
 		}
-		works[n.ID] = w
+		prog.works[n.ID] = w
 	}
-	return works, nil
+	return prog, nil
+}
+
+// meshGPUs lists the distinct devices of n's meshes in ascending order,
+// using mark (all false on entry and on return) as scratch.
+func meshGPUs(mark []bool, n *core.AugNode) []int {
+	lo, hi, count := len(mark), 0, 0
+	for _, ms := range n.Meshes {
+		for gpu := ms.First; gpu < ms.First+ms.Count; gpu++ {
+			if !mark[gpu] {
+				mark[gpu] = true
+				count++
+			}
+		}
+		lo, hi = min(lo, ms.First), max(hi, ms.First+ms.Count)
+	}
+	gpus := make([]int, 0, count)
+	for gpu := lo; gpu < hi; gpu++ {
+		if mark[gpu] {
+			gpus = append(gpus, gpu)
+			mark[gpu] = false
+		}
+	}
+	return gpus
 }
 
 // setBusy charges the node's devices their share of a transfer's per-GPU
@@ -213,10 +244,37 @@ func (w *nodeWork) setBusy(busy []float64) {
 	w.durs = make([]float64, len(w.gpus))
 	for i, gpu := range w.gpus {
 		w.durs[i] = busy[gpu]
-		if busy[gpu] > w.dur {
-			w.dur = busy[gpu]
-		}
+		w.dur = max(w.dur, busy[gpu])
 	}
+}
+
+// StaticPerGPU is each device's resting memory under the compiled plan —
+// the footprint a fleet is Reset to before executing it. The slice is
+// shared; callers must not modify it.
+func (prog *Program) StaticPerGPU() []int64 { return prog.static }
+
+// Run executes the plan on a fresh in-process fleet (or over the caller's
+// Options.Transport): Compile plus one execution.
+func Run(p *core.Plan, opts Options) (*Report, error) {
+	if opts.Transport != nil && len(opts.Workers) == 0 {
+		return nil, fmt.Errorf("runtime: custom Transport requires Options.Workers (memory accounting needs the worker set)")
+	}
+	prog, err := Compile(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	transport, workers := opts.Transport, opts.Workers
+	if transport == nil {
+		workers = make([]*ModelWorker, len(prog.static))
+		for i := range workers {
+			workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
+			workers[i].StaticBytes = prog.static[i]
+		}
+		ct := NewChanTransport(workers)
+		defer ct.Close()
+		transport = ct
+	}
+	return prog.execute(opts, transport, workers)
 }
 
 // readyItem orders the master's dispatch queue by (ready time, comm-first,
@@ -253,7 +311,25 @@ func (q *readyHeap) Pop() any {
 	return it
 }
 
-// Run drives the event-driven dispatch loop.
+// livenessTicks is how many timer ticks make up one WorkerTimeout: a lost
+// worker is detected between WorkerTimeout and WorkerTimeout plus one tick
+// after the master began waiting on it.
+const livenessTicks = 4
+
+// nodeRun is one node's dispatch state within one execution.
+type nodeRun struct {
+	pending     int     // outstanding parent count
+	outstanding int     // replies still expected
+	readyV      float64 // max end time over completed parents
+	startV      float64 // min start over the node's replies
+	endV        float64 // max end over the node's replies
+	done        bool
+}
+
+// execute is the master's event-driven dispatch loop — the one path every
+// execution takes, whether the program was just compiled (Run,
+// WorkerPool.Run) or is re-executed by a long-lived session
+// (WorkerPool.Execute). Of opts, only Context and WorkerTimeout are read.
 //
 // Determinism: workers run concurrently, and replies arrive in arbitrary
 // physical order, but the virtual timeline they produce is a pure function
@@ -264,107 +340,63 @@ func (q *readyHeap) Pop() any {
 // overhead): since any future node's ready time is at least that bound, the
 // global dispatch sequence is exactly the (ready time, node ID)-sorted
 // order, independent of goroutine scheduling and reply arrival order.
-func (m *Master) Run() (*Report, error) {
-	ctx := m.opts.Context
+func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker) (*Report, error) {
+	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if m.opts.Transport != nil && len(m.opts.Workers) == 0 {
-		return nil, fmt.Errorf("runtime: custom Transport requires Options.Workers (memory accounting needs the worker set)")
-	}
-	g, err := m.plan.BuildAugGraph()
-	if err != nil {
-		return nil, err
-	}
-	works, err := m.prepare(g)
-	if err != nil {
-		return nil, err
-	}
-
-	var workers []*ModelWorker
-	transport := m.opts.Transport
-	if transport == nil {
-		static := estimator.StaticPerGPU(m.plan)
-		workers = make([]*ModelWorker, m.hw.NumGPUs())
-		for i := range workers {
-			workers[i] = NewModelWorker(i, m.hw.GPU.MemoryBytes)
-			workers[i].StaticBytes = static[i]
-		}
-		ct := NewChanTransport(workers)
-		defer ct.Close()
-		transport = ct
-	} else {
-		workers = m.opts.Workers
-	}
-
+	nodes := prog.graph.Nodes
+	total := len(nodes)
 	report := &Report{
-		OverlapComm:    m.opts.OverlapComm,
+		OverlapComm:    prog.overlap,
 		CallTimes:      map[string]float64{},
 		CallBreakdowns: map[string]gpumodel.Breakdown{},
 	}
-
-	total := len(g.Nodes)
-	pending := make([]int, total) // outstanding parent count
-	readyV := make([]float64, total)
-	outstanding := make([]int, total) // replies still expected
-	startV := make([]float64, total)  // min start over the node's replies
-	endV := make([]float64, total)    // max end over the node's replies
-	done := make([]bool, total)
-	for i := range startV {
-		startV[i] = math.MaxFloat64
-	}
-
-	streamFor := func(k core.Kind) Stream {
-		if m.opts.OverlapComm {
-			return StreamOf(k)
+	state := make([]nodeRun, total)
+	ready := make(readyHeap, 0, total)
+	for i, n := range nodes {
+		state[i] = nodeRun{pending: len(n.Parents), startV: math.MaxFloat64}
+		if len(n.Parents) == 0 {
+			heap.Push(&ready, readyItem{ready: 0, comm: prog.works[i].kind == ReqComm, id: i})
 		}
-		return StreamCompute
 	}
+	// inflight lists the dispatched, incomplete nodes; the dispatch gate is
+	// the earliest virtual time any of them can complete.
+	var inflight []int
+	owedByGPU := make([]int, len(prog.static)) // replies each device still owes
+	replies := transport.Replies()
 
-	var ready readyHeap
-	inflight := map[int]float64{}            // id -> lower bound on completion time
-	owedByGPU := make([]int, m.hw.NumGPUs()) // replies each device still owes
-
-	// minInflightBound is the earliest virtual time any in-flight node can
-	// complete — the dispatch gate. Map iteration order does not matter:
-	// min is order-independent.
 	minInflightBound := func() (float64, bool) {
 		if len(inflight) == 0 {
 			return 0, false
 		}
-		min := math.MaxFloat64
-		for _, b := range inflight {
-			if b < min {
-				min = b
-			}
+		bound := math.MaxFloat64
+		for _, id := range inflight {
+			bound = min(bound, state[id].readyV+dispatchOverheadV)
 		}
-		return min, true
+		return bound, true
 	}
 
 	dispatch := func(id int) error {
-		w := works[id]
-		s := streamFor(w.node.Kind)
+		w := &prog.works[id]
+		st := &state[id]
 		for i, gpu := range w.gpus {
 			dur := w.dur
 			if w.durs != nil {
 				dur = w.durs[i]
 			}
 			req := Request{
-				ID: id, Kind: ReqRunCall, NodeID: id, Stream: s,
-				Label: w.label, Handle: string(w.node.Role),
-				ReadyV: readyV[id], DurV: dur, AllocBytes: w.alloc,
-			}
-			if w.node.Kind != core.KindCall {
-				req.Kind = ReqComm
-				req.AllocBytes = 0
+				ID: id, Kind: w.kind, NodeID: id, Stream: w.stream,
+				Label: w.label, Handle: w.handle,
+				ReadyV: st.readyV, DurV: dur, AllocBytes: w.alloc,
 			}
 			if err := transport.Send(gpu, req); err != nil {
 				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
 			}
 			owedByGPU[gpu]++
 		}
-		outstanding[id] = len(w.gpus)
-		inflight[id] = readyV[id] + dispatchOverheadV
+		st.outstanding = len(w.gpus)
+		inflight = append(inflight, id)
 		return nil
 	}
 
@@ -374,31 +406,35 @@ func (m *Master) Run() (*Report, error) {
 			report.OOM = true
 			report.Errors = append(report.Errors, rep.Error)
 		}
-		id := rep.ID
-		if rep.EndV > endV[id] {
-			endV[id] = rep.EndV
+		if rep.ID < 0 || rep.ID >= total {
+			return // a straggler fence: no node of this program
 		}
-		if rep.StartV < startV[id] {
-			startV[id] = rep.StartV
-		}
+		st := &state[rep.ID]
+		st.endV = max(st.endV, rep.EndV)
+		st.startV = min(st.startV, rep.StartV)
 		if rep.GPU >= 0 && rep.GPU < len(owedByGPU) {
 			owedByGPU[rep.GPU]--
 		}
-		outstanding[id]--
-		if outstanding[id] > 0 {
+		st.outstanding--
+		if st.outstanding > 0 {
 			return
 		}
 		// Node complete: release the gate and unlock children.
-		done[id] = true
+		st.done = true
 		completed++
-		delete(inflight, id)
-		for _, c := range g.Nodes[id].Children {
-			if endV[id] > readyV[c] {
-				readyV[c] = endV[id]
+		for i, id := range inflight {
+			if id == rep.ID {
+				inflight[i] = inflight[len(inflight)-1]
+				inflight = inflight[:len(inflight)-1]
+				break
 			}
-			pending[c]--
-			if pending[c] == 0 {
-				heap.Push(&ready, readyItem{ready: readyV[c], comm: g.Nodes[c].Kind.CommLike(), id: c})
+		}
+		for _, c := range nodes[rep.ID].Children {
+			cs := &state[c]
+			cs.readyV = max(cs.readyV, st.endV)
+			cs.pending--
+			if cs.pending == 0 {
+				heap.Push(&ready, readyItem{ready: cs.readyV, comm: prog.works[c].kind == ReqComm, id: c})
 			}
 		}
 	}
@@ -411,32 +447,24 @@ func (m *Master) Run() (*Report, error) {
 		// node, done or not) from what actually completed: an iteration
 		// counts as completed only when all of its calls finished, so a
 		// cancelled run's IterTime is never averaged over phantom work.
-		iters := 0
-		callsPerIter := map[int]int{}
-		donePerIter := map[int]int{}
-		for _, n := range g.Nodes {
-			if n.Kind == core.KindCall {
-				if n.Call.Iter+1 > iters {
-					iters = n.Call.Iter + 1
-				}
-				callsPerIter[n.Call.Iter]++
-				if done[n.ID] {
-					donePerIter[n.Call.Iter]++
-				}
-			}
-			if !done[n.ID] {
+		donePerIter := make([]int, len(prog.callsPerIter))
+		if completed > 0 {
+			report.Timeline = make([]NodeSpan, 0, completed)
+		}
+		for _, n := range nodes {
+			st := &state[n.ID]
+			if !st.done {
 				continue
 			}
-			w := works[n.ID]
+			w := &prog.works[n.ID]
 			report.Timeline = append(report.Timeline, NodeSpan{
-				Label: w.label, Kind: n.Kind, Stream: streamFor(n.Kind),
-				Lane: w.gpus[0], StartV: startV[n.ID], EndV: endV[n.ID],
+				Label: w.label, Kind: n.Kind, Stream: w.stream,
+				Lane: w.gpus[0], StartV: st.startV, EndV: st.endV,
 			})
-			if endV[n.ID] > report.MakespanV {
-				report.MakespanV = endV[n.ID]
-			}
+			report.MakespanV = max(report.MakespanV, st.endV)
 			switch n.Kind {
 			case core.KindCall:
+				donePerIter[n.Call.Iter]++
 				if n.Call.Iter == 0 {
 					report.CallTimes[n.Call.Name] = w.dur
 					report.CallBreakdowns[n.Call.Name] = w.breakdown
@@ -445,9 +473,9 @@ func (m *Master) Run() (*Report, error) {
 				report.CommTimeV += w.dur
 			}
 		}
-		report.Iterations = iters
-		for it, total := range callsPerIter {
-			if donePerIter[it] == total {
+		report.Iterations = len(prog.callsPerIter)
+		for it, calls := range prog.callsPerIter {
+			if donePerIter[it] == calls {
 				report.CompletedIterations++
 			}
 		}
@@ -462,24 +490,23 @@ func (m *Master) Run() (*Report, error) {
 		})
 	}
 
-	for _, n := range g.Nodes {
-		pending[n.ID] = len(n.Parents)
-	}
-	for _, n := range g.Nodes {
-		if pending[n.ID] == 0 {
-			heap.Push(&ready, readyItem{ready: 0, comm: n.Kind.CommLike(), id: n.ID})
-		}
-	}
-
 	// A run that dies mid-flight — lost worker, closed transport, stalled
 	// scheduler — still returns the partial report assembled from every
 	// node that did complete, exactly like a context cancellation: the
 	// caller's accounting (CompletedIterations, IterTime's partial-run
 	// clamp) must not depend on *why* the run ended early.
-	var timer *time.Timer
-	if m.opts.WorkerTimeout > 0 {
-		timer = time.NewTimer(m.opts.WorkerTimeout)
+	var (
+		timer    *time.Timer
+		timeoutC <-chan time.Time
+		tick     = opts.WorkerTimeout / livenessTicks
+		// waits numbers the blocking waits; tickedWait is the wait the last
+		// tick landed in, and quietTicks counts the ticks since then.
+		waits, tickedWait, quietTicks int
+	)
+	if opts.WorkerTimeout > 0 {
+		timer = time.NewTimer(tick)
 		defer timer.Stop()
+		timeoutC = timer.C
 	}
 	for completed < total {
 		// Dispatch every node the gate admits, draining replies
@@ -497,7 +524,7 @@ func (m *Master) Run() (*Report, error) {
 			}
 			for drained := false; !drained; {
 				select {
-				case rep, ok := <-transport.Replies():
+				case rep, ok := <-replies:
 					if !ok {
 						finish()
 						return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", len(inflight))
@@ -515,41 +542,47 @@ func (m *Master) Run() (*Report, error) {
 			finish()
 			return report, fmt.Errorf("runtime: scheduler stalled with %d/%d nodes complete", completed, total)
 		}
-		// Re-arm the liveness timer for this wait: a timeout means no
-		// worker answered for a full WorkerTimeout while replies were owed.
-		var timeoutC <-chan time.Time
-		if timer != nil {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(m.opts.WorkerTimeout)
-			timeoutC = timer.C
-		}
-		select {
-		case <-ctx.Done():
-			finish()
-			return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
-				completed, total, ctx.Err())
-		case <-timeoutC:
-			finish()
-			lost := -1
-			for gpu, owed := range owedByGPU {
-				if owed > 0 {
-					lost = gpu
-					break
-				}
-			}
-			return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
-				m.opts.WorkerTimeout, completed, total, &ErrWorkerLost{GPU: lost})
-		case rep, ok := <-transport.Replies():
-			if !ok {
+		// Block for the next reply. The liveness timer ticks every
+		// WorkerTimeout/livenessTicks and is never re-armed per wait (that
+		// would cost a clock read per reply): a wait that spans
+		// livenessTicks+1 ticks has lasted at least WorkerTimeout with
+		// replies owed, and is caught within one tick of that.
+		waits++
+	wait:
+		for {
+			select {
+			case <-ctx.Done():
 				finish()
-				return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", len(inflight))
+				return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
+					completed, total, ctx.Err())
+			case <-timeoutC:
+				if waits != tickedWait {
+					tickedWait, quietTicks = waits, 0
+				} else {
+					quietTicks++
+				}
+				if quietTicks < livenessTicks {
+					timer.Reset(tick)
+					continue
+				}
+				finish()
+				lost := -1
+				for gpu, owed := range owedByGPU {
+					if owed > 0 {
+						lost = gpu
+						break
+					}
+				}
+				return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
+					opts.WorkerTimeout, completed, total, &ErrWorkerLost{GPU: lost})
+			case rep, ok := <-replies:
+				if !ok {
+					finish()
+					return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", len(inflight))
+				}
+				handleReply(rep)
+				break wait
 			}
-			handleReply(rep)
 		}
 	}
 	finish()

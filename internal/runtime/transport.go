@@ -4,102 +4,143 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	goruntime "runtime"
 	"sync"
 )
 
-// ChanTransport runs each model worker as a pair of stream goroutines fed by
-// buffered channels — the in-process transport used by tests, benchmarks and
-// the default Run path. One goroutine per (worker, stream) keeps requests on
-// a stream in FIFO order while compute and communication requests for the
-// same worker execute concurrently.
+// ChanTransport is the in-process transport used by tests, benchmarks, the
+// default Run path and Trainer sessions. Workers are sharded over
+// min(GOMAXPROCS, workers) executor goroutines: device i belongs to shard
+// i % S, and each shard drains one unbounded FIFO of requests in arrival
+// order. That preserves per-(worker, stream) FIFO order — all the fence
+// protocol and the master's determinism gate rely on — while the streams'
+// overlap is virtual, carried by each worker's per-stream clocks, so no
+// goroutine per lane is needed. Send never blocks.
 type ChanTransport struct {
-	queues  [][]chan Request // [gpu][stream]
+	workers []*ModelWorker
+	shards  []*shard
 	replies chan Reply
-	wg      sync.WaitGroup
-	once    sync.Once
-
-	// mu guards the closed flag against concurrent Send/Close: a send may
-	// not race the queue close, or it would panic instead of returning the
-	// prompt "transport closed" error long-lived sessions rely on.
-	mu     sync.RWMutex
-	closed bool
+	// stop is closed by Close; executors blocked on a full reply channel or
+	// on an empty queue observe it and exit.
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
-// NewChanTransport starts one goroutine per device stream.
+// shard is one executor's request queue.
+type shard struct {
+	mu     sync.Mutex
+	queue  []routed
+	idle   bool // the executor waits on wake for the next request
+	closed bool
+	// wake has room for exactly the one signal an idle executor awaits:
+	// only the Send that clears idle sends it.
+	wake chan struct{}
+}
+
+// routed is a request bound for one device of a shard.
+type routed struct {
+	gpu int
+	req Request
+}
+
+// NewChanTransport starts the executor goroutines for the fleet.
 func NewChanTransport(workers []*ModelWorker) *ChanTransport {
 	t := &ChanTransport{
-		queues:  make([][]chan Request, len(workers)),
+		workers: workers,
+		shards:  make([]*shard, min(goruntime.GOMAXPROCS(0), len(workers))),
 		replies: make(chan Reply, 4*NumStreams*len(workers)+16),
+		stop:    make(chan struct{}),
 	}
-	for i, w := range workers {
-		lanes := make([]chan Request, NumStreams)
-		for s := range lanes {
-			q := make(chan Request, 256)
-			lanes[s] = q
-			t.wg.Add(1)
-			go func(w *ModelWorker, q chan Request) {
-				defer t.wg.Done()
-				for req := range q {
-					if req.Kind == ReqShutdown {
-						return
-					}
-					t.replies <- w.Handle(req)
-				}
-			}(w, q)
-		}
-		t.queues[i] = lanes
+	for i := range t.shards {
+		sh := &shard{wake: make(chan struct{}, 1)}
+		t.shards[i] = sh
+		t.wg.Add(1)
+		go t.execute(sh)
 	}
 	return t
 }
 
-// Send implements Transport. Sending on a closed transport returns a prompt
-// error instead of panicking on the closed queue or hanging.
+// execute is one shard's executor loop: it takes the whole queue at once
+// and handles it in arrival order, replying in the same order.
+func (t *ChanTransport) execute(sh *shard) {
+	defer t.wg.Done()
+	var batch []routed
+	for {
+		sh.mu.Lock()
+		for len(sh.queue) == 0 {
+			if sh.closed {
+				sh.mu.Unlock()
+				return
+			}
+			sh.idle = true
+			sh.mu.Unlock()
+			select {
+			case <-sh.wake:
+			case <-t.stop:
+				return
+			}
+			sh.mu.Lock()
+		}
+		batch, sh.queue = sh.queue, batch[:0]
+		sh.mu.Unlock()
+		for _, r := range batch {
+			rep := t.workers[r.gpu].Handle(r.req)
+			// Try the cheap non-blocking send first; only a full reply
+			// channel pays for the two-way select.
+			select {
+			case t.replies <- rep:
+				continue
+			default:
+			}
+			select {
+			case t.replies <- rep:
+			case <-t.stop:
+				return
+			}
+		}
+	}
+}
+
+// Send implements Transport. It enqueues and returns without waiting, so a
+// backed-up fleet can never wedge the master or Close; sending on a closed
+// transport returns a prompt error.
 func (t *ChanTransport) Send(gpu int, req Request) error {
-	if gpu < 0 || gpu >= len(t.queues) {
+	if gpu < 0 || gpu >= len(t.workers) {
 		return fmt.Errorf("runtime: no worker for gpu %d", gpu)
 	}
-	s := req.Stream
-	if s < 0 || int(s) >= NumStreams {
-		s = StreamCompute
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
+	sh := t.shards[gpu%len(t.shards)]
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
 		return fmt.Errorf("runtime: send to gpu %d: transport closed", gpu)
 	}
-	t.queues[gpu][s] <- req
+	sh.queue = append(sh.queue, routed{gpu: gpu, req: req})
+	wake := sh.idle
+	sh.idle = false
+	sh.mu.Unlock()
+	if wake {
+		sh.wake <- struct{}{}
+	}
 	return nil
 }
 
 // Replies implements Transport.
 func (t *ChanTransport) Replies() <-chan Reply { return t.replies }
 
-// Close implements Transport. It drains straggler replies (e.g. after a
-// cancelled run) so worker goroutines blocked on the reply channel can
-// exit.
+// Close implements Transport: later Sends fail, requests still queued are
+// dropped, and Close returns once every executor goroutine has exited.
+// Idempotent.
 func (t *ChanTransport) Close() error {
 	t.once.Do(func() {
-		t.mu.Lock()
-		t.closed = true
-		for _, lanes := range t.queues {
-			for _, q := range lanes {
-				q <- Request{Kind: ReqShutdown}
-				close(q)
-			}
+		for _, sh := range t.shards {
+			sh.mu.Lock()
+			sh.closed = true
+			sh.queue = nil
+			sh.mu.Unlock()
 		}
-		t.mu.Unlock()
-		done := make(chan struct{})
-		go func() {
-			t.wg.Wait()
-			close(done)
-		}()
-		for {
-			select {
-			case <-t.replies: // discard
-			case <-done:
-				return
-			}
-		}
+		close(t.stop)
+		t.wg.Wait()
 	})
 	return nil
 }

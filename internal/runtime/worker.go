@@ -17,8 +17,8 @@ const dispatchOverheadV = 200e-6
 // compute and copy engines: requests on different streams overlap in
 // virtual time, requests on the same stream serialize.
 //
-// Handle is safe for concurrent use: the in-process transport runs one
-// goroutine per stream against the same worker.
+// Handle is safe for concurrent use: a transport's executor handles requests
+// while the master reads Peak and Reset clears the ledger between runs.
 type ModelWorker struct {
 	GPU int
 	// MemoryBytes is the device capacity.

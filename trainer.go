@@ -64,6 +64,13 @@ type Trainer struct {
 	calib      *estimator.Calibration
 	drifted    bool // profile feedback demands a replan before the next iteration
 
+	// prog is the incumbent's compiled program, reused while progKey —
+	// the workload's problemKey plus the executed plan's fingerprint —
+	// holds. The workload is part of the key because a frozen plan keeps
+	// its fingerprint while a GenLen schedule changes its graph.
+	prog    *runtime.Program
+	progKey string
+
 	workerTimeout time.Duration
 
 	iter              int
@@ -395,10 +402,17 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	// deterministic functions of the executed plan. Anything that is not a
 	// worker loss aborts the step as before.
 	var (
-		execPlan *core.Plan
-		est      *estimator.Result
-		rep      *runtime.Report
+		execPlan    *core.Plan
+		est         *estimator.Result
+		rep         *runtime.Report
+		fingerprint string
 	)
+	runOpts := runtime.Options{
+		UseCUDAGraph:  t.run.UseCUDAGraph,
+		OverlapComm:   t.run.OverlapComm,
+		Context:       ctx,
+		WorkerTimeout: t.workerTimeout,
+	}
 	for {
 		// The replan loop is bounded by the shrinking mesh (shrinkLocked
 		// fails out at one node), but each attempt re-checks the caller's
@@ -411,8 +425,12 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		static := estimator.StaticPerGPU(execPlan)
-		if err := t.pool.Reset(static); err != nil {
+		fingerprint = execPlan.Fingerprint()
+		prog, err := t.programLocked(workCfg, execPlan, fingerprint, runOpts)
+		if err != nil {
+			return nil, fmt.Errorf("realhf: iteration %d failed: %w", iter, err)
+		}
+		if err := t.pool.Reset(prog.StaticPerGPU()); err != nil {
 			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
 				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
 					return nil, serr
@@ -421,12 +439,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 			}
 			return nil, err
 		}
-		rep, err = t.pool.Run(execPlan, runtime.Options{
-			UseCUDAGraph:  t.run.UseCUDAGraph,
-			OverlapComm:   t.run.OverlapComm,
-			Context:       ctx,
-			WorkerTimeout: t.workerTimeout,
-		})
+		rep, err = t.pool.Execute(prog, runOpts)
 		if err != nil {
 			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
 				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
@@ -445,7 +458,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	report.EstCallTimes = est.CallTimes
 	report.OOM = rep.OOM
 	report.Errors = rep.Errors
-	report.PlanFingerprint = execPlan.Fingerprint()
+	report.PlanFingerprint = fingerprint
 	report.ReallocSwitchCost = t.pendingSwitchCost
 	if !rep.OOM {
 		report.ThroughputPFLOPs = estimator.Throughput(execPlan, rep.MakespanV)
@@ -584,6 +597,7 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 	}
 	pool.SetFenceTimeout(t.workerTimeout)
 	t.pool = pool
+	t.prog = nil
 	t.replans++
 	t.switches++
 	t.base.Nodes = newCfg.Nodes
@@ -611,6 +625,22 @@ func (t *Trainer) instantiateLocked(workCfg ExperimentConfig) (*core.Plan, *esti
 	exec := plan.Clone()
 	exec.Cluster = t.hw
 	return exec, res, nil
+}
+
+// programLocked returns the compiled program of exec, the plan instantiated
+// for workCfg, compiling only when the workload or the plan changed since
+// the last iteration — a steady step pays for dispatch alone.
+func (t *Trainer) programLocked(workCfg ExperimentConfig, exec *core.Plan, fingerprint string, opts runtime.Options) (*runtime.Program, error) {
+	key := workCfg.problemKey() + ";plan=" + fingerprint
+	if t.prog != nil && t.progKey == key {
+		return t.prog, nil
+	}
+	prog, err := runtime.Compile(exec, opts)
+	if err != nil {
+		return nil, err
+	}
+	t.prog, t.progKey = prog, key
+	return prog, nil
 }
 
 // evaluateLocked builds workCfg's graph with the given plan's assignments
@@ -717,6 +747,7 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 	}
 	pool.SetFenceTimeout(t.workerTimeout)
 	t.pool = pool
+	t.prog = nil
 	t.replans++
 	t.switches++
 	t.base.Nodes = nodes
