@@ -9,7 +9,8 @@
 // `git diff --exit-code` if any fingerprint or virtual timing changed —
 // plan-search and runtime regressions surface as diffs, and deliberate
 // cost-model changes are recorded by regenerating the file in the same
-// commit.
+// commit. The tool itself fails when a solved plan's runtime makespan
+// differs from its estimate under the semantics it was solved with.
 //
 // Usage:
 //
@@ -99,6 +100,22 @@ func splitPlan() (*core.Plan, error) {
 	return p, p.Validate()
 }
 
+// checkAgreement fails unless the runtime executes a solved plan's estimate:
+// the runtime runs the estimator's Algorithm 1 timeline, so under the
+// semantics the plan was solved with, its makespan must equal the estimated
+// time cost bit for bit.
+func checkAgreement(sol search.Solution, overlap bool) error {
+	rep, err := runtime.Run(sol.Plan, runtime.Options{UseCUDAGraph: true, OverlapComm: overlap})
+	if err != nil {
+		return err
+	}
+	if rep.MakespanV != sol.Estimate.TimeCost {
+		return fmt.Errorf("runtime makespan %.9e differs from the estimate %.9e (overlap=%t)",
+			rep.MakespanV, sol.Estimate.TimeCost, overlap)
+	}
+	return nil
+}
+
 // timelineHash folds a report's full timeline into one FNV-1a fingerprint:
 // any reordering or retiming of any span changes it.
 func timelineHash(rep *runtime.Report) uint64 {
@@ -155,6 +172,9 @@ func main() {
 	for _, seed := range []int64{1, 7, 42} {
 		plan, est := goldenProblem()
 		res := solve(search.Problem{Est: est, Plan: plan}, search.Options{MaxSteps: *steps, Seed: seed})
+		if err := checkAgreement(res, false); err != nil {
+			log.Fatalf("seed %d: %v", seed, err)
+		}
 		runs, err := runBoth(res.Plan, false)
 		if err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
@@ -182,6 +202,9 @@ func main() {
 		plan, est := goldenProblem()
 		res := solve(search.Problem{Est: est, Plan: plan, Overlap: true},
 			search.Options{MaxSteps: *steps, Seed: seed})
+		if err := checkAgreement(res, true); err != nil {
+			log.Fatalf("overlap-aware seed %d: %v", seed, err)
+		}
 		runs, err := runBoth(res.Plan, false)
 		if err != nil {
 			log.Fatalf("overlap-aware seed %d: %v", seed, err)
@@ -202,6 +225,9 @@ func main() {
 			search.Options{MaxSteps: *steps, Seed: seed, OffloadSearch: true})
 		if res.Estimate.OOM {
 			log.Fatalf("offload-aware seed %d: chosen plan infeasible (max %d bytes)", seed, res.Estimate.MaxMem)
+		}
+		if err := checkAgreement(res, false); err != nil {
+			log.Fatalf("offload-aware seed %d: %v", seed, err)
 		}
 		runs, err := runBoth(res.Plan, false)
 		if err != nil {

@@ -112,19 +112,6 @@ type AugGraph struct {
 // which our cost model reproduces.
 const DataBytesPerToken = 8
 
-// BuildAugGraph validates the plan and expands it into a freshly allocated
-// augmented dataflow graph (see AugBuilder.Build).
-func (p *Plan) BuildAugGraph() (*AugGraph, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := NewAugBuilder(p.Graph)
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(p)
-}
-
 // AugBuilder expands plans over one dataflow graph into augmented graphs. It
 // prepares everything assignment-independent once — topological order,
 // parent lists, each role's home call — and rebuilds into one node arena, so

@@ -76,9 +76,21 @@ func TestHomeOfTrainable(t *testing.T) {
 	}
 }
 
+// buildAug validates p and expands it through a fresh AugBuilder.
+func buildAug(p *Plan) (*AugGraph, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	b, err := NewAugBuilder(p.Graph)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(p)
+}
+
 func TestSymmetricPlanHasNoTransferNodes(t *testing.T) {
 	p := ppoPlan(t, 2, 2)
-	g, err := p.BuildAugGraph()
+	g, err := buildAug(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestAsymmetricPlanInsertsRealloc(t *testing.T) {
 		Mesh:     genMesh,
 		Strategy: parallel.Strategy{DP: 4, TP: 2, PP: 1, MicroBatches: 1},
 	}
-	g, err := p.BuildAugGraph()
+	g, err := buildAug(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +155,7 @@ func TestReallocGatedByVersionParent(t *testing.T) {
 		Mesh:     genMesh,
 		Strategy: parallel.Strategy{DP: 4, TP: 2, PP: 1, MicroBatches: 1},
 	}
-	g, err := p.BuildAugGraph()
+	g, err := buildAug(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestOffloadNodes(t *testing.T) {
 	if !p.RoleOffloaded(dfg.Ref) {
 		t.Fatal("ApplyOffloadHints did not offload every Ref call")
 	}
-	g, err := p.BuildAugGraph()
+	g, err := buildAug(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,9 @@ type Fig12Point struct {
 // runtime, and overlapped estimator vs overlapped runtime — with the
 // estimator driven by noisy interpolated profiles while the runtime uses
 // ground truth (paper Fig. 12: errors stay under ~25% and the relative
-// ordering of plans is preserved).
+// ordering of plans is preserved). The runtime executes the Algorithm 1
+// timeline of an oracle-costed estimator, so the gap comes from the
+// profiled tables (and, in a Trainer session, calibration) alone.
 func Fig12(scales []int, steps int) ([]Fig12Point, string, error) {
 	var b strings.Builder
 	b.WriteString(header("Figure 12 (left): profiler wall time per model"))

@@ -134,10 +134,9 @@ func (f *FaultyTransport) Fail(gpu int, kind FaultKind) {
 }
 
 // InjectAfter arms a fault that trips on the sends-th subsequent Send to
-// the device (sends <= 1 trips on the very next one) — the deterministic
-// way to lose a worker mid-iteration: the master's dispatch sequence is
-// deterministic, so the same send count always lands at the same point of
-// the run.
+// the device (sends <= 1 trips on the very next one) — the way to lose a
+// given worker mid-iteration. Which of the device's nodes the fault
+// interrupts can vary with reply arrival order; the lost device cannot.
 func (f *FaultyTransport) InjectAfter(gpu, sends int, kind FaultKind) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,8 +172,8 @@ func TestOverlapDeterministicOverTCP(t *testing.T) {
 }
 
 // TestOverlapConsistentWithEstimator: with matching OverlapComm settings the
-// runtime stays within the Fig. 12 band of the estimator's priority-queue
-// simulation on the realloc-heavy config.
+// runtime executes the estimator's priority-queue simulation of the
+// realloc-heavy config exactly, in both stream modes.
 func TestOverlapConsistentWithEstimator(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		p := reallocHeavyPlan(t, 1)
@@ -190,34 +191,71 @@ func TestOverlapConsistentWithEstimator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := math.Abs(rep.MakespanV-est.TimeCost) / est.TimeCost
-		if rel > 0.25 {
-			t.Errorf("overlap=%v: runtime %.3fs vs estimate %.3fs: %.1f%% apart (>25%%)",
-				overlap, rep.MakespanV, est.TimeCost, 100*rel)
+		if rep.MakespanV != est.TimeCost {
+			t.Errorf("overlap=%v: runtime %.9fs != estimate %.9fs", overlap, rep.MakespanV, est.TimeCost)
+		}
+		if !reflect.DeepEqual(rep.CallTimes, est.CallTimes) {
+			t.Errorf("overlap=%v: runtime call times %v != estimated %v", overlap, rep.CallTimes, est.CallTimes)
 		}
 	}
 }
 
-// TestWorkerStreamsOverlap: requests on different streams of one worker
-// advance independent clocks; requests sharing a stream serialize.
+// TestWorkerStreamsOverlap: under OverlapComm a worker's two streams advance
+// independently in the compiled timeline — communication runs on a device
+// while a model function call occupies its compute stream — and requests
+// sharing a stream serialize. Without overlap every request rides the
+// compute stream.
 func TestWorkerStreamsOverlap(t *testing.T) {
-	w := NewModelWorker(0, 1<<40)
-	call := w.Handle(Request{ID: 1, Stream: StreamCompute, ReadyV: 0, DurV: 10})
-	comm := w.Handle(Request{ID: 2, Stream: StreamComm, ReadyV: 0, DurV: 1})
-	if comm.EndV >= call.EndV {
-		t.Errorf("comm stream (end %.4f) must overlap the busy compute stream (end %.4f)",
-			comm.EndV, call.EndV)
+	p := reallocHeavyPlan(t, 1)
+	serial, err := Compile(p, Options{UseCUDAGraph: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	comm2 := w.Handle(Request{ID: 3, Stream: StreamComm, ReadyV: 0, DurV: 1})
-	if comm2.StartV < comm.EndV {
-		t.Error("same-stream requests must serialize")
+	over, err := Compile(p, Options{UseCUDAGraph: true, OverlapComm: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.Clock() != call.EndV {
-		t.Errorf("Clock() = %.4f, want the furthest stream %.4f", w.Clock(), call.EndV)
+	checkCompiledClock(t, serial)
+	checkCompiledClock(t, over)
+	for i := range serial.works {
+		if w := &serial.works[i]; w.stream != StreamCompute {
+			t.Fatalf("serialized %s rides the %s stream", w.label, w.stream)
+		}
 	}
-	if w.StreamClock(StreamComm) != comm2.EndV {
-		t.Error("StreamClock(comm) must track the comm lane")
+	crossStream := false
+	for i := range over.works {
+		c := &over.works[i]
+		if c.kind != ReqComm {
+			continue
+		}
+		if c.stream != StreamComm {
+			t.Fatalf("overlapped %s rides the %s stream", c.label, c.stream)
+		}
+		for j := range over.works {
+			k := &over.works[j]
+			if k.kind == ReqRunCall && sharesGPU(c.gpus, k.gpus) && c.startV < k.endV && k.startV < c.endV {
+				crossStream = true
+			}
+		}
 	}
+	if !crossStream {
+		t.Error("no communication overlapped a call on a shared device")
+	}
+}
+
+// sharesGPU reports whether two ascending device lists intersect.
+func sharesGPU(a, b []int) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // --- error paths ---

@@ -12,20 +12,17 @@ import (
 // both persisting across runs — the execution-side state a long-lived
 // training session reuses every iteration, where the one-shot Run path
 // rebuilds workers and transport per call. Between iterations the pool is
-// Reset: every stream is fenced and drained to quiescence, stream clocks and
-// memory ledgers return to zero, and each device's static footprint is
-// replaced (the next iteration may execute a different plan). Resize swaps
-// the fleet for a different device count mid-session (elastic cluster
-// changes).
+// Reset: every stream is fenced and drained to quiescence, memory ledgers
+// return to zero, and each device's static footprint is replaced (the next
+// iteration may execute a different plan). A session that changes its device
+// count builds a new pool rather than patching this one.
 //
 // A pool serializes its own operations; run one iteration at a time.
 type WorkerPool struct {
 	mu           sync.Mutex
 	workers      []*ModelWorker
 	transport    Transport
-	memoryBytes  int64
 	fenceTimeout time.Duration
-	ownTransport bool
 	closed       bool
 	// fenced marks, per fence slot (gpu*NumStreams + stream), the fences
 	// answered during a drain; reused across Resets.
@@ -39,37 +36,14 @@ func NewWorkerPool(numGPUs int, memoryBytes int64) *WorkerPool {
 	for i := range workers {
 		workers[i] = NewModelWorker(i, memoryBytes)
 	}
-	return &WorkerPool{
-		workers:      workers,
-		transport:    NewChanTransport(workers),
-		memoryBytes:  memoryBytes,
-		ownTransport: true,
-	}
+	return &WorkerPool{workers: workers, transport: NewChanTransport(workers)}
 }
 
 // NewWorkerPoolWith adopts caller-owned workers and transport (e.g. a TCP
 // fleet served by ServeWorkersTCP). The caller keeps teardown responsibility
 // for the transport's far side; Close still closes the transport itself.
 func NewWorkerPoolWith(workers []*ModelWorker, tr Transport) *WorkerPool {
-	var mem int64
-	if len(workers) > 0 {
-		mem = workers[0].MemoryBytes
-	}
-	return &WorkerPool{workers: workers, transport: tr, memoryBytes: mem}
-}
-
-// Size is the pool's device count.
-func (wp *WorkerPool) Size() int {
-	wp.mu.Lock()
-	defer wp.mu.Unlock()
-	return len(wp.workers)
-}
-
-// Workers exposes the live fleet (for memory reporting and tests).
-func (wp *WorkerPool) Workers() []*ModelWorker {
-	wp.mu.Lock()
-	defer wp.mu.Unlock()
-	return wp.workers
+	return &WorkerPool{workers: workers, transport: tr}
 }
 
 // SetFenceTimeout bounds how long Reset waits for the fleet to quiesce:
@@ -96,8 +70,8 @@ func fenceSlot(id int) int { return -id - 1 }
 //     awaited — per-stream FIFO order plus the reply channel's own FIFO
 //     guarantee that once all fences are back, every straggler reply from a
 //     previous (possibly cancelled) run has been received and discarded;
-//  2. each worker's stream clocks and peak-memory ledger are zeroed and its
-//     resting memory replaced by static[i].
+//  2. each worker's peak-memory ledger is zeroed and its resting memory
+//     replaced by static[i].
 //
 // static must have one entry per worker (estimator.StaticPerGPU of the next
 // plan, or Program.StaticPerGPU of its compiled form).
@@ -176,7 +150,7 @@ func (wp *WorkerPool) drainLocked() error {
 // Run executes one plan over the pool's persistent workers and transport:
 // Compile plus Execute. The caller is responsible for Reset between
 // iterations (and for setting the static footprints the plan implies); Run
-// itself never rebuilds or reclocks the fleet, which is the point of the
+// itself never rebuilds or resets the fleet, which is the point of the
 // pool.
 func (wp *WorkerPool) Run(p *core.Plan, opts Options) (*Report, error) {
 	prog, err := Compile(p, opts)
@@ -204,37 +178,6 @@ func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
 	transport, workers := wp.transport, wp.workers
 	wp.mu.Unlock()
 	return prog.execute(opts, transport, workers)
-}
-
-// Resize replaces the fleet with numGPUs workers of the given memory — the
-// elastic mid-session cluster change. Only pools that own their transport
-// (NewWorkerPool) can resize; adopted fleets have caller-owned lifecycles.
-func (wp *WorkerPool) Resize(numGPUs int, memoryBytes int64) error {
-	wp.mu.Lock()
-	defer wp.mu.Unlock()
-	if wp.closed {
-		return fmt.Errorf("runtime: worker pool closed")
-	}
-	if !wp.ownTransport {
-		return fmt.Errorf("runtime: cannot resize a pool over an adopted transport")
-	}
-	if numGPUs <= 0 {
-		return fmt.Errorf("runtime: resize to %d workers", numGPUs)
-	}
-	if memoryBytes <= 0 {
-		memoryBytes = wp.memoryBytes
-	}
-	if err := wp.transport.Close(); err != nil {
-		return err
-	}
-	workers := make([]*ModelWorker, numGPUs)
-	for i := range workers {
-		workers[i] = NewModelWorker(i, memoryBytes)
-	}
-	wp.workers = workers
-	wp.transport = NewChanTransport(workers)
-	wp.memoryBytes = memoryBytes
-	return nil
 }
 
 // Close tears the pool down. Idempotent.

@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -12,7 +10,6 @@ import (
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
 	"realhf/internal/gpumodel"
-	"realhf/internal/realloc"
 )
 
 // Options configures a run.
@@ -20,12 +17,12 @@ type Options struct {
 	// UseCUDAGraph enables CUDA-graph capture for decoding kernels
 	// (Table 6's ±CUDAGraph comparison). Default true.
 	UseCUDAGraph bool
-	// OverlapComm routes parameter-reallocation, data-transfer and offload
-	// nodes to each worker's communication stream, so they execute
-	// concurrently with model function calls on the compute stream (§6's
-	// overlapped runtime). When false, every node shares the compute stream
-	// and the schedule is fully serialized per device — the baseline side of
-	// the ±overlap ablation.
+	// OverlapComm places parameter-reallocation, data-transfer and offload
+	// nodes on each worker's communication stream, so they run concurrently
+	// with model function calls on the compute stream (§6's overlapped
+	// runtime). When false, every node shares the compute stream and the
+	// schedule is fully serialized per device — the baseline side of the
+	// ±overlap ablation.
 	OverlapComm bool
 	// Context, when set, cancels an in-flight run: Run returns the partial
 	// report accumulated so far together with a wrapping error.
@@ -83,7 +80,7 @@ type Report struct {
 	// CommTimeV totals parameter reallocation + data transfer + offload
 	// time across the run (independent of whether it was overlapped).
 	CommTimeV float64
-	// Timeline lists every executed node.
+	// Timeline lists every executed node in the compiled schedule's order.
 	Timeline []NodeSpan
 	// OOM reports whether any worker ran out of memory; Errors carries the
 	// worker messages (sorted for reproducibility).
@@ -111,13 +108,15 @@ func (r *Report) IterTime() float64 {
 
 // Program is a plan compiled for execution: everything the centralized
 // master of §6 knows before the first request goes out — the augmented
-// graph, each node's devices, per-device virtual durations, label and
-// transient allocation, and every device's static footprint. A Program is
-// immutable once compiled, so one compile serves any number of executions
-// (a training session re-executes its incumbent plan every iteration).
+// graph, each node's devices, label, transient allocation and virtual span,
+// and every device's static footprint. A Program is immutable once
+// compiled, so one compile serves any number of executions (a training
+// session re-executes its incumbent plan every iteration).
 type Program struct {
-	graph *core.AugGraph
-	works []nodeWork
+	works []nodeWork // by node ID
+	// order lists node IDs in the estimator's schedule order, the order the
+	// report's timeline follows.
+	order []int
 	// static is estimator.StaticPerGPU of the plan: each device's resting
 	// memory, what a fleet is Reset to before executing the program.
 	static []int64
@@ -129,87 +128,85 @@ type Program struct {
 
 // nodeWork is the compiled knowledge about one augmented node.
 type nodeWork struct {
+	// node carries the dependency edges the dispatcher follows.
+	node   *core.AugNode
 	label  string
 	handle string
 	kind   RequestKind // ReqComm exactly for comm-like nodes
 	stream Stream
 	// gpus are the devices the node occupies (deduplicated, ascending).
-	gpus []int
-	// durs gives each of gpus' busy time; nil means uniform `dur`.
-	durs  []float64
-	dur   float64
+	gpus  []int
 	alloc int64
-	// breakdown is set for call nodes.
+	// dur, startV and endV are the node's span in the estimator's timeline.
+	dur, startV, endV float64
+	// breakdown is set for iteration-0 call nodes.
 	breakdown gpumodel.Breakdown
 }
 
-// Compile validates the plan, expands it into the augmented graph and
-// prices every node for execution. Of opts, only UseCUDAGraph and
-// OverlapComm shape a compile; the rest matter to an execution.
+// Compile validates the plan and fixes its execution: every node, its
+// duration and its virtual start and end come from one Estimator.Evaluate
+// timeline — Algorithm 1 over oracle costs on the plan's own cluster
+// (run-option scaling included), uncalibrated, under opts' UseCUDAGraph and
+// OverlapComm. The runtime and the estimator therefore agree by
+// construction; the estimated-vs-real gap of Fig. 12 comes only from the
+// estimator's profiled tables and calibration. Of opts, only UseCUDAGraph
+// and OverlapComm shape a compile; the rest matter to an execution.
 func Compile(p *core.Plan, opts Options) (*Program, error) {
-	g, err := p.BuildAugGraph()
-	if err != nil {
-		return nil, err
-	}
-	oracles := map[dfg.Role]*gpumodel.Oracle{}
+	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(p.Models))
 	for role, ms := range p.Models {
 		o := gpumodel.NewOracle(p.Cluster, ms.Cfg)
 		o.UseCUDAGraph = opts.UseCUDAGraph
-		oracles[role] = o
+		costers[role] = o
 	}
-	comm := gpumodel.Comm{HW: p.Cluster}
+	est := estimator.New(p.Cluster, costers)
+	est.OverlapComm = opts.OverlapComm
+	res, err := est.Evaluate(p)
+	if err != nil {
+		return nil, err
+	}
+	n := len(res.Timeline)
 	prog := &Program{
-		graph:     g,
-		works:     make([]nodeWork, len(g.Nodes)),
+		works:     make([]nodeWork, n),
+		order:     make([]int, n),
 		static:    estimator.StaticPerGPU(p),
 		cudaGraph: opts.UseCUDAGraph,
 		overlap:   opts.OverlapComm,
 	}
-	var cs realloc.CostScratch
 	// mark is a bitmap over the cluster's devices, reused across nodes to
 	// deduplicate the GPUs of a node's (possibly overlapping) meshes.
 	mark := make([]bool, p.Cluster.NumGPUs())
-	for _, n := range g.Nodes {
+	for i, sn := range res.Timeline {
+		nd := sn.Node
 		w := nodeWork{
-			label:  n.Label(),
-			handle: string(n.Role),
+			node:   nd,
+			label:  nd.Label(),
+			handle: string(nd.Role),
 			kind:   ReqRunCall,
 			stream: StreamCompute,
-			gpus:   meshGPUs(mark, n),
+			gpus:   meshGPUs(mark, nd),
+			dur:    sn.Duration,
+			startV: sn.Start,
+			endV:   sn.End,
 		}
-		if n.Kind.CommLike() {
+		if nd.Kind.CommLike() {
 			w.kind = ReqComm
 			if opts.OverlapComm {
 				w.stream = StreamComm
 			}
-		}
-		switch n.Kind {
-		case core.KindCall:
-			spec, err := estimator.CallSpecOf(p, n.Call)
-			if err != nil {
-				return nil, err
-			}
-			oracle, ok := oracles[n.Call.Role]
-			if !ok {
-				return nil, fmt.Errorf("runtime: no oracle for role %q", n.Call.Role)
-			}
-			w.breakdown = gpumodel.AssembleCall(oracle, comm, spec)
-			w.dur = w.breakdown.Total()
-			w.alloc = estimator.CallActiveBytes(p, n.Call)
-			for len(prog.callsPerIter) <= n.Call.Iter {
+		} else {
+			w.alloc = estimator.CallActiveBytes(p, nd.Call)
+			for len(prog.callsPerIter) <= nd.Call.Iter {
 				prog.callsPerIter = append(prog.callsPerIter, 0)
 			}
-			prog.callsPerIter[n.Call.Iter]++
-		case core.KindParamRealloc:
-			ms := p.Models[n.Role]
-			w.setBusy(realloc.ParamsBusy(&cs, ms.Cfg.NumLayers, ms.Cfg.LayerParamBytes(), n.Src, n.Dst, p.Cluster))
-		case core.KindDataTransfer:
-			w.setBusy(realloc.DataBusy(&cs, n.Bytes, n.Src, n.Dst, p.Cluster))
-		case core.KindOffload:
-			perGPU := n.Bytes / int64(n.Dst.Mesh.NumGPUs())
-			w.dur = comm.OffloadTransfer(perGPU)
+			prog.callsPerIter[nd.Call.Iter]++
+			if nd.Call.Iter == 0 {
+				if w.breakdown, err = est.CallBreakdown(p, nd.Call); err != nil {
+					return nil, err
+				}
+			}
 		}
-		prog.works[n.ID] = w
+		prog.works[nd.ID] = w
+		prog.order[i] = nd.ID
 	}
 	return prog, nil
 }
@@ -235,17 +232,6 @@ func meshGPUs(mark []bool, n *core.AugNode) []int {
 		}
 	}
 	return gpus
-}
-
-// setBusy charges the node's devices their share of a transfer's per-GPU
-// busy time (indexed by global GPU); the node completes with its busiest
-// device.
-func (w *nodeWork) setBusy(busy []float64) {
-	w.durs = make([]float64, len(w.gpus))
-	for i, gpu := range w.gpus {
-		w.durs[i] = busy[gpu]
-		w.dur = max(w.dur, busy[gpu])
-	}
 }
 
 // StaticPerGPU is each device's resting memory under the compiled plan —
@@ -277,40 +263,6 @@ func Run(p *core.Plan, opts Options) (*Report, error) {
 	return prog.execute(opts, transport, workers)
 }
 
-// readyItem orders the master's dispatch queue by (ready time, comm-first,
-// node ID) — a total, deterministic order. Communication nodes win ready
-// ties: a transfer is cheap and unblocks a remote mesh, so queueing it
-// behind an equally-ready long call on its source mesh would stall the
-// destination pipeline for the call's whole duration (the estimator's
-// schedule and the paper's engine both let transfers slip in first).
-type readyItem struct {
-	ready float64
-	comm  bool
-	id    int
-}
-
-type readyHeap []readyItem
-
-func (q readyHeap) Len() int { return len(q) }
-func (q readyHeap) Less(i, j int) bool {
-	if q[i].ready != q[j].ready {
-		return q[i].ready < q[j].ready
-	}
-	if q[i].comm != q[j].comm {
-		return q[i].comm
-	}
-	return q[i].id < q[j].id
-}
-func (q readyHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *readyHeap) Push(x any)   { *q = append(*q, x.(readyItem)) }
-func (q *readyHeap) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // livenessTicks is how many timer ticks make up one WorkerTimeout: a lost
 // worker is detected between WorkerTimeout and WorkerTimeout plus one tick
 // after the master began waiting on it.
@@ -318,11 +270,8 @@ const livenessTicks = 4
 
 // nodeRun is one node's dispatch state within one execution.
 type nodeRun struct {
-	pending     int     // outstanding parent count
-	outstanding int     // replies still expected
-	readyV      float64 // max end time over completed parents
-	startV      float64 // min start over the node's replies
-	endV        float64 // max end over the node's replies
+	pending     int // parents not yet complete
+	outstanding int // replies still expected
 	done        bool
 }
 
@@ -331,137 +280,99 @@ type nodeRun struct {
 // WorkerPool.Run) or is re-executed by a long-lived session
 // (WorkerPool.Execute). Of opts, only Context and WorkerTimeout are read.
 //
-// Determinism: workers run concurrently, and replies arrive in arbitrary
-// physical order, but the virtual timeline they produce is a pure function
-// of the per-(worker, stream) request order — which the master keeps
-// deterministic with a conservative gate. A ready node (all parents
-// complete) is dispatched only when its ready time is strictly below every
-// in-flight node's earliest possible completion (readyV + dispatch
-// overhead): since any future node's ready time is at least that bound, the
-// global dispatch sequence is exactly the (ready time, node ID)-sorted
-// order, independent of goroutine scheduling and reply arrival order.
+// It is a plain dependency-driven dispatcher: a node is sent to its devices
+// once every parent's replies are in. Workers run concurrently and replies
+// arrive in arbitrary physical order, so the dispatch order varies from run
+// to run — but nothing reported depends on it. Virtual spans were fixed by
+// Compile, and the worker ledgers' peaks and OOM verdicts do not depend on
+// request order; the report folds completed nodes in compiled order with
+// sorted error lists.
 func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker) (*Report, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nodes := prog.graph.Nodes
-	total := len(nodes)
+	works := prog.works
+	total := len(works)
 	report := &Report{
 		OverlapComm:    prog.overlap,
 		CallTimes:      map[string]float64{},
 		CallBreakdowns: map[string]gpumodel.Breakdown{},
 	}
 	state := make([]nodeRun, total)
-	ready := make(readyHeap, 0, total)
-	for i, n := range nodes {
-		state[i] = nodeRun{pending: len(n.Parents), startV: math.MaxFloat64}
-		if len(n.Parents) == 0 {
-			heap.Push(&ready, readyItem{ready: 0, comm: prog.works[i].kind == ReqComm, id: i})
-		}
+	for id := range works {
+		state[id].pending = len(works[id].node.Parents)
 	}
-	// inflight lists the dispatched, incomplete nodes; the dispatch gate is
-	// the earliest virtual time any of them can complete.
-	var inflight []int
+	inflight := 0                              // dispatched, incomplete nodes
 	owedByGPU := make([]int, len(prog.static)) // replies each device still owes
 	replies := transport.Replies()
 
-	minInflightBound := func() (float64, bool) {
-		if len(inflight) == 0 {
-			return 0, false
-		}
-		bound := math.MaxFloat64
-		for _, id := range inflight {
-			bound = min(bound, state[id].readyV+dispatchOverheadV)
-		}
-		return bound, true
-	}
-
 	dispatch := func(id int) error {
-		w := &prog.works[id]
-		st := &state[id]
-		for i, gpu := range w.gpus {
-			dur := w.dur
-			if w.durs != nil {
-				dur = w.durs[i]
-			}
+		w := &works[id]
+		for _, gpu := range w.gpus {
 			req := Request{
 				ID: id, Kind: w.kind, NodeID: id, Stream: w.stream,
-				Label: w.label, Handle: w.handle,
-				ReadyV: st.readyV, DurV: dur, AllocBytes: w.alloc,
+				Label: w.label, Handle: w.handle, AllocBytes: w.alloc,
 			}
 			if err := transport.Send(gpu, req); err != nil {
 				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
 			}
 			owedByGPU[gpu]++
 		}
-		st.outstanding = len(w.gpus)
-		inflight = append(inflight, id)
+		state[id].outstanding = len(w.gpus)
+		inflight++
 		return nil
 	}
 
 	completed := 0
-	handleReply := func(rep Reply) {
+	// handleReply folds one reply in; completing a node dispatches every
+	// child it unblocks.
+	handleReply := func(rep Reply) error {
 		if rep.OOM {
 			report.OOM = true
 			report.Errors = append(report.Errors, rep.Error)
 		}
 		if rep.ID < 0 || rep.ID >= total {
-			return // a straggler fence: no node of this program
+			return nil // a straggler fence: no node of this program
 		}
-		st := &state[rep.ID]
-		st.endV = max(st.endV, rep.EndV)
-		st.startV = min(st.startV, rep.StartV)
 		if rep.GPU >= 0 && rep.GPU < len(owedByGPU) {
 			owedByGPU[rep.GPU]--
 		}
+		st := &state[rep.ID]
 		st.outstanding--
 		if st.outstanding > 0 {
-			return
+			return nil
 		}
-		// Node complete: release the gate and unlock children.
 		st.done = true
 		completed++
-		for i, id := range inflight {
-			if id == rep.ID {
-				inflight[i] = inflight[len(inflight)-1]
-				inflight = inflight[:len(inflight)-1]
-				break
+		inflight--
+		for _, c := range works[rep.ID].node.Children {
+			if state[c].pending--; state[c].pending == 0 {
+				if err := dispatch(c); err != nil {
+					return err
+				}
 			}
 		}
-		for _, c := range nodes[rep.ID].Children {
-			cs := &state[c]
-			cs.readyV = max(cs.readyV, st.endV)
-			cs.pending--
-			if cs.pending == 0 {
-				heap.Push(&ready, readyItem{ready: cs.readyV, comm: prog.works[c].kind == ReqComm, id: c})
-			}
-		}
+		return nil
 	}
 
-	// finish assembles the deterministic report from per-node results,
-	// independent of reply arrival order: nodes are folded in ID order and
-	// the error list is sorted.
+	// finish assembles the deterministic report from the compiled spans of
+	// the nodes that completed, independent of reply arrival order.
 	finish := func() {
 		// Iteration accounting distinguishes the configured span (every call
 		// node, done or not) from what actually completed: an iteration
 		// counts as completed only when all of its calls finished, so a
 		// cancelled run's IterTime is never averaged over phantom work.
+		// CommTimeV sums in node-ID order, which the pinned goldens' comm=
+		// values depend on.
 		donePerIter := make([]int, len(prog.callsPerIter))
-		if completed > 0 {
-			report.Timeline = make([]NodeSpan, 0, completed)
-		}
-		for _, n := range nodes {
-			st := &state[n.ID]
-			if !st.done {
+		for id := range works {
+			if !state[id].done {
 				continue
 			}
-			w := &prog.works[n.ID]
-			report.Timeline = append(report.Timeline, NodeSpan{
-				Label: w.label, Kind: n.Kind, Stream: w.stream,
-				Lane: w.gpus[0], StartV: st.startV, EndV: st.endV,
-			})
-			report.MakespanV = max(report.MakespanV, st.endV)
+			w := &works[id]
+			n := w.node
+			report.MakespanV = max(report.MakespanV, w.endV)
 			switch n.Kind {
 			case core.KindCall:
 				donePerIter[n.Call.Iter]++
@@ -472,6 +383,19 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			default:
 				report.CommTimeV += w.dur
 			}
+		}
+		if completed > 0 {
+			report.Timeline = make([]NodeSpan, 0, completed)
+		}
+		for _, id := range prog.order {
+			if !state[id].done {
+				continue
+			}
+			w := &works[id]
+			report.Timeline = append(report.Timeline, NodeSpan{
+				Label: w.label, Kind: w.node.Kind, Stream: w.stream,
+				Lane: w.gpus[0], StartV: w.startV, EndV: w.endV,
+			})
 		}
 		report.Iterations = len(prog.callsPerIter)
 		for it, calls := range prog.callsPerIter {
@@ -485,9 +409,15 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			}
 		}
 		sort.Strings(report.Errors)
-		sort.SliceStable(report.Timeline, func(i, j int) bool {
-			return report.Timeline[i].StartV < report.Timeline[j].StartV
-		})
+	}
+
+	for id := range works {
+		if len(works[id].node.Parents) == 0 {
+			if err := dispatch(id); err != nil {
+				finish()
+				return report, err
+			}
+		}
 	}
 
 	// A run that dies mid-flight — lost worker, closed transport, stalled
@@ -509,36 +439,7 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		timeoutC = timer.C
 	}
 	for completed < total {
-		// Dispatch every node the gate admits, draining replies
-		// opportunistically so queues never back up. Handling a reply
-		// early never changes the dispatch sequence — the gate already
-		// forbids any pop the extra knowledge could reorder.
-		for ready.Len() > 0 {
-			if bound, ok := minInflightBound(); ok && ready[0].ready >= bound {
-				break
-			}
-			it := heap.Pop(&ready).(readyItem)
-			if err := dispatch(it.id); err != nil {
-				finish()
-				return report, err
-			}
-			for drained := false; !drained; {
-				select {
-				case rep, ok := <-replies:
-					if !ok {
-						finish()
-						return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", len(inflight))
-					}
-					handleReply(rep)
-				default:
-					drained = true
-				}
-			}
-		}
-		if completed == total {
-			break
-		}
-		if len(inflight) == 0 {
+		if inflight == 0 {
 			finish()
 			return report, fmt.Errorf("runtime: scheduler stalled with %d/%d nodes complete", completed, total)
 		}
@@ -578,9 +479,12 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			case rep, ok := <-replies:
 				if !ok {
 					finish()
-					return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", len(inflight))
+					return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
 				}
-				handleReply(rep)
+				if err := handleReply(rep); err != nil {
+					finish()
+					return report, err
+				}
 				break wait
 			}
 		}

@@ -1,28 +1,27 @@
 // Package runtime implements the paper's runtime engine (§6): a centralized
 // master worker that resolves the dependencies of the augmented dataflow
 // graph and dispatches requests to per-GPU model workers, which execute them
-// in stream order and reply with completion information. Requests carry no
-// tensor data — data stays resident on worker GPUs and the master only
-// communicates locations and timing, exactly as in the paper.
+// and reply with completion information. Requests carry no tensor data —
+// data stays resident on worker GPUs and the master only communicates
+// locations, exactly as in the paper.
 //
-// Since no physical GPUs exist here (DESIGN.md §2), workers execute against
-// a simulated device: each worker owns one virtual clock per stream and a
-// memory ledger, and request durations come from the gpumodel oracle.
-// Everything else — the event-driven dependency engine, the dispatch
-// protocol, the per-GPU per-stream queues, parameter reallocation and
-// data-transfer scheduling — runs for real, over either in-process channels
-// or TCP sockets with gob encoding.
+// Since no physical GPUs exist here (DESIGN.md §2), virtual time is compiled,
+// not simulated twice: Compile takes every node's duration and virtual
+// start/end from the estimator's Algorithm 1 timeline of the plan under
+// oracle costs, and workers execute against a simulated device that keeps
+// only a memory ledger. Everything else — the event-driven dependency
+// engine, the dispatch protocol, the per-GPU queues, fences, liveness
+// timeouts and fault injection — runs for real, over either in-process
+// channels or TCP sockets with gob encoding.
 //
 // Each worker exposes two streams, mirroring a CUDA device's compute and
-// copy engines: model function calls execute on StreamCompute; parameter
-// reallocation, data transfer and offload traffic execute on StreamComm.
-// With Options.OverlapComm enabled the two streams advance independently, so
-// reallocation latency hides behind computation (the paper's §6 overlap);
-// with it disabled the master routes every request to StreamCompute,
-// recovering the fully serialized baseline schedule (the ±overlap ablation).
+// copy engines: model function calls occupy StreamCompute; parameter
+// reallocation, data transfer and offload traffic occupy StreamComm. With
+// Options.OverlapComm enabled the two lanes overlap in the compiled timeline,
+// so reallocation latency hides behind computation (the paper's §6 overlap);
+// with it disabled every node occupies StreamCompute, the fully serialized
+// baseline schedule (the ±overlap ablation).
 package runtime
-
-import "realhf/internal/core"
 
 // RequestKind classifies master->worker requests.
 type RequestKind int
@@ -36,7 +35,7 @@ const (
 	// ReqShutdown stops the worker loop.
 	ReqShutdown
 	// ReqFence is a synchronization marker: the worker answers it without
-	// touching its clocks or memory ledger. Because every transport keeps
+	// touching its memory ledger. Because every transport keeps
 	// per-stream FIFO order, receiving a fence's reply proves every request
 	// enqueued before it on that stream has been handled — the primitive
 	// WorkerPool.Reset uses to quiesce workers between iterations.
@@ -81,37 +80,20 @@ func (s Stream) String() string {
 	return "stream?"
 }
 
-// StreamOf maps an augmented-graph node kind to the stream it executes on
-// when overlapped execution is enabled. The estimator's overlap-aware
-// simulation uses the same core.Kind.CommLike classification, keeping both
-// sides of the Fig. 12 comparison on one semantics.
-func StreamOf(k core.Kind) Stream {
-	if k.CommLike() {
-		return StreamComm
-	}
-	return StreamCompute
-}
-
-// Request is one master->worker message. The master pre-computes the virtual
-// duration of the worker's share of the node; the worker applies its local
-// stream clock, checks memory, and answers with its start and end times.
+// Request is one master->worker message: the worker's share of one node. It
+// carries no timing — the node's virtual span was fixed by Compile — only
+// what the worker checks against its device, the node's transient memory.
 type Request struct {
 	ID     int
 	Kind   RequestKind
 	NodeID int
-	// Stream selects the worker lane the request executes on. Requests on
-	// different streams overlap in virtual time; requests sharing a stream
-	// serialize in arrival order.
+	// Stream is the worker lane the node occupies in the compiled timeline;
+	// fences are addressed per (worker, stream).
 	Stream Stream
 	// Label is the augmented-graph node label (diagnostics).
 	Label string
 	// Handle is the local LLM handle the request addresses (e.g. "actor").
 	Handle string
-	// ReadyV is the virtual time at which the node's inputs are available
-	// (max end time over dependency parents).
-	ReadyV float64
-	// DurV is the worker's virtual busy time for this node.
-	DurV float64
 	// AllocBytes is the transient device memory the node needs while it
 	// runs (activations, KV cache, logits, reallocated parameters).
 	AllocBytes int64
@@ -119,12 +101,10 @@ type Request struct {
 
 // Reply is one worker->master message.
 type Reply struct {
-	ID     int
-	GPU    int
-	StartV float64
-	EndV   float64
-	OOM    bool
-	Error  string
+	ID    int
+	GPU   int
+	OOM   bool
+	Error string
 }
 
 // Transport moves requests and replies between the master and workers.

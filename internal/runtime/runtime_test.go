@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"realhf/internal/core"
@@ -54,8 +55,9 @@ func TestRunSymmetricPlan(t *testing.T) {
 
 func TestRunMatchesEstimatorClosely(t *testing.T) {
 	// The paper's Fig. 12 (right): the estimator stays within ~25% of real
-	// runs. Our estimator uses the same oracle here, so agreement should be
-	// tight (the residual is dispatch overhead).
+	// runs. Here the estimator uses the oracle the runtime compiles from, so
+	// the runtime executes the estimator's own timeline and the two agree
+	// exactly — no dispatch overhead or other runtime-only cost exists.
 	p := ppoPlan(t, 2, 1, model.LLaMA7B, model.LLaMA7B)
 	costers := map[dfg.Role]gpumodel.ModelCoster{}
 	for role, ms := range p.Models {
@@ -70,15 +72,11 @@ func TestRunMatchesEstimatorClosely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := math.Abs(rep.MakespanV-est.TimeCost) / est.TimeCost
-	if rel > 0.25 {
-		t.Errorf("runtime %.3fs vs estimate %.3fs: %.1f%% apart (>25%%)",
-			rep.MakespanV, est.TimeCost, 100*rel)
+	if rep.MakespanV != est.TimeCost {
+		t.Errorf("runtime %.9fs != estimate %.9fs", rep.MakespanV, est.TimeCost)
 	}
-	// The runtime includes dispatch overheads the estimator ignores, so the
-	// real run is never faster.
-	if rep.MakespanV < est.TimeCost {
-		t.Errorf("runtime (%.4fs) should not beat the estimate (%.4fs)", rep.MakespanV, est.TimeCost)
+	if !reflect.DeepEqual(rep.CallTimes, est.CallTimes) {
+		t.Errorf("runtime call times %v != estimated %v", rep.CallTimes, est.CallTimes)
 	}
 }
 
@@ -164,27 +162,71 @@ func TestAsymmetricPlanOverlapsAndReallocates(t *testing.T) {
 	}
 }
 
+// TestWorkerFIFOAndClock: a worker handles its requests in arrival order, and
+// the virtual clock its requests follow — compiled from the estimator's
+// timeline rather than kept by the worker — serializes each device and waits
+// for data readiness.
 func TestWorkerFIFOAndClock(t *testing.T) {
-	w := NewModelWorker(0, 1<<30)
-	r1 := w.Handle(Request{ID: 1, ReadyV: 0, DurV: 1.0})
-	r2 := w.Handle(Request{ID: 2, ReadyV: 0, DurV: 0.5})
-	if r2.EndV <= r1.EndV {
-		t.Error("FIFO execution must serialize on the worker clock")
+	ct := NewChanTransport([]*ModelWorker{NewModelWorker(0, 1<<30)})
+	defer ct.Close()
+	for id := 1; id <= 3; id++ {
+		if err := ct.Send(0, Request{ID: id, Kind: ReqRunCall}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r3 := w.Handle(Request{ID: 3, ReadyV: 10, DurV: 0.5})
-	if r3.EndV < 10.5 {
-		t.Error("worker must wait for data readiness")
+	for want := 1; want <= 3; want++ {
+		if rep := <-ct.Replies(); rep.ID != want {
+			t.Fatalf("reply %d arrived in position %d: requests must execute FIFO", rep.ID, want)
+		}
+	}
+
+	prog, err := Compile(reallocHeavyPlan(t, 2), Options{UseCUDAGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCompiledClock(t, prog)
+}
+
+// checkCompiledClock walks prog's nodes in schedule order and fails unless
+// each starts no earlier than its parents end (data readiness) and no
+// earlier than the previous node on every (device, stream) lane it occupies
+// ends (same-stream requests serialize).
+func checkCompiledClock(t *testing.T, prog *Program) {
+	t.Helper()
+	type lane struct {
+		gpu    int
+		stream Stream
+	}
+	lastEnd := map[lane]float64{}
+	for _, id := range prog.order {
+		w := &prog.works[id]
+		if w.endV < w.startV {
+			t.Fatalf("%s ends at %v before it starts at %v", w.label, w.endV, w.startV)
+		}
+		for _, parent := range w.node.Parents {
+			if pw := &prog.works[parent]; w.startV < pw.endV {
+				t.Fatalf("%s starts at %v before its parent %s ends at %v", w.label, w.startV, pw.label, pw.endV)
+			}
+		}
+		for _, gpu := range w.gpus {
+			l := lane{gpu, w.stream}
+			if w.startV < lastEnd[l] {
+				t.Fatalf("%s starts at %v on gpu %d's %s stream before the previous node there ends at %v",
+					w.label, w.startV, gpu, w.stream, lastEnd[l])
+			}
+			lastEnd[l] = w.endV
+		}
 	}
 }
 
 func TestWorkerOOM(t *testing.T) {
 	w := NewModelWorker(3, 1000)
 	w.StaticBytes = 900
-	rep := w.Handle(Request{ID: 1, DurV: 1, AllocBytes: 200})
+	rep := w.Handle(Request{ID: 1, AllocBytes: 200})
 	if !rep.OOM {
 		t.Error("allocation beyond capacity must OOM")
 	}
-	ok := w.Handle(Request{ID: 2, DurV: 1, AllocBytes: 50})
+	ok := w.Handle(Request{ID: 2, AllocBytes: 50})
 	if ok.OOM {
 		t.Error("allocation within capacity must succeed")
 	}

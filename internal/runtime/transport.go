@@ -13,9 +13,8 @@ import (
 // min(GOMAXPROCS, workers) executor goroutines: device i belongs to shard
 // i % S, and each shard drains one unbounded FIFO of requests in arrival
 // order. That preserves per-(worker, stream) FIFO order — all the fence
-// protocol and the master's determinism gate rely on — while the streams'
-// overlap is virtual, carried by each worker's per-stream clocks, so no
-// goroutine per lane is needed. Send never blocks.
+// protocol relies on — while the streams' overlap is virtual, fixed in the
+// compiled timeline, so no goroutine per lane is needed. Send never blocks.
 type ChanTransport struct {
 	workers []*ModelWorker
 	shards  []*shard
@@ -149,7 +148,7 @@ func (t *ChanTransport) Close() error {
 // messages — the cross-process deployment shape of the paper's runtime
 // engine. The master dials one connection per worker; the worker process
 // multiplexes its streams behind the connection (requests still carry their
-// Stream, and the worker's per-stream clocks provide the virtual overlap).
+// Stream; the virtual overlap is fixed in the compiled timeline).
 type TCPTransport struct {
 	conns   []net.Conn
 	encs    []*gob.Encoder

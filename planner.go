@@ -376,7 +376,7 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	exp := &Experiment{
 		Config: cfg, Cluster: hw, Plan: sol.Plan,
 		Estimate: sol.Estimate, SearchTrace: stats.Trace, SearchStats: stats,
-		est: ps.est, runOpts: o.runOpts,
+		runOpts: o.runOpts,
 	}
 	if cacheable {
 		p.storePlan(key, exp)
@@ -447,8 +447,7 @@ func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experime
 		return nil, err
 	}
 	return &Experiment{
-		Config: cfg, Cluster: hw, Plan: plan, Estimate: res,
-		est: ps.est, runOpts: o.runOpts,
+		Config: cfg, Cluster: hw, Plan: plan, Estimate: res, runOpts: o.runOpts,
 	}, nil
 }
 
@@ -473,38 +472,69 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ps, hw, g, models, err := p.problemFor(cfg, nil)
+	plan, res, err := p.loadPlan(data, "plan "+label, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
+	return &Experiment{Config: cfg, Cluster: plan.Cluster, Plan: plan, Estimate: res}, nil
+}
+
+// loadPlan decodes a stored plan (a saved plan file, plan bytes off the
+// wire, a checkpoint's incumbent) for cfg's problem: the stored cluster
+// shape and model cast must agree with cfg, and the assignments are
+// re-attached to cfg's own graph and models. Every rejection wraps
+// ErrInvalidConfig — a malformed or invalid stored plan (including an
+// OffloadWhenIdle hint on a trainable role) can never succeed on retry, so
+// serve maps it to HTTP 400. label names the source in errors.
+func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, calib *estimator.Calibration) (*core.Plan, *estimator.Result, error) {
+	g, models, err := buildGraph(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	loaded, err := core.UnmarshalPlan(data, g)
 	if err != nil {
-		// Malformed or invalid stored plans (including an OffloadWhenIdle
-		// hint on a trainable role) are config errors: retrying the identical
-		// request can never succeed, so serve maps them to HTTP 400.
-		return nil, fmt.Errorf("realhf: plan %s: %w: %w", label, err, ErrInvalidConfig)
+		return nil, nil, fmt.Errorf("realhf: %s: %w: %w", label, err, ErrInvalidConfig)
 	}
-	if loaded.Cluster.Nodes != hw.Nodes || loaded.Cluster.GPUsPerNode != hw.GPUsPerNode {
-		return nil, fmt.Errorf("realhf: plan %s was saved for a %d-node×%d-GPU cluster, config describes %d×%d: %w",
-			label, loaded.Cluster.Nodes, loaded.Cluster.GPUsPerNode, hw.Nodes, hw.GPUsPerNode, ErrInvalidConfig)
+	if loaded.Cluster.Nodes != cfg.Nodes || loaded.Cluster.GPUsPerNode != cfg.GPUsPerNode {
+		return nil, nil, fmt.Errorf("realhf: %s was saved for a %d-node×%d-GPU cluster, config describes %d×%d: %w",
+			label, loaded.Cluster.Nodes, loaded.Cluster.GPUsPerNode, cfg.Nodes, cfg.GPUsPerNode, ErrInvalidConfig)
 	}
 	for role, ms := range models {
 		lm, ok := loaded.Models[role]
 		if !ok || lm.Cfg.Name != ms.Cfg.Name {
-			return nil, fmt.Errorf("realhf: plan %s disagrees with the config about model %q: %w", label, role, ErrInvalidConfig)
+			return nil, nil, fmt.Errorf("realhf: %s disagrees with the config about model %q: %w", label, role, ErrInvalidConfig)
 		}
 	}
-	// Re-attach the assignments to the config's own graph and models so the
-	// estimator and runtime see one consistent problem.
+	plan, res, err := p.attach(cfg, calib, loaded.Assign)
+	if err != nil {
+		return nil, nil, fmt.Errorf("realhf: %s: %w: %w", label, err, ErrInvalidConfig)
+	}
+	return plan, res, nil
+}
+
+// attach builds cfg's plan — its own cluster, graph and models — carrying
+// the given assignments, validates it and estimates it through the session
+// caches under calib. It is the one re-attachment path: stored plans, a
+// checkpoint's incumbent and a Trainer's incumbent on a moved workload all
+// return to a problem through it, so the estimator and runtime see one
+// consistent problem.
+func (p *Planner) attach(cfg ExperimentConfig, calib *estimator.Calibration, assign map[string]core.Assignment) (*core.Plan, *estimator.Result, error) {
+	ps, hw, g, models, err := p.problemFor(cfg, calib)
+	if err != nil {
+		return nil, nil, err
+	}
 	plan := core.NewPlan(hw, g, models)
-	for name, a := range loaded.Assign {
+	for name, a := range assign {
 		plan.Assign[name] = a
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, nil, err
 	}
 	res, err := ps.cache.Evaluate(ps.est, plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Experiment{Config: cfg, Cluster: hw, Plan: plan, Estimate: res, est: ps.est}, nil
+	return plan, res, nil
 }
 
 // LoadExperiment rebuilds a runnable Experiment from a saved plan through

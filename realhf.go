@@ -445,7 +445,6 @@ type Experiment struct {
 	// ran for this request.
 	Cached bool
 
-	est     *estimator.Estimator
 	runOpts *RunOptions
 }
 

@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"realhf/internal/checkpoint"
-	"realhf/internal/core"
 	"realhf/internal/estimator"
-	"realhf/internal/runtime"
 )
 
 // Checkpoint writes the session's durable state to w in the
@@ -100,31 +98,6 @@ func (p *Planner) ResumeTrainFile(ctx context.Context, path string, cfg Experime
 }
 
 func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg ExperimentConfig, opts ...TrainOption) (*Trainer, error) {
-	// Option and config handling mirrors Train exactly — a resumed session
-	// must sit in the same option state the uninterrupted one would.
-	o := trainOptions{threshold: defaultReplanThreshold}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if o.threshold <= 0 {
-		return nil, fmt.Errorf("realhf: replan threshold %v must be positive: %w", o.threshold, ErrInvalidConfig)
-	}
-	run := DefaultRunOptions()
-	if o.hasRunOpts {
-		run = *o.runOpts
-	}
-	if err := run.Validate(); err != nil {
-		return nil, err
-	}
-	if o.poolFactory == nil {
-		o.poolFactory = func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error) {
-			return runtime.NewWorkerPool(numGPUs, memoryBytes), nil
-		}
-	}
-	wt := run.WorkerTimeout
-	if wt == 0 {
-		wt = defaultWorkerTimeout
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("realhf: resume cancelled: %w: %w", err, ErrSolveCanceled)
 	}
@@ -134,61 +107,29 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 	if state.PlannedGenLen <= 0 {
 		return nil, fmt.Errorf("realhf: resume: checkpoint records planned GenLen %d: %w", state.PlannedGenLen, ErrInvalidConfig)
 	}
-	// The checkpointed scale wins over the config's: shrinks and resizes
-	// applied before the crash are campaign state, not configuration.
-	cfg.Nodes = state.Nodes
-	cfg = p.merge(cfg).withDefaults()
-	cfg.Nodes = state.Nodes
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if run.OverlapComm {
-		cfg.PlanForOverlap = true
-	}
-	if o.genLen != nil {
-		g0 := o.genLen(0)
-		if g0 <= 0 {
-			return nil, fmt.Errorf("realhf: GenLen schedule returned %d for iteration 0: %w", g0, ErrInvalidConfig)
-		}
-		cfg.GenLen = g0
-	}
 	for name, f := range state.Calibration {
 		if f <= 0 || f != f {
 			return nil, fmt.Errorf("realhf: resume: calibration factor %q = %v: %w", name, f, ErrInvalidConfig)
 		}
 	}
-	calib := estimator.NewCalibration(state.Calibration)
+	// The checkpointed scale wins over the config's: shrinks and resizes
+	// applied before the crash are campaign state, not configuration.
+	cfg.Nodes = state.Nodes
+	t, err := p.openSession(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	t.calib = estimator.NewCalibration(state.Calibration)
 
 	// Rebuild the incumbent plan exactly as LoadExperiment rebuilds a saved
 	// one, but against the checkpointed planned workload and under the
 	// checkpointed calibration, so the session's problem caches pick up
 	// where they left off.
-	plannedCfg := cfg
+	plannedCfg := t.base
 	plannedCfg.GenLen = state.PlannedGenLen
-	ps, hw, g, models, err := p.problemFor(plannedCfg, calib)
+	plan, _, err := p.loadPlan(state.Plan, "resume: checkpointed plan", plannedCfg, t.calib)
 	if err != nil {
 		return nil, err
-	}
-	loaded, err := core.UnmarshalPlan(state.Plan, g)
-	if err != nil {
-		return nil, fmt.Errorf("realhf: resume: checkpointed plan: %w: %w", err, ErrInvalidConfig)
-	}
-	if loaded.Cluster.Nodes != hw.Nodes || loaded.Cluster.GPUsPerNode != hw.GPUsPerNode {
-		return nil, fmt.Errorf("realhf: resume: checkpointed plan spans a %d-node×%d-GPU cluster, config describes %d×%d: %w",
-			loaded.Cluster.Nodes, loaded.Cluster.GPUsPerNode, hw.Nodes, hw.GPUsPerNode, ErrInvalidConfig)
-	}
-	for role, ms := range models {
-		lm, ok := loaded.Models[role]
-		if !ok || lm.Cfg.Name != ms.Cfg.Name {
-			return nil, fmt.Errorf("realhf: resume: checkpointed plan disagrees with the config about model %q: %w", role, ErrInvalidConfig)
-		}
-	}
-	plan := core.NewPlan(hw, g, models)
-	for name, a := range loaded.Assign {
-		plan.Assign[name] = a
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("realhf: resume: checkpointed plan: %w: %w", err, ErrInvalidConfig)
 	}
 	// Fingerprint integrity: the stored bytes must decode to the very plan
 	// that was checkpointed — a mismatch means the file was corrupted or
@@ -198,34 +139,14 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 		return nil, fmt.Errorf("realhf: resume: plan fingerprint %s does not match checkpointed %s: %w",
 			fp, state.PlanFingerprint, ErrInvalidConfig)
 	}
-	if _, err := ps.cache.Evaluate(ps.est, plan); err != nil {
+	if err := t.start(plan, plannedCfg); err != nil {
 		return nil, err
 	}
-
-	execHW := run.scaleCluster(hw)
-	pool, err := o.poolFactory(execHW.NumGPUs(), execHW.GPU.MemoryBytes)
-	if err != nil {
-		return nil, fmt.Errorf("realhf: worker pool for %d GPUs: %w", execHW.NumGPUs(), err)
-	}
-	pool.SetFenceTimeout(wt)
-	return &Trainer{
-		planner:           p,
-		base:              cfg,
-		opts:              o,
-		run:               run,
-		pool:              pool,
-		hw:                execHW,
-		plan:              plan,
-		plannedCfg:        plannedCfg,
-		calib:             calib,
-		drifted:           state.Drifted,
-		workerTimeout:     wt,
-		iter:              state.Iteration,
-		replans:           state.Replans,
-		switches:          state.Switches,
-		workerFailures:    state.WorkerFailures,
-		switchCostV:       state.SwitchCostV,
-		totalV:            state.TotalMakespanV,
-		pendingSwitchCost: state.PendingSwitchCostV,
-	}, nil
+	t.drifted = state.Drifted
+	t.iter = state.Iteration
+	t.replans, t.switches = state.Replans, state.Switches
+	t.workerFailures = state.WorkerFailures
+	t.switchCostV, t.totalV = state.SwitchCostV, state.TotalMakespanV
+	t.pendingSwitchCost = state.PendingSwitchCostV
+	return t, nil
 }

@@ -279,6 +279,25 @@ type TrainerStats struct {
 // A GenLen schedule (WithGenLenSchedule) makes iteration 0's length the
 // schedule's, not the config's. Close the Trainer to release its workers.
 func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...TrainOption) (*Trainer, error) {
+	t, err := p.openSession(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	exp, err := p.Plan(ctx, t.base, t.opts.planOpts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.start(exp.Plan, exp.Config); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// openSession resolves a session's options, run options and canonical
+// config — the one open path Train and ResumeTrain share, so a resumed
+// session sits in exactly the state the uninterrupted one would. The
+// returned Trainer has no plan or fleet until start.
+func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Trainer, error) {
 	o := trainOptions{threshold: defaultReplanThreshold}
 	for _, fn := range opts {
 		fn(&o)
@@ -322,28 +341,21 @@ func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...Train
 	if wt == 0 {
 		wt = defaultWorkerTimeout
 	}
-	exp, err := p.Plan(ctx, cfg, o.planOpts...)
+	return &Trainer{planner: p, base: cfg, opts: o, run: run, workerTimeout: wt}, nil
+}
+
+// start adopts the session's first plan, last (re)considered at plannedCfg,
+// and opens a worker fleet for the plan's run-option-scaled cluster.
+func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
+	hw := t.run.scaleCluster(plan.Cluster)
+	pool, err := t.opts.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
 	}
-	hw := run.scaleCluster(exp.Cluster)
-	pool, err := o.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
-	if err != nil {
-		return nil, fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
-	}
-	pool.SetFenceTimeout(wt)
-	t := &Trainer{
-		planner:       p,
-		base:          cfg,
-		opts:          o,
-		run:           run,
-		pool:          pool,
-		hw:            hw,
-		plan:          exp.Plan,
-		plannedCfg:    exp.Config,
-		workerTimeout: wt,
-	}
-	return t, nil
+	pool.SetFenceTimeout(t.workerTimeout)
+	t.pool, t.hw = pool, hw
+	t.plan, t.plannedCfg = plan, plannedCfg
+	return nil
 }
 
 // Step executes the next campaign iteration: it applies the GenLen
@@ -521,7 +533,7 @@ func foldFeedback(cur *estimator.Calibration, observed, predicted map[string]flo
 // (or new drift appear) before the next replan.
 func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (switched, cached bool, err error) {
 	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	stalePlan, staleEst, staleErr := t.evaluateLocked(workCfg, t.plan)
+	stalePlan, staleEst, staleErr := t.planner.attach(workCfg, t.calib, t.plan.Assign)
 	if staleErr == nil {
 		opts = append(opts, WithWarmStart(stalePlan))
 	}
@@ -573,38 +585,17 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 	newCfg.Nodes--
 	newCfg.GenLen = workCfg.GenLen
 	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	if stalePlan, _, staleErr := t.evaluateLocked(newCfg, t.plan); staleErr == nil {
+	if stalePlan, _, staleErr := t.planner.attach(newCfg, t.calib, t.plan.Assign); staleErr == nil {
 		opts = append(opts, WithWarmStart(stalePlan))
 	}
 	exp, err := t.planner.Plan(ctx, newCfg, opts...)
+	if err == nil {
+		err = t.swapFleetLocked(exp, newCfg.Nodes)
+	}
 	if err != nil {
 		return fmt.Errorf("realhf: iteration %d: shrink to %d nodes after losing worker gpu %d: %w: %w",
 			report.Iter, newCfg.Nodes, lost.GPU, ErrWorkerLost, err)
 	}
-	newHW := t.run.scaleCluster(exp.Cluster)
-	// Price the reallocation on the old, larger cluster: its device range
-	// spans both the dying mesh and the survivors, exactly as Resize prices
-	// a grow on the larger of the two.
-	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, t.hw)
-	if err := t.pool.Close(); err != nil {
-		return fmt.Errorf("realhf: iteration %d: closing failed worker fleet: %w: %w",
-			report.Iter, ErrWorkerLost, err)
-	}
-	pool, err := t.opts.poolFactory(newHW.NumGPUs(), newHW.GPU.MemoryBytes)
-	if err != nil {
-		return fmt.Errorf("realhf: iteration %d: worker pool for %d surviving GPUs: %w: %w",
-			report.Iter, newHW.NumGPUs(), ErrWorkerLost, err)
-	}
-	pool.SetFenceTimeout(t.workerTimeout)
-	t.pool = pool
-	t.prog = nil
-	t.replans++
-	t.switches++
-	t.base.Nodes = newCfg.Nodes
-	t.plannedCfg = exp.Config
-	t.plan = exp.Plan
-	t.hw = newHW
-	t.drifted = false
 	workCfg.Nodes = newCfg.Nodes
 	report.Nodes = newCfg.Nodes
 	report.Replanned, report.Switched, report.PlanCached = true, true, exp.Cached
@@ -618,7 +609,7 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 // estimate is always computed against the canonical unscaled problem, so
 // shared cost caches stay consistent.
 func (t *Trainer) instantiateLocked(workCfg ExperimentConfig) (*core.Plan, *estimator.Result, error) {
-	plan, res, err := t.evaluateLocked(workCfg, t.plan)
+	plan, res, err := t.planner.attach(workCfg, t.calib, t.plan.Assign)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -641,27 +632,6 @@ func (t *Trainer) programLocked(workCfg ExperimentConfig, exec *core.Plan, finge
 	}
 	t.prog, t.progKey = prog, key
 	return prog, nil
-}
-
-// evaluateLocked builds workCfg's graph with the given plan's assignments
-// and returns the (calibrated) estimate via the planner's shared caches.
-func (t *Trainer) evaluateLocked(workCfg ExperimentConfig, src *core.Plan) (*core.Plan, *estimator.Result, error) {
-	ps, hw, g, models, err := t.planner.problemFor(workCfg, t.calib)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := core.NewPlan(hw, g, models)
-	for name, a := range src.Assign {
-		plan.Assign[name] = a
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	res, err := ps.cache.Evaluate(ps.est, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, res, nil
 }
 
 // Campaign runs n iterations back to back, aggregating their reports. A
@@ -726,24 +696,36 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 	}
 	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
 	exp, err := t.planner.Plan(ctx, newCfg, opts...)
+	if err == nil {
+		err = t.swapFleetLocked(exp, nodes)
+	}
 	if err != nil {
 		return fmt.Errorf("realhf: resize to %d nodes: %w", nodes, err)
 	}
+	return nil
+}
+
+// swapFleetLocked adopts exp, planned for a campaign of nodes hosts, along
+// with a worker fleet of its size — the one tail Resize and a worker-loss
+// shrink share. It charges the §5 reallocation from the incumbent, priced on
+// the larger of the two clusters (its device range spans both meshes; a
+// shrink's old cluster is always the larger), then rebuilds the fleet
+// through the pool factory. Rebuilding, never patching, keeps custom fleets
+// (adopted transports, chaos wrappers) resizable the same way the default
+// in-process fleet is.
+func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	newHW := t.run.scaleCluster(exp.Cluster)
 	priceHW := t.hw
 	if newHW.NumGPUs() > priceHW.NumGPUs() {
 		priceHW = newHW
 	}
 	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
-	// Rebuild, never patch: routing resizes through the pool factory keeps
-	// custom fleets (adopted transports, chaos wrappers) resizable the same
-	// way the default in-process fleet is.
 	if err := t.pool.Close(); err != nil {
-		return fmt.Errorf("realhf: resize to %d nodes: closing worker fleet: %w", nodes, err)
+		return fmt.Errorf("closing worker fleet: %w", err)
 	}
 	pool, err := t.opts.poolFactory(newHW.NumGPUs(), newHW.GPU.MemoryBytes)
 	if err != nil {
-		return fmt.Errorf("realhf: resize to %d nodes: worker pool: %w", nodes, err)
+		return fmt.Errorf("worker pool for %d GPUs: %w", newHW.NumGPUs(), err)
 	}
 	pool.SetFenceTimeout(t.workerTimeout)
 	t.pool = pool

@@ -117,6 +117,34 @@ func TestTrainerReplansUnderGenLenRamp(t *testing.T) {
 	}
 }
 
+// TestTrainerStepsExecuteTheirEstimate: under default run options the
+// runtime executes the estimator's own timeline, so every step — replans
+// and plan switches included — observes exactly the makespan the session
+// estimated for its executed plan, and profile feedback never drifts.
+func TestTrainerStepsExecuteTheirEstimate(t *testing.T) {
+	ctx := context.Background()
+	tr, err := NewPlanner(ClusterConfig{}).Train(ctx, trainerConfig(), WithGenLenSchedule(rampSchedule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rep, err := tr.Campaign(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Switches == 0 {
+		t.Fatal("the ramp campaign never switched plans (precondition)")
+	}
+	for _, r := range rep.Iterations {
+		if r.MakespanV != r.EstMakespanV || r.Drift != 0 {
+			t.Fatalf("iter %d: makespan %v, estimated %v (drift %v)", r.Iter, r.MakespanV, r.EstMakespanV, r.Drift)
+		}
+	}
+	if f := tr.Stats().CalibrationFactors; f != nil {
+		t.Fatalf("an exact estimator must not calibrate: %v", f)
+	}
+}
+
 // TestTrainerProfileFeedbackCalibration: executing under run options the
 // estimator does not model (CUDA graphs disabled) produces real
 // estimate-vs-observed drift at a fixed workload; the session folds it into
