@@ -212,20 +212,6 @@ func BenchmarkFig15Optimality(b *testing.B) {
 	}
 }
 
-// BenchmarkFig16Algorithms regenerates the DPO/GRPO/ReMax comparison.
-func BenchmarkFig16Algorithms(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Fig16(2, benchSteps, model.LLaMA13B, model.LLaMA7B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(100*r.Improvement, r.Algo+"-gain-%")
-		}
-	}
-}
-
 // BenchmarkFig17StrongScaling regenerates the strong-scaling study.
 func BenchmarkFig17StrongScaling(b *testing.B) {
 	b.ReportAllocs()

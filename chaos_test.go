@@ -71,11 +71,11 @@ func TestChaosCampaignOverTCP(t *testing.T) {
 		schedule,
 		WithIterationProgress(func(r IterationReport) {
 			if r.Iter == 0 {
-				// Arm mid-iteration death: gpu 5's third delivery during the
-				// next iteration (the two Reset fences, then its first
-				// dispatch) finds the worker dead, replies already in flight
-				// vanish, and fresh sends fail.
-				rig.transport().InjectAfter(5, 3, runtime.FaultKill)
+				// Arm mid-iteration death: gpu 5's second delivery during the
+				// next iteration (the Reset fence, then its first dispatch)
+				// finds the worker dead, replies already in flight vanish,
+				// and fresh sends fail.
+				rig.transport().InjectAfter(5, 2, runtime.FaultKill)
 			}
 		}))
 	if err != nil {

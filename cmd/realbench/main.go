@@ -228,8 +228,7 @@ func main() {
 		if *quick {
 			driftNodes = 1
 		}
-		_, _, out, err := experiments.AblationGenLenDrift(driftNodes, searchSteps, 4, 1)
-		return out, err
+		return drift(driftNodes, searchSteps, 4)
 	})
 }
 
@@ -243,9 +242,8 @@ func bigActor(quick bool) model.Config {
 // fig16 regenerates the beyond-PPO comparison (paper Fig. 16) through the
 // public realhf.Planner session and the public DPO/GRPO/ReMax presets — the
 // same path library users take — instead of the internal experiments
-// plumbing. One session plans all three algorithms, so the DPO, GRPO and
-// ReMax solves share the planner's per-model costers, and the trailing
-// stats line shows the session-level cache reuse.
+// plumbing. One session plans all three algorithms, and the trailing stats
+// line shows the session-level cache reuse.
 func fig16(nodes, steps int, actor, small model.Config) (string, error) {
 	planner := realhf.NewPlanner(realhf.ClusterConfig{Nodes: nodes})
 	var b strings.Builder
@@ -281,5 +279,61 @@ func fig16(nodes, steps int, actor, small model.Config) (string, error) {
 	st := planner.Stats()
 	fmt.Fprintf(&b, "\nPlanner session: %d solves over %d problems, cost cache %d hits / %d misses\n",
 		st.PlanCacheMisses, st.Problems, st.CostCacheHits, st.CostCacheMisses)
+	return b.String(), nil
+}
+
+// driftGenLen is the §8 ramp the drift ablation executes: generation length
+// halving from 1024 to 128 over the campaign (responses shortening as the
+// policy sharpens). The iteration-0 plan stays memory-feasible throughout —
+// pressure only decreases — but grows increasingly over-conservative, which
+// is exactly the staleness replanning recovers.
+func driftGenLen(iter int) int { return max(1024>>iter, 128) }
+
+// drift quantifies the paper's §8 limitation from the system side through
+// two public realhf.Trainer sessions over the same GenLen ramp: a frozen one
+// that executes the iteration-0 plan throughout, and a replanning one that
+// re-searches when the scheduled length changes and switches plans only when
+// the predicted gain covers the §5-priced reallocation. The replanning total
+// includes every switch charge.
+func drift(nodes, steps, iters int) (string, error) {
+	ctx := context.Background()
+	planner := realhf.NewPlanner(realhf.ClusterConfig{})
+	cfg := realhf.ExperimentConfig{
+		Nodes: nodes, BatchSize: 128 * nodes, PromptLen: 256, GenLen: driftGenLen(0),
+		MiniBatches: 8, RPCs: realhf.PPORPCs("llama7b", "llama7b-critic"),
+		SearchSteps: steps, Seed: 1,
+	}
+	campaign := func(opts ...realhf.TrainOption) (*realhf.CampaignReport, error) {
+		tr, err := planner.Train(ctx, cfg, append(opts, realhf.WithGenLenSchedule(driftGenLen))...)
+		if err != nil {
+			return nil, err
+		}
+		defer tr.Close()
+		return tr.Campaign(ctx, iters)
+	}
+	frozen, err := campaign(realhf.WithFrozenPlan())
+	if err != nil {
+		return "", err
+	}
+	replan, err := campaign()
+	if err != nil {
+		return "", err
+	}
+
+	var b strings.Builder
+	b.WriteString("Ablation: GenLen drift — frozen plan vs replanning campaign (switch costs charged)\n")
+	b.WriteString("==================================================================================\n")
+	fmt.Fprintf(&b, "%-6s %8s %11s %11s %11s %9s\n",
+		"Iter", "GenLen", "Frozen(s)", "Replan(s)", "Switch(s)", "Switched")
+	for i, r := range replan.Iterations {
+		fmt.Fprintf(&b, "%-6d %8d %11.2f %11.2f %11.3f %9v\n",
+			r.Iter, r.GenLen, frozen.Iterations[i].MakespanV, r.MakespanV, r.ReallocSwitchCost, r.Switched)
+	}
+	fmt.Fprintf(&b, "%-6s %8s %11.2f %11.2f %11.3f %8.1f%%\n",
+		"total", "", frozen.TotalMakespanV, replan.TotalMakespanV, replan.SwitchCostV,
+		100*(frozen.TotalMakespanV-replan.TotalMakespanV)/frozen.TotalMakespanV)
+	b.WriteString("\nReplanning pays for its parameter moves and still finishes the campaign\n")
+	b.WriteString("sooner; the frozen plan leaves the short-generation iterations on a\n")
+	b.WriteString("layout sized for the long ones (the §8 staleness the Trainer closes).\n")
 	return b.String(), nil
 }

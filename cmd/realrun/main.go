@@ -155,29 +155,12 @@ func main() {
 	}
 
 	opts := runtime.Options{UseCUDAGraph: *cudaGraph, OverlapComm: *overlap}
+	var rep *runtime.Report
 	if *tcp {
-		static := estimator.StaticPerGPU(plan)
-		workers := make([]*runtime.ModelWorker, cluster.NumGPUs())
-		for i := range workers {
-			workers[i] = runtime.NewModelWorker(i, cluster.GPU.MemoryBytes)
-			workers[i].StaticBytes = static[i]
-		}
-		addr, stop, err := runtime.ServeWorkersTCP(workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-		tr, err := runtime.NewTCPTransport(addr, len(workers))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tr.Close()
-		opts.Transport = tr
-		opts.Workers = workers
-		fmt.Printf("workers serving on %s\n", addr)
+		rep, err = runTCP(plan, cluster, opts)
+	} else {
+		rep, err = runtime.Run(plan, opts)
 	}
-
-	rep, err := runtime.Run(plan, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -225,6 +208,32 @@ func main() {
 		fmt.Printf("Overlap ablation: serialized %.1fs -> overlapped %.1fs (comm %.1fs, %.0f%% hidden)\n",
 			serial, overlapped, rep.CommTimeV, 100*hidden/rep.CommTimeV)
 	}
+}
+
+// runTCP executes plan once on a fleet of model workers served over TCP
+// sockets: a worker pool over the socket transport, reset to the plan's
+// static footprint.
+func runTCP(plan *core.Plan, cluster hardware.Cluster, opts runtime.Options) (*runtime.Report, error) {
+	workers := make([]*runtime.ModelWorker, cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = runtime.NewModelWorker(i, cluster.GPU.MemoryBytes)
+	}
+	addr, stop, err := runtime.ServeWorkersTCP(workers)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	tr, err := runtime.NewTCPTransport(addr, len(workers))
+	if err != nil {
+		return nil, err
+	}
+	pool := runtime.NewWorkerPoolWith(workers, tr)
+	defer pool.Close()
+	fmt.Printf("workers serving on %s\n", addr)
+	if err := pool.Reset(estimator.StaticPerGPU(plan)); err != nil {
+		return nil, err
+	}
+	return pool.Run(plan, opts)
 }
 
 // faultRig builds the -kill-worker-at worker fleets: in-process channel

@@ -16,8 +16,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// The session owns the cluster model, per-model costers, memoized cost
-	// caches and the plan cache; requests inherit its Nodes default.
+	// The session owns per-problem estimators, memoized cost caches and the
+	// plan cache; requests inherit its Nodes default.
 	planner := realhf.NewPlanner(realhf.ClusterConfig{Nodes: 2})
 
 	// A 7B actor with a 7B-scale critic on two 8-GPU nodes — the paper's

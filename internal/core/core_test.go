@@ -178,19 +178,14 @@ func TestReallocGatedByVersionParent(t *testing.T) {
 }
 
 func TestOffloadNodes(t *testing.T) {
-	// Offload is a per-call plan decision; the model-level OffloadWhenIdle
-	// flag is only a warm-start hint that ApplyOffloadHints folds onto the
-	// assignments. Exercise exactly that path.
+	// Offload is a per-call plan decision: offloading every Ref call parks
+	// the role in host memory.
 	p := ppoPlan(t, 2, 1)
-	ms := p.Models[dfg.Ref]
-	ms.OffloadWhenIdle = true
-	p.Models[dfg.Ref] = ms
-	if !p.HasOffloadHints() {
-		t.Fatal("hinted frozen role not reported by HasOffloadHints")
-	}
-	p.ApplyOffloadHints()
+	a := p.Assign["RefInf"]
+	a.Offload = true
+	p.Assign["RefInf"] = a
 	if !p.RoleOffloaded(dfg.Ref) {
-		t.Fatal("ApplyOffloadHints did not offload every Ref call")
+		t.Fatal("offloading every Ref call must offload the role")
 	}
 	g, err := buildAug(p)
 	if err != nil {

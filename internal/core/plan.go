@@ -58,11 +58,6 @@ type ModelSpec struct {
 	IsCritic bool
 	// Trainable models keep gradients and optimizer state at their home.
 	Trainable bool
-	// OffloadWhenIdle is a warm-start hint: seed the search with this frozen
-	// role's calls offloaded to host memory. The decision itself lives on the
-	// plan (Assignment.Offload); the hint only shapes initial candidates and
-	// is rejected on trainable roles at validation time.
-	OffloadWhenIdle bool
 }
 
 // Params is the model's parameter count, respecting the head variant.
@@ -164,7 +159,9 @@ func (p *Plan) Validate() error {
 		if err := a.Mesh.Validate(); err != nil {
 			return fmt.Errorf("core: call %q: %w", n.Name, err)
 		}
-		if a.Mesh.First+a.Mesh.Count > p.Cluster.NumGPUs() {
+		// Compared without summing: First+Count of a hostile stored plan
+		// could wrap past the bound.
+		if a.Mesh.First > p.Cluster.NumGPUs()-a.Mesh.Count {
 			return fmt.Errorf("core: call %q mesh %v exceeds cluster of %d GPUs", n.Name, a.Mesh, p.Cluster.NumGPUs())
 		}
 		if a.Mesh.M != p.Cluster.GPUsPerNode {
@@ -173,9 +170,6 @@ func (p *Plan) Validate() error {
 		ms, ok := p.Models[n.Role]
 		if !ok {
 			return fmt.Errorf("core: no model spec for role %q", n.Role)
-		}
-		if ms.Trainable && ms.OffloadWhenIdle {
-			return fmt.Errorf("core: role %q is trainable but hints OffloadWhenIdle: optimizer state pins trainable parameters on-device", n.Role)
 		}
 		if a.Offload && ms.Trainable {
 			return fmt.Errorf("core: call %q offloads trainable role %q: optimizer state pins trainable parameters on-device", n.Name, n.Role)
@@ -233,34 +227,6 @@ func (p *Plan) RoleOffloaded(role dfg.Role) bool {
 		found = true
 	}
 	return found
-}
-
-// HasOffloadHints reports whether any frozen role carries the
-// OffloadWhenIdle warm-start hint — the search seeds such problems with the
-// hinted calls offloaded.
-func (p *Plan) HasOffloadHints() bool {
-	for _, ms := range p.Models {
-		if ms.OffloadWhenIdle && !ms.Trainable {
-			return true
-		}
-	}
-	return false
-}
-
-// ApplyOffloadHints sets Assignment.Offload on every assigned call of every
-// hinted frozen role, in place — how a legacy OffloadWhenIdle input becomes
-// a warm-start plan state.
-func (p *Plan) ApplyOffloadHints() {
-	for _, n := range p.Graph.Nodes {
-		ms := p.Models[n.Role]
-		if !ms.OffloadWhenIdle || ms.Trainable {
-			continue
-		}
-		if a, ok := p.Assign[n.Name]; ok && !a.Offload {
-			a.Offload = true
-			p.Assign[n.Name] = a
-		}
-	}
 }
 
 // appendFingerprint appends the assignment's canonical encoding: mesh

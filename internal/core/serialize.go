@@ -29,7 +29,10 @@ type modelJSON struct {
 	Arch      string `json:"arch"`
 	IsCritic  bool   `json:"is_critic,omitempty"`
 	Trainable bool   `json:"trainable,omitempty"`
-	Offload   bool   `json:"offload_when_idle,omitempty"`
+	// LegacyOffload is read, never written: plans saved before offload was a
+	// per-call decision carried it per model, and loading maps it onto every
+	// call of the role.
+	LegacyOffload bool `json:"offload_when_idle,omitempty"`
 }
 
 type assignmentJSON struct {
@@ -57,7 +60,7 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 		ms := p.Models[role]
 		out.Models = append(out.Models, modelJSON{
 			Role: string(role), Arch: ms.Cfg.Name, IsCritic: ms.IsCritic,
-			Trainable: ms.Trainable, Offload: ms.OffloadWhenIdle,
+			Trainable: ms.Trainable,
 		})
 	}
 	for name, a := range p.Assign {
@@ -108,15 +111,18 @@ func UnmarshalPlan(data []byte, g *dfg.Graph) (*Plan, error) {
 		cluster.GPUsPerNode = in.GPUsPerNode
 	}
 	models := map[dfg.Role]ModelSpec{}
+	legacyOffload := map[dfg.Role]bool{}
 	for _, mj := range in.Models {
 		cfg, err := model.ByName(mj.Arch)
 		if err != nil {
 			return nil, fmt.Errorf("core: plan references %w", err)
 		}
-		models[dfg.Role(mj.Role)] = ModelSpec{
-			Role: dfg.Role(mj.Role), Cfg: cfg, IsCritic: mj.IsCritic,
-			Trainable: mj.Trainable, OffloadWhenIdle: mj.Offload,
+		if mj.LegacyOffload && mj.Trainable {
+			return nil, fmt.Errorf("core: role %q is trainable but marked offload_when_idle: optimizer state pins trainable parameters on-device", mj.Role)
 		}
+		role := dfg.Role(mj.Role)
+		models[role] = ModelSpec{Role: role, Cfg: cfg, IsCritic: mj.IsCritic, Trainable: mj.Trainable}
+		legacyOffload[role] = mj.LegacyOffload
 	}
 	p := NewPlan(cluster, g, models)
 	roleOf := map[string]dfg.Role{}
@@ -128,18 +134,13 @@ func UnmarshalPlan(data []byte, g *dfg.Graph) (*Plan, error) {
 		if !known {
 			return nil, fmt.Errorf("core: stored plan assigns call %q, which the graph does not contain", name)
 		}
-		// Plans written before Offload was a per-call decision carried only
-		// the model-level OffloadWhenIdle flag; map it onto every call of the
-		// hinted frozen role so old plan files keep their offload semantics.
-		ms := models[role]
-		offload := aj.Offload || (ms.OffloadWhenIdle && !ms.Trainable)
 		p.Assign[name] = Assignment{
 			Mesh: mesh.Mesh{First: aj.MeshFirst, Count: aj.MeshCount, M: cluster.GPUsPerNode},
 			Strategy: parallel.Strategy{
 				DP: aj.DP, TP: aj.TP, PP: aj.PP,
 				MicroBatches: aj.MicroBatches, ZeRO3: aj.ZeRO3,
 			},
-			Offload: offload,
+			Offload: aj.Offload || legacyOffload[role],
 		}
 	}
 	if err := p.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,10 +12,6 @@ import (
 
 func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	p := ppoPlan(t, 2, 1)
-	ms := p.Models[dfg.Ref]
-	ms.OffloadWhenIdle = true
-	p.Models[dfg.Ref] = ms
-
 	path := filepath.Join(t.TempDir(), "plan.json")
 	if err := SavePlan(p, path); err != nil {
 		t.Fatal(err)
@@ -24,29 +21,69 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Loading maps the legacy hint onto per-call Offload (checked below);
-	// every placement must otherwise survive unchanged.
-	want := p.Clone()
-	want.ApplyOffloadHints()
-	if q.Fingerprint() != want.Fingerprint() {
-		t.Errorf("round trip changed assignments:\n%s\nvs\n%s", want.Fingerprint(), q.Fingerprint())
+	if q.Fingerprint() != p.Fingerprint() {
+		t.Errorf("round trip changed assignments:\n%s\nvs\n%s", p.Fingerprint(), q.Fingerprint())
 	}
 	if q.Cluster.Nodes != 2 || q.Cluster.GPUsPerNode != 8 {
 		t.Errorf("cluster shape lost: %+v", q.Cluster)
-	}
-	if !q.Models[dfg.Ref].OffloadWhenIdle {
-		t.Error("offload hint lost in round trip")
-	}
-	// Plans carrying only the legacy model-level hint get it mapped onto
-	// every call of the hinted frozen role at load time.
-	if !q.RoleOffloaded(dfg.Ref) {
-		t.Error("legacy OffloadWhenIdle hint not mapped onto per-call Offload at load")
 	}
 	if !q.Models[dfg.Actor].Trainable || q.Models[dfg.Reward].Trainable {
 		t.Error("trainability lost in round trip")
 	}
 	if q.Models[dfg.Critic].Cfg.Name != "7b" || !q.Models[dfg.Critic].IsCritic {
 		t.Error("critic model spec lost in round trip")
+	}
+}
+
+// legacyOffloadBytes serializes p as a plan file written before offload was
+// a per-call decision: role carries the model-level offload_when_idle key.
+func legacyOffloadBytes(t *testing.T, p *Plan, role dfg.Role) []byte {
+	t.Helper()
+	data, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in planJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		t.Fatal(err)
+	}
+	for i := range in.Models {
+		if in.Models[i].Role == string(role) {
+			in.Models[i].LegacyOffload = true
+		}
+	}
+	out, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestLoadPlanMapsLegacyOffloadHint: a legacy file's offload_when_idle on a
+// frozen role becomes the per-call Offload bit of every call of that role,
+// re-marshals without the legacy key, and is rejected on a trainable role.
+func TestLoadPlanMapsLegacyOffloadHint(t *testing.T) {
+	p := ppoPlan(t, 2, 1)
+	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	q, err := UnmarshalPlan(legacyOffloadBytes(t, p, dfg.Ref), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.RoleOffloaded(dfg.Ref) {
+		t.Error("legacy offload_when_idle not mapped onto per-call Offload at load")
+	}
+	if q.Assign["ActorGen"].Offload {
+		t.Error("legacy offload_when_idle leaked onto another role's call")
+	}
+	again, err := q.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(again), "offload_when_idle") {
+		t.Errorf("re-marshaled plan still carries the legacy key:\n%s", again)
+	}
+	if _, err := UnmarshalPlan(legacyOffloadBytes(t, p, dfg.Actor), g); err == nil {
+		t.Error("legacy offload_when_idle on a trainable role must be rejected")
 	}
 }
 

@@ -241,7 +241,7 @@ func (s *EvalSession) evaluate(p *core.Plan, timeline *[]ScheduledNode) (PlanCos
 	// Every transfer endpoint is some call's assignment, so checking the
 	// calls bounds every node.
 	for _, n := range s.firstByName {
-		if m := p.Assign[n.Name].Mesh; m.First < 0 || m.First+m.Count > s.numGPUs {
+		if m := p.Assign[n.Name].Mesh; m.First < 0 || m.Count < 0 || m.First > s.numGPUs-m.Count {
 			return PlanCost{}, fmt.Errorf("estimator: call %q occupies GPUs [%d,%d) outside the %d-GPU cluster",
 				n.Name, m.First, m.First+m.Count, s.numGPUs)
 		}

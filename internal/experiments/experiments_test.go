@@ -215,34 +215,6 @@ func TestFig15NearOptimal(t *testing.T) {
 	}
 }
 
-func TestFig16AlgorithmsImprove(t *testing.T) {
-	rows, out, err := Fig16(2, 1200, model.LLaMA13B, model.LLaMA7B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	byAlgo := map[string]Fig16Row{}
-	for _, r := range rows {
-		byAlgo[r.Algo] = r
-		if r.Improvement < -0.02 {
-			t.Errorf("%s: ReaL lost to heuristic by %.0f%%", r.Algo, -100*r.Improvement)
-		}
-	}
-	if !strings.Contains(out, "REMAX") {
-		t.Error("report missing ReMax row")
-	}
-	// The paper's shape: ReMax gains more than GRPO — ReaL runs ReMax's two
-	// generation calls concurrently, while GRPO's 8× grouped batch is
-	// compute-bounded with little overhead to remove. (The full-scale
-	// ordering incl. DPO is exercised by BenchmarkFig16Algorithms.)
-	if byAlgo["remax"].Improvement < byAlgo["grpo"].Improvement {
-		t.Errorf("ReMax gain %.0f%% should exceed GRPO gain %.0f%%",
-			100*byAlgo["remax"].Improvement, 100*byAlgo["grpo"].Improvement)
-	}
-}
-
 func TestFig17StrongScaling(t *testing.T) {
 	rows, _, err := Fig17([]model.Config{model.LLaMA7B}, []int{1, 2, 4}, 700)
 	if err != nil {

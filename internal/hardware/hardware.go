@@ -5,7 +5,10 @@
 // from one place.
 package hardware
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GPU describes a single accelerator.
 type GPU struct {
@@ -110,7 +113,7 @@ func (c Cluster) NumGPUs() int { return c.Nodes * c.GPUsPerNode }
 
 // Validate reports configuration errors.
 func (c Cluster) Validate() error {
-	if c.Nodes <= 0 || c.GPUsPerNode <= 0 {
+	if c.Nodes <= 0 || c.GPUsPerNode <= 0 || c.Nodes > math.MaxInt/c.GPUsPerNode {
 		return fmt.Errorf("hardware: cluster shape (%d,%d) invalid", c.Nodes, c.GPUsPerNode)
 	}
 	if c.GPU.MemoryBytes <= 0 || c.GPU.PeakFLOPs <= 0 || c.GPU.HBMBandwidth <= 0 {

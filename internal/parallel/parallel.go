@@ -48,8 +48,10 @@ func (s Strategy) Validate(m mesh.Mesh, cfg model.Config, batch int) error {
 	if s.ZeRO3 && (s.TP > 1 || s.PP > 1) {
 		return fmt.Errorf("parallel: ZeRO-3 composes with pure data parallelism only: %v", s)
 	}
-	if s.WorldSize() != m.NumGPUs() {
-		return fmt.Errorf("parallel: dp*tp*pp = %d does not fill mesh of %d GPUs", s.WorldSize(), m.NumGPUs())
+	// Divide rather than multiply: absurd degrees must not wrap dp·tp·pp
+	// around to the mesh size.
+	if n := m.NumGPUs(); n%s.DP != 0 || n/s.DP%s.TP != 0 || n/s.DP/s.TP != s.PP {
+		return fmt.Errorf("parallel: dp*tp*pp = %d*%d*%d does not fill mesh of %d GPUs", s.DP, s.TP, s.PP, n)
 	}
 	if s.PP > cfg.NumLayers {
 		return fmt.Errorf("parallel: pp=%d exceeds %d layers", s.PP, cfg.NumLayers)

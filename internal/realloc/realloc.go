@@ -308,9 +308,9 @@ func maxBusy(busy []float64) float64 {
 // ParamsBusy prices a parameter reallocation per device: a GPU accumulates
 // the cost of every broadcast it sends or receives, and sources broadcast in
 // parallel. The returned slice, indexed by global GPU over hw, is cs's
-// storage and valid until cs is next used. The runtime engine charges these
-// per-device durations to each worker, so a redistribution only occupies
-// the GPUs it actually touches.
+// storage and valid until cs is next used. SwitchCost merges these
+// per-device durations across models, so a redistribution only occupies the
+// GPUs it actually touches.
 func ParamsBusy(cs *CostScratch, layers int, layerBytes int64, src, dst core.Assignment, hw hardware.Cluster) []float64 {
 	cs.resetBusy(hw.NumGPUs())
 	comm := gpumodel.Comm{HW: hw}
@@ -345,9 +345,9 @@ func DataCost(cs *CostScratch, totalBytes int64, src, dst core.Assignment, hw ha
 // reallocation: for every model whose home layout changes between the two
 // plans, the per-GPU busy time of moving its parameters from the old home
 // to the new one (ParamsBusy) is merged across models (all reallocations
-// proceed in parallel), and the busiest GPU bounds the wall time. hw must span both plans' meshes — for an elastic
-// resize, the larger of the two clusters. Shared by the public Trainer's
-// replan charging and the experiments' drift ablation.
+// proceed in parallel), and the busiest GPU bounds the wall time. hw must
+// span both plans' meshes — for an elastic resize, the larger of the two
+// clusters. The public Trainer charges it on every adopted plan switch.
 func SwitchCost(old, next *core.Plan, hw hardware.Cluster) float64 {
 	roles := make([]dfg.Role, 0, len(old.Models))
 	for role := range old.Models {

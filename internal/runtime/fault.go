@@ -33,7 +33,7 @@ const (
 	// flight from it are discarded (a dead process answers nothing).
 	FaultKill FaultKind = iota
 	// FaultDrop simulates a wedged worker: Sends are silently swallowed,
-	// so the stream stops making progress without any error — the failure
+	// so the worker stops making progress without any error — the failure
 	// mode only a fence timeout can detect.
 	FaultDrop
 	// FaultDelay simulates a stalled network path: requests are delivered
@@ -57,7 +57,7 @@ func (k FaultKind) String() string {
 // the chaos hook the resilience tests (and realrun -kill-worker-at) use to
 // kill, wedge or stall a single worker mid-iteration without touching the
 // inner transport's machinery. Faults are keyed by GPU index; devices
-// without an active fault pass through untouched, and per-stream FIFO
+// without an active fault pass through untouched, and per-worker FIFO
 // order is preserved for them (a single pump goroutine forwards replies in
 // arrival order).
 type FaultyTransport struct {

@@ -96,21 +96,17 @@ func TestFaultDelayHealRecovers(t *testing.T) {
 // and the partial report still accounts the nodes that completed.
 func TestRunWorkerTimeoutPartialReport(t *testing.T) {
 	plan := reallocHeavyPlan(t, 2)
-	static := estimator.StaticPerGPU(plan)
-	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
-	for i := range workers {
-		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = static[i]
+	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
+	defer wp.Close()
+	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
+		t.Fatal(err)
 	}
-	ft := NewFaultyTransport(NewChanTransport(workers))
-	defer ft.Close()
-	// The third request delivered to gpu 0 finds the worker dead: from
+	// The third node request delivered to gpu 0 finds the worker dead: from
 	// then on its replies vanish and fresh sends to it fail.
 	ft.InjectAfter(0, 3, FaultKill)
 
-	rep, err := Run(plan, Options{
+	rep, err := wp.Run(plan, Options{
 		UseCUDAGraph: true, OverlapComm: true,
-		Transport: ft, Workers: workers,
 		WorkerTimeout: 200 * time.Millisecond,
 	})
 	var lost *ErrWorkerLost

@@ -141,27 +141,8 @@ func TestRunDeterministicTimeline(t *testing.T) {
 // sockets and in-process channels.
 func TestOverlapDeterministicOverTCP(t *testing.T) {
 	p := reallocHeavyPlan(t, 1)
-	static := estimator.StaticPerGPU(p)
-	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
-	for i := range workers {
-		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = static[i]
-	}
-	addr, stop, err := ServeWorkersTCP(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	tr, err := NewTCPTransport(addr, len(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	tcpRep, err := Run(p, Options{UseCUDAGraph: true, OverlapComm: true, Transport: tr, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wp, _ := tcpPool(t, p)
+	tcpRep := runPool(t, wp, p, Options{UseCUDAGraph: true, OverlapComm: true})
 	chanRep, err := Run(p, Options{UseCUDAGraph: true, OverlapComm: true})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +206,7 @@ func TestWorkerStreamsOverlap(t *testing.T) {
 	crossStream := false
 	for i := range over.works {
 		c := &over.works[i]
-		if c.kind != ReqComm {
+		if !c.node.Kind.CommLike() {
 			continue
 		}
 		if c.stream != StreamComm {
@@ -233,7 +214,7 @@ func TestWorkerStreamsOverlap(t *testing.T) {
 		}
 		for j := range over.works {
 			k := &over.works[j]
-			if k.kind == ReqRunCall && sharesGPU(c.gpus, k.gpus) && c.startV < k.endV && k.startV < c.endV {
+			if !k.node.Kind.CommLike() && sharesGPU(c.gpus, k.gpus) && c.startV < k.endV && k.startV < c.endV {
 				crossStream = true
 			}
 		}
@@ -260,21 +241,6 @@ func sharesGPU(a, b []int) bool {
 
 // --- error paths ---
 
-// TestCustomTransportRequiresWorkers: a custom Transport without the worker
-// set must fail fast instead of silently reporting zero peak memory.
-func TestCustomTransportRequiresWorkers(t *testing.T) {
-	p := ppoPlan(t, 1, 1, model.LLaMA7B, model.LLaMA7B)
-	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
-	for i := range workers {
-		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
-	}
-	tr := NewChanTransport(workers)
-	defer tr.Close()
-	if _, err := Run(p, Options{UseCUDAGraph: true, Transport: tr}); err == nil {
-		t.Fatal("custom Transport without Options.Workers must error")
-	}
-}
-
 // TestRunCancelled: a cancelled context aborts the dispatch loop, returning
 // the partial report alongside the context error.
 func TestRunCancelled(t *testing.T) {
@@ -296,6 +262,24 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
+// TestCustomTransportRequiresWorkers: a pool adopting a custom transport
+// must bring one worker per device of the plan — the worker ledgers account
+// peak memory and OOM — or the run is refused before anything is sent.
+func TestCustomTransportRequiresWorkers(t *testing.T) {
+	p := ppoPlan(t, 1, 1, model.LLaMA7B, model.LLaMA7B)
+	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
+	}
+	tr := NewChanTransport(workers)
+	defer tr.Close()
+	for _, adopted := range [][]*ModelWorker{nil, workers[:1]} {
+		if _, err := NewWorkerPoolWith(adopted, tr).Run(p, Options{UseCUDAGraph: true}); err == nil {
+			t.Fatalf("custom Transport with %d of %d workers must error", len(adopted), len(workers))
+		}
+	}
+}
+
 // closedTransport hands back a closed reply channel — the shape of a worker
 // fleet that died mid-run.
 type closedTransport struct{ replies chan Reply }
@@ -310,8 +294,12 @@ func TestTransportClosedMidRun(t *testing.T) {
 	p := ppoPlan(t, 1, 1, model.LLaMA7B, model.LLaMA7B)
 	ct := &closedTransport{replies: make(chan Reply)}
 	close(ct.replies)
-	workers := []*ModelWorker{NewModelWorker(0, 1)}
-	_, err := Run(p, Options{UseCUDAGraph: true, Transport: ct, Workers: workers})
+	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
+	}
+	wp := NewWorkerPoolWith(workers, ct)
+	_, err := wp.Run(p, Options{UseCUDAGraph: true})
 	if err == nil {
 		t.Fatal("closed transport must surface an error")
 	}

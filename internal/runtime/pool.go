@@ -12,7 +12,7 @@ import (
 // both persisting across runs — the execution-side state a long-lived
 // training session reuses every iteration, where the one-shot Run path
 // rebuilds workers and transport per call. Between iterations the pool is
-// Reset: every stream is fenced and drained to quiescence, memory ledgers
+// Reset: every worker is fenced and drained to quiescence, memory ledgers
 // return to zero, and each device's static footprint is replaced (the next
 // iteration may execute a different plan). A session that changes its device
 // count builds a new pool rather than patching this one.
@@ -24,8 +24,8 @@ type WorkerPool struct {
 	transport    Transport
 	fenceTimeout time.Duration
 	closed       bool
-	// fenced marks, per fence slot (gpu*NumStreams + stream), the fences
-	// answered during a drain; reused across Resets.
+	// fenced marks, per worker, the fences answered during a drain; reused
+	// across Resets.
 	fenced []bool
 }
 
@@ -57,19 +57,19 @@ func (wp *WorkerPool) SetFenceTimeout(d time.Duration) {
 	wp.fenceTimeout = d
 }
 
-// fenceID maps a (gpu, stream) pair to a reserved negative request ID, so
-// fence replies can never collide with the master's node IDs (>= 0).
-func fenceID(gpu int, s Stream) int { return -(1 + gpu*NumStreams + int(s)) }
+// fenceID maps a worker to a reserved negative request ID, so fence replies
+// can never collide with the master's node IDs (>= 0).
+func fenceID(gpu int) int { return -1 - gpu }
 
-// fenceSlot inverts fenceID into the dense index gpu*NumStreams + stream.
-func fenceSlot(id int) int { return -id - 1 }
+// fenceGPU inverts fenceID.
+func fenceGPU(id int) int { return -id - 1 }
 
 // Reset quiesces and reinitializes the fleet for the next iteration:
 //
-//  1. a fence is sent down every (worker, stream) queue and its reply
-//     awaited — per-stream FIFO order plus the reply channel's own FIFO
-//     guarantee that once all fences are back, every straggler reply from a
-//     previous (possibly cancelled) run has been received and discarded;
+//  1. a fence is sent down every worker's queue and its reply awaited —
+//     per-worker FIFO order plus the reply channel's own FIFO guarantee that
+//     once all fences are back, every straggler reply from a previous
+//     (possibly cancelled) run has been received and discarded;
 //  2. each worker's peak-memory ledger is zeroed and its resting memory
 //     replaced by static[i].
 //
@@ -97,19 +97,17 @@ func (wp *WorkerPool) Reset(static []int64) error {
 // worker surfaces here in one of two ways, both as a typed *ErrWorkerLost
 // in the returned chain: the fence send itself fails (a killed transport
 // lane), or the fences stop coming back and the fence timeout expires (a
-// wedged or silently dropped stream).
+// wedged or silently dropped worker).
 func (wp *WorkerPool) drainLocked() error {
-	slots := len(wp.workers) * NumStreams
-	if cap(wp.fenced) < slots {
-		wp.fenced = make([]bool, slots)
+	n := len(wp.workers)
+	if cap(wp.fenced) < n {
+		wp.fenced = make([]bool, n)
 	}
-	fenced := wp.fenced[:slots]
+	fenced := wp.fenced[:n]
 	clear(fenced)
 	for gpu := range wp.workers {
-		for s := Stream(0); s < NumStreams; s++ {
-			if err := wp.transport.Send(gpu, Request{ID: fenceID(gpu, s), Kind: ReqFence, Stream: s}); err != nil {
-				return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
-			}
+		if err := wp.transport.Send(gpu, Request{ID: fenceID(gpu), Kind: ReqFence}); err != nil {
+			return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
 		}
 	}
 	var timeout <-chan time.Time
@@ -119,24 +117,24 @@ func (wp *WorkerPool) drainLocked() error {
 		timeout = timer.C
 	}
 	replies := wp.transport.Replies()
-	for outstanding := slots; outstanding > 0; {
+	for outstanding := n; outstanding > 0; {
 		select {
 		case rep, ok := <-replies:
 			if !ok {
 				return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
 			}
 			// Node IDs (>= 0) are stragglers of an earlier run; discard.
-			if slot := fenceSlot(rep.ID); rep.ID < 0 && slot < slots && !fenced[slot] {
-				fenced[slot] = true
+			if gpu := fenceGPU(rep.ID); rep.ID < 0 && gpu < n && !fenced[gpu] {
+				fenced[gpu] = true
 				outstanding--
 			}
 		case <-timeout:
 			// Deterministic blame: the smallest device with an outstanding
 			// fence.
 			lost := -1
-			for slot, ok := range fenced {
+			for gpu, ok := range fenced {
 				if !ok {
-					lost = slot / NumStreams
+					lost = gpu
 					break
 				}
 			}
@@ -177,6 +175,11 @@ func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
 	}
 	transport, workers := wp.transport, wp.workers
 	wp.mu.Unlock()
+	// The worker ledgers account peak memory and OOM, so a fleet adopted
+	// through NewWorkerPoolWith must bring one worker per device.
+	if len(workers) != len(prog.static) {
+		return nil, fmt.Errorf("runtime: program for %d devices on a pool of %d workers", len(prog.static), len(workers))
+	}
 	return prog.execute(opts, transport, workers)
 }
 

@@ -52,31 +52,9 @@ func TestWorkerPoolReuseOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
-	for i := range workers {
-		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
-	}
-	addr, stop, err := ServeWorkersTCP(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	tr, err := NewTCPTransport(addr, len(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp := NewWorkerPoolWith(workers, tr)
-	defer wp.Close()
-
-	static := estimator.StaticPerGPU(plan)
+	wp, _ := tcpPool(t, plan)
 	for iter := 0; iter < 2; iter++ {
-		if err := wp.Reset(static); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		rep, err := wp.Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
+		rep := runPool(t, wp, plan, Options{UseCUDAGraph: true, OverlapComm: true})
 		if rep.MakespanV != oneShot.MakespanV {
 			t.Fatalf("iter %d: TCP pooled makespan %v != one-shot %v", iter, rep.MakespanV, oneShot.MakespanV)
 		}
@@ -98,7 +76,7 @@ func TestSendAfterStopPromptError(t *testing.T) {
 			// nobody consumes replies here, and a full buffer would wedge
 			// the workers mid-test.
 			for j := 0; j < 4; j++ {
-				if err := ct.Send(0, Request{ID: fenceID(0, StreamCompute), Kind: ReqFence}); err != nil {
+				if err := ct.Send(0, Request{ID: fenceID(0), Kind: ReqFence}); err != nil {
 					if !strings.Contains(err.Error(), "transport closed") {
 						t.Errorf("unexpected send error: %v", err)
 					}
@@ -142,7 +120,7 @@ func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 400; i++ {
-			if err := ct.Send(0, Request{ID: i, Kind: ReqRunCall}); err != nil {
+			if err := ct.Send(0, Request{ID: i, Kind: ReqNode}); err != nil {
 				done <- err
 				return
 			}
@@ -175,25 +153,14 @@ func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
 // dispatch loop.
 func TestTCPCloseMidIteration(t *testing.T) {
 	plan := reallocHeavyPlan(t, 4)
-	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
-	static := estimator.StaticPerGPU(plan)
-	for i := range workers {
-		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = static[i]
-	}
-	addr, stop, err := ServeWorkersTCP(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	tr, err := NewTCPTransport(addr, len(workers))
-	if err != nil {
+	wp, tr := tcpPool(t, plan)
+	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
 		t.Fatal(err)
 	}
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := Run(plan, Options{UseCUDAGraph: true, OverlapComm: true, Transport: tr, Workers: workers})
+		_, err := wp.Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
 		errc <- err
 	}()
 	tr.Close()
@@ -254,7 +221,7 @@ func TestIterTimePartialReportClamps(t *testing.T) {
 		cancel:  cancel,
 		limit:   2 * plan.Cluster.NumGPUs(),
 	}
-	rep, err := Run(plan, Options{UseCUDAGraph: true, Context: ctx, Transport: lt, Workers: workers})
+	rep, err := NewWorkerPoolWith(workers, lt).Run(plan, Options{UseCUDAGraph: true, Context: ctx})
 	if err == nil {
 		t.Fatal("cancelled run must return an error")
 	}

@@ -36,13 +36,6 @@ type Options struct {
 	// must surface as a typed error, never as a hang). Zero disables the
 	// timeout (the historical behavior).
 	WorkerTimeout time.Duration
-	// Transport overrides the default in-process transport. When set, the
-	// caller owns worker setup and teardown; StaticBytes must already be
-	// populated on the workers, and Workers must be provided for memory
-	// reporting.
-	Transport Transport
-	// Workers must accompany a custom Transport (for peak reporting).
-	Workers []*ModelWorker
 }
 
 // NodeSpan is one executed node of the run timeline.
@@ -131,8 +124,6 @@ type nodeWork struct {
 	// node carries the dependency edges the dispatcher follows.
 	node   *core.AugNode
 	label  string
-	handle string
-	kind   RequestKind // ReqComm exactly for comm-like nodes
 	stream Stream
 	// gpus are the devices the node occupies (deduplicated, ascending).
 	gpus  []int
@@ -180,8 +171,6 @@ func Compile(p *core.Plan, opts Options) (*Program, error) {
 		w := nodeWork{
 			node:   nd,
 			label:  nd.Label(),
-			handle: string(nd.Role),
-			kind:   ReqRunCall,
 			stream: StreamCompute,
 			gpus:   meshGPUs(mark, nd),
 			dur:    sn.Duration,
@@ -189,7 +178,6 @@ func Compile(p *core.Plan, opts Options) (*Program, error) {
 			endV:   sn.End,
 		}
 		if nd.Kind.CommLike() {
-			w.kind = ReqComm
 			if opts.OverlapComm {
 				w.stream = StreamComm
 			}
@@ -239,28 +227,22 @@ func meshGPUs(mark []bool, n *core.AugNode) []int {
 // shared; callers must not modify it.
 func (prog *Program) StaticPerGPU() []int64 { return prog.static }
 
-// Run executes the plan on a fresh in-process fleet (or over the caller's
-// Options.Transport): Compile plus one execution.
+// Run executes the plan once on a fresh in-process fleet: Compile plus one
+// execution. Other fleets — a TCP deployment, a fault-injecting transport —
+// run plans through a WorkerPool (NewWorkerPoolWith, Reset, Run).
 func Run(p *core.Plan, opts Options) (*Report, error) {
-	if opts.Transport != nil && len(opts.Workers) == 0 {
-		return nil, fmt.Errorf("runtime: custom Transport requires Options.Workers (memory accounting needs the worker set)")
-	}
 	prog, err := Compile(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	transport, workers := opts.Transport, opts.Workers
-	if transport == nil {
-		workers = make([]*ModelWorker, len(prog.static))
-		for i := range workers {
-			workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
-			workers[i].StaticBytes = prog.static[i]
-		}
-		ct := NewChanTransport(workers)
-		defer ct.Close()
-		transport = ct
+	workers := make([]*ModelWorker, len(prog.static))
+	for i := range workers {
+		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
+		workers[i].StaticBytes = prog.static[i]
 	}
-	return prog.execute(opts, transport, workers)
+	ct := NewChanTransport(workers)
+	defer ct.Close()
+	return prog.execute(opts, ct, workers)
 }
 
 // livenessTicks is how many timer ticks make up one WorkerTimeout: a lost
@@ -310,11 +292,7 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 	dispatch := func(id int) error {
 		w := &works[id]
 		for _, gpu := range w.gpus {
-			req := Request{
-				ID: id, Kind: w.kind, NodeID: id, Stream: w.stream,
-				Label: w.label, Handle: w.handle, AllocBytes: w.alloc,
-			}
-			if err := transport.Send(gpu, req); err != nil {
+			if err := transport.Send(gpu, Request{ID: id, Kind: ReqNode, AllocBytes: w.alloc}); err != nil {
 				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
 			}
 			owedByGPU[gpu]++

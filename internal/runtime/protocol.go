@@ -14,40 +14,39 @@
 // timeouts and fault injection — runs for real, over either in-process
 // channels or TCP sockets with gob encoding.
 //
-// Each worker exposes two streams, mirroring a CUDA device's compute and
-// copy engines: model function calls occupy StreamCompute; parameter
-// reallocation, data transfer and offload traffic occupy StreamComm. With
-// Options.OverlapComm enabled the two lanes overlap in the compiled timeline,
+// The compiled timeline gives each worker two streams, mirroring a CUDA
+// device's compute and copy engines: model function calls occupy
+// StreamCompute; parameter reallocation, data transfer and offload traffic
+// occupy StreamComm. With Options.OverlapComm enabled the two lanes overlap,
 // so reallocation latency hides behind computation (the paper's §6 overlap);
 // with it disabled every node occupies StreamCompute, the fully serialized
-// baseline schedule (the ±overlap ablation).
+// baseline schedule (the ±overlap ablation). Streams exist only in virtual
+// time: a worker receives its requests over one FIFO.
 package runtime
 
 // RequestKind classifies master->worker requests.
 type RequestKind int
 
 const (
-	// ReqRunCall executes one model function call slice on the worker.
-	ReqRunCall RequestKind = iota
-	// ReqComm executes the worker's share of a parameter reallocation, data
-	// transfer, or offload.
-	ReqComm
+	// ReqNode executes the worker's share of one augmented-graph node: a
+	// model function call slice, or a parameter reallocation, data transfer
+	// or offload. The worker treats every node alike — it checks the node's
+	// transient memory against its device.
+	ReqNode RequestKind = iota
 	// ReqShutdown stops the worker loop.
 	ReqShutdown
 	// ReqFence is a synchronization marker: the worker answers it without
-	// touching its memory ledger. Because every transport keeps
-	// per-stream FIFO order, receiving a fence's reply proves every request
-	// enqueued before it on that stream has been handled — the primitive
+	// touching its memory ledger. Because every transport keeps one FIFO
+	// per worker, receiving a fence's reply proves every request enqueued
+	// before it on that worker has been handled — the primitive
 	// WorkerPool.Reset uses to quiesce workers between iterations.
 	ReqFence
 )
 
 func (k RequestKind) String() string {
 	switch k {
-	case ReqRunCall:
-		return "run"
-	case ReqComm:
-		return "comm"
+	case ReqNode:
+		return "node"
 	case ReqShutdown:
 		return "shutdown"
 	case ReqFence:
@@ -56,7 +55,8 @@ func (k RequestKind) String() string {
 	return "unknown"
 }
 
-// Stream identifies one of a worker's execution lanes.
+// Stream identifies one of a worker's execution lanes in the compiled
+// timeline.
 type Stream int
 
 const (
@@ -64,7 +64,7 @@ const (
 	// everything else too).
 	StreamCompute Stream = iota
 	// StreamComm runs parameter-reallocation, data-transfer and offload
-	// requests when Options.OverlapComm is set.
+	// nodes when Options.OverlapComm is set.
 	StreamComm
 	// NumStreams is the number of lanes per worker.
 	NumStreams = 2
@@ -84,16 +84,8 @@ func (s Stream) String() string {
 // carries no timing — the node's virtual span was fixed by Compile — only
 // what the worker checks against its device, the node's transient memory.
 type Request struct {
-	ID     int
-	Kind   RequestKind
-	NodeID int
-	// Stream is the worker lane the node occupies in the compiled timeline;
-	// fences are addressed per (worker, stream).
-	Stream Stream
-	// Label is the augmented-graph node label (diagnostics).
-	Label string
-	// Handle is the local LLM handle the request addresses (e.g. "actor").
-	Handle string
+	ID   int
+	Kind RequestKind
 	// AllocBytes is the transient device memory the node needs while it
 	// runs (activations, KV cache, logits, reallocated parameters).
 	AllocBytes int64
@@ -109,7 +101,7 @@ type Reply struct {
 
 // Transport moves requests and replies between the master and workers.
 type Transport interface {
-	// Send enqueues a request on the given worker's stream FIFO queue.
+	// Send enqueues a request on the given worker's FIFO queue.
 	Send(gpu int, req Request) error
 	// Replies yields worker replies in arrival order.
 	Replies() <-chan Reply

@@ -170,7 +170,7 @@ func TestWorkerFIFOAndClock(t *testing.T) {
 	ct := NewChanTransport([]*ModelWorker{NewModelWorker(0, 1<<30)})
 	defer ct.Close()
 	for id := 1; id <= 3; id++ {
-		if err := ct.Send(0, Request{ID: id, Kind: ReqRunCall}); err != nil {
+		if err := ct.Send(0, Request{ID: id, Kind: ReqNode}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,29 +235,46 @@ func TestWorkerOOM(t *testing.T) {
 	}
 }
 
-func TestTCPTransportRoundTrip(t *testing.T) {
-	p := ppoPlan(t, 1, 1, model.LLaMA7B, model.LLaMA7B)
-	static := estimator.StaticPerGPU(p)
-	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
+// tcpPool serves a fleet of model workers for plan's cluster over TCP and
+// returns a pool driving it through the socket transport. Both sides are
+// torn down when the test ends.
+func tcpPool(t *testing.T, plan *core.Plan) (*WorkerPool, *TCPTransport) {
+	t.Helper()
+	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
 	for i := range workers {
-		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = static[i]
+		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
 	}
 	addr, stop, err := ServeWorkersTCP(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	t.Cleanup(stop)
 	tr, err := NewTCPTransport(addr, len(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	wp := NewWorkerPoolWith(workers, tr)
+	t.Cleanup(func() { wp.Close() })
+	return wp, tr
+}
 
-	rep, err := Run(p, Options{UseCUDAGraph: true, Transport: tr, Workers: workers})
+// runPool resets wp to plan's static footprint and executes plan on it.
+func runPool(t *testing.T, wp *WorkerPool, plan *core.Plan, opts Options) *Report {
+	t.Helper()
+	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wp.Run(plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+func TestTCPTransportRoundTrip(t *testing.T) {
+	p := ppoPlan(t, 1, 1, model.LLaMA7B, model.LLaMA7B)
+	wp, _ := tcpPool(t, p)
+	rep := runPool(t, wp, p, Options{UseCUDAGraph: true})
 	if rep.OOM {
 		t.Fatalf("unexpected OOM over TCP: %v", rep.Errors)
 	}

@@ -12,9 +12,9 @@ import (
 // default Run path and Trainer sessions. Workers are sharded over
 // min(GOMAXPROCS, workers) executor goroutines: device i belongs to shard
 // i % S, and each shard drains one unbounded FIFO of requests in arrival
-// order. That preserves per-(worker, stream) FIFO order — all the fence
-// protocol relies on — while the streams' overlap is virtual, fixed in the
-// compiled timeline, so no goroutine per lane is needed. Send never blocks.
+// order. That preserves per-worker FIFO order — all the fence protocol
+// relies on — while the streams' overlap is virtual, fixed in the compiled
+// timeline, so no goroutine per lane is needed. Send never blocks.
 type ChanTransport struct {
 	workers []*ModelWorker
 	shards  []*shard
@@ -146,9 +146,8 @@ func (t *ChanTransport) Close() error {
 
 // TCPTransport serves model workers over real TCP sockets with gob-encoded
 // messages — the cross-process deployment shape of the paper's runtime
-// engine. The master dials one connection per worker; the worker process
-// multiplexes its streams behind the connection (requests still carry their
-// Stream; the virtual overlap is fixed in the compiled timeline).
+// engine. The master dials one connection per worker, which is that worker's
+// FIFO (the streams' overlap is virtual, fixed in the compiled timeline).
 type TCPTransport struct {
 	conns   []net.Conn
 	encs    []*gob.Encoder

@@ -40,7 +40,7 @@ func (w *ModelWorker) Peak() int64 {
 // long-lived session: the memory high-water mark goes back to zero and the
 // resting memory is replaced (the plan — and with it each device's static
 // footprint — may have changed between iterations). Callers must quiesce the
-// worker first (WorkerPool.Reset fences every stream); resetting with
+// worker first (WorkerPool.Reset fences every worker); resetting with
 // requests in flight would fold old allocations into the new iteration.
 func (w *ModelWorker) Reset(staticBytes int64) {
 	w.mu.Lock()

@@ -20,6 +20,14 @@ import (
 // therefore bit-identical to the sequential walker.
 const seedStride uint64 = 0x9E3779B97F4A7C15
 
+// progressEvery is the step interval between periodic trace points.
+const progressEvery = 64
+
+// adaptiveBeta is the sampling temperature β of P(p) ∝ exp(−β·cost), scaled
+// to the best cost a chain knows (10/cost) so relative cost differences
+// matter uniformly across problem sizes.
+func adaptiveBeta(cost float64) float64 { return 10 / math.Max(cost, 1e-9) }
+
 func chainSeed(base int64, chain int) int64 {
 	return base + int64(uint64(chain)*seedStride)
 }
@@ -49,8 +57,7 @@ type chainState struct {
 
 	ev *planEvaluator
 
-	beta         float64
-	adaptiveBeta bool
+	beta float64
 
 	step      int // proposals attempted (including failed evaluations)
 	accepted  int
@@ -154,12 +161,10 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 				c.bestCost = pc.Cost
 				c.bestOOM = pc.OOM
 				copyAssign(c.best, c.cur)
-				if c.adaptiveBeta {
-					// Keep the temperature matched to the current cost
-					// scale: an OOM-penalized seed would otherwise leave β
-					// so small that the chain random-walks forever.
-					c.beta = 10 / math.Max(c.bestCost, 1e-9)
-				}
+				// Keep the temperature matched to the current cost scale: an
+				// OOM-penalized seed would otherwise leave β so small that
+				// the chain random-walks forever.
+				c.beta = adaptiveBeta(c.bestCost)
 				c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 					Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
 				})
@@ -167,7 +172,7 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 		} else {
 			c.cur.Assign[name] = prev
 		}
-		if step%opt.ProgressEvery == 0 {
+		if step%progressEvery == 0 {
 			c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 				Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
 			})
@@ -184,21 +189,13 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 // Seeds are Plan.Validated first: the compact path assumes individually
 // legal assignments, and an illegal caller-provided plan must fail (for
 // InitialPlan) or be skipped (for SeedCandidates) exactly as it did when
-// the full evaluator re-validated every plan. Plans seeding a problem whose
-// models carry OffloadWhenIdle hints get the hints folded onto their
-// per-call offload bits (on clones — caller plans are never mutated), so
-// legacy hinted inputs warm-start the search exactly where the fixed-input
-// semantics would have pinned them.
+// the full evaluator re-validated every plan.
 func startState(ev *planEvaluator, e *estimator.Estimator,
 	p *core.Plan, sp *space, opt Options) (*core.Plan, estimator.PlanCost, error) {
-	applyHints := p.HasOffloadHints()
 	var cur *core.Plan
 	var err error
 	if opt.InitialPlan != nil {
 		cur = opt.InitialPlan.Clone()
-		if applyHints {
-			cur.ApplyOffloadHints()
-		}
 		if err := cur.Validate(); err != nil {
 			return nil, estimator.PlanCost{}, err
 		}
@@ -206,9 +203,6 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 		cur, err = greedyFromSets(e, p, sp.fullSets)
 		if err != nil {
 			return nil, estimator.PlanCost{}, err
-		}
-		if applyHints {
-			cur.ApplyOffloadHints()
 		}
 	}
 	curPC, err := ev.cost(cur)
@@ -221,20 +215,15 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 		if seed == nil {
 			continue
 		}
-		s := seed
-		if applyHints {
-			s = seed.Clone()
-			s.ApplyOffloadHints()
-		}
-		if err := s.Validate(); err != nil {
+		if err := seed.Validate(); err != nil {
 			continue
 		}
-		sr, err := ev.cost(s)
+		sr, err := ev.cost(seed)
 		if err != nil {
 			continue
 		}
 		if sr.Cost < curPC.Cost {
-			cur, curPC = s.Clone(), sr
+			cur, curPC = seed.Clone(), sr
 		}
 	}
 	return cur, curPC, nil
@@ -317,17 +306,13 @@ func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solu
 	cs := make([]*chainState, chains)
 	for i := range cs {
 		seed := chainSeed(opt.Seed, i)
-		beta := opt.Beta
-		if opt.Beta == 0 {
-			beta = 10 / math.Max(curCost, 1e-9)
-		}
 		cs[i] = &chainState{
 			idx: i, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			cur: cur.Clone(), curCost: curCost, curOOM: curPC.OOM,
 			best: cur.Clone(), bestCost: curCost, bestOOM: curPC.OOM,
-			hardMem: opt.OffloadSearch,
-			ev:      evs[i],
-			beta:    beta, adaptiveBeta: opt.Beta == 0,
+			hardMem:  opt.OffloadSearch,
+			ev:       evs[i],
+			beta:     adaptiveBeta(curCost),
 			progress: progress,
 		}
 	}
@@ -457,8 +442,8 @@ func exchangeBest(cs []*chainState) {
 			c.curCost = g.bestCost
 			c.curOOM = g.bestOOM
 			// The adopted plan is the best this chain now knows: fold it
-			// into the chain's best and rescale an adaptive temperature to
-			// the new cost scale. Without the rescale a chain seeded at an
+			// into the chain's best and rescale the temperature to the new
+			// cost scale. Without the rescale a chain seeded at an
 			// OOM-penalized cost keeps β ≈ 10/hugeCost ≈ 0 after adopting a
 			// cheap plan and accepts nearly every uphill proposal for the
 			// rest of the solve.
@@ -470,9 +455,7 @@ func exchangeBest(cs []*chainState) {
 				copyAssign(c.best, g.best)
 				c.bestCost = g.bestCost
 				c.bestOOM = g.bestOOM
-				if c.adaptiveBeta {
-					c.beta = 10 / math.Max(c.bestCost, 1e-9)
-				}
+				c.beta = adaptiveBeta(c.bestCost)
 			}
 		}
 	}

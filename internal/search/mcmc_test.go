@@ -65,7 +65,7 @@ func TestExchangeRescalesAdaptiveBeta(t *testing.T) {
 			idx: idx, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			cur: cur.Clone(), curCost: cost,
 			best: cur.Clone(), bestCost: cost,
-			beta: 10 / math.Max(cost, 1e-9), adaptiveBeta: true,
+			beta: adaptiveBeta(cost),
 		}
 	}
 	cs := []*chainState{mk(0, good, goodCost), mk(1, oom, oomRes.Cost)}
@@ -76,7 +76,7 @@ func TestExchangeRescalesAdaptiveBeta(t *testing.T) {
 		t.Fatalf("OOM-seeded chain did not adopt the global best (cur %v best %v, want %v)",
 			cs[1].curCost, cs[1].bestCost, goodCost)
 	}
-	want := 10 / math.Max(goodCost, 1e-9)
+	want := adaptiveBeta(goodCost)
 	if cs[1].beta != want {
 		t.Errorf("adopting chain kept β %v, want %v (rescaled to the adopted cost scale)", cs[1].beta, want)
 	}

@@ -67,21 +67,16 @@ func TestCandidatesEmitOffloadVariants(t *testing.T) {
 		}
 	}
 
-	// With offload search off, candidate enumeration keeps the legacy
-	// fixed-input behavior: a hinted frozen role is offloaded everywhere,
-	// everything else nowhere.
-	ms := p.Models[dfg.Ref]
-	ms.OffloadWhenIdle = true
-	p.Models[dfg.Ref] = ms
+	// With offload search off, every candidate keeps its parameters
+	// device-resident.
 	sets, _, err = candidateSets(p, PruneNone, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, cands := range sets {
-		role := byName[name].Role
 		for _, a := range cands {
-			if a.Offload != (role == dfg.Ref) {
-				t.Fatalf("%s (role %s): offload=%v under fixed-input semantics", name, role, a.Offload)
+			if a.Offload {
+				t.Fatalf("%s: offloaded candidate without offload search", name)
 			}
 		}
 	}

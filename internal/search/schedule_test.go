@@ -37,7 +37,8 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcp.Close()
+	pool := runtime.NewWorkerPoolWith(workers, tcp)
+	defer pool.Close()
 
 	for _, iters := range []int{1, 2} {
 		g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: iters})
@@ -73,12 +74,10 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 				name := fmt.Sprintf("iters=%d trial=%d overlap=%v", iters, trial, overlap)
 				sameSchedule(t, name+" chan", got, want)
 
-				static := estimator.StaticPerGPU(plan)
-				for i, w := range workers {
-					w.Reset(static[i])
+				if err := pool.Reset(estimator.StaticPerGPU(plan)); err != nil {
+					t.Fatal(err)
 				}
-				opts.Transport, opts.Workers = tcp, workers
-				if got, err = runtime.Run(plan, opts); err != nil {
+				if got, err = pool.Run(plan, opts); err != nil {
 					t.Fatal(err)
 				}
 				sameSchedule(t, name+" tcp", got, want)

@@ -133,10 +133,6 @@ type Options struct {
 	// MaxSteps bounds MCMC steps per chain (0 = unbounded; the time limit
 	// governs).
 	MaxSteps int
-	// Beta is the sampling temperature β of P(p) ∝ exp(−β·cost). When 0 it
-	// is auto-scaled to 10/cost(p₀) so relative cost differences matter
-	// uniformly across problem sizes.
-	Beta float64
 	// Seed makes the chain deterministic. Multi-chain solvers derive each
 	// chain's seed from it (chain 0 uses it verbatim, so a one-chain run
 	// reproduces the sequential walker exactly).
@@ -149,10 +145,9 @@ type Options struct {
 	// space of ~N^calls plans). The exhaustive solver uses it as its
 	// per-call shortlist width (default 6).
 	MaxCandidatesPerCall int
-	// ProgressEvery records a trace point every N steps (default 64).
-	ProgressEvery int
-	// Progress, when non-nil, streams every recorded ProgressPoint (periodic
-	// samples and best-cost improvements) while the search runs — the hook
+	// Progress, when non-nil, streams every recorded ProgressPoint (samples
+	// every progressEvery steps and best-cost improvements) while the search
+	// runs — the hook
 	// behind the public API's WithProgress option. Multi-chain solvers
 	// serialize invocations, so the callback needs no locking of its own,
 	// but it runs on the search's critical path and must be fast. Callback
@@ -190,18 +185,14 @@ type Options struct {
 	// memory ledger becomes a hard constraint — a feasible plan beats any
 	// infeasible one regardless of the OOM-penalized cost, so the search
 	// cannot return an over-memory plan while a fitting one was seen. The
-	// default (false) keeps offload fixed at the models' OffloadWhenIdle
-	// hints, leaving existing solves, RNG streams and golden plans
-	// byte-identical.
+	// default (false) keeps every parameter device-resident, leaving existing
+	// solves, RNG streams and golden plans byte-identical.
 	OffloadSearch bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.TimeLimit == 0 {
 		o.TimeLimit = 5 * time.Second
-	}
-	if o.ProgressEvery == 0 {
-		o.ProgressEvery = 64
 	}
 	if o.ExchangeEvery == 0 {
 		o.ExchangeEvery = 256
@@ -364,10 +355,8 @@ func (m *enumMemo) microBatchOptions(perDP int) []int {
 // The offload axis: with offloadSearch set, every layout of a frozen role is
 // emitted twice — device-resident and host-offloaded — so every solver
 // (greedy seeding, MCMC redraws, the exhaustive cross product) explores the
-// offload decision. Without it, calls of roles hinted OffloadWhenIdle emit
-// only the offloaded variant, reproducing the historical fixed-input
-// behavior; unhinted calls emit only the resident variant, keeping default
-// solves byte-identical.
+// offload decision. Without it every call emits only the resident variant,
+// keeping default solves byte-identical.
 func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
 	ms := p.Models[call.Role]
 	batch := call.Work.Batch
@@ -420,15 +409,9 @@ func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh
 				if memory.Active(spec) > p.Cluster.GPU.MemoryBytes {
 					continue
 				}
-				switch {
-				case offloadSearch && !ms.Trainable:
-					out = append(out, a)
+				out = append(out, a)
+				if offloadSearch && !ms.Trainable {
 					a.Offload = true
-					out = append(out, a)
-				case ms.OffloadWhenIdle && !ms.Trainable:
-					a.Offload = true
-					out = append(out, a)
-				default:
 					out = append(out, a)
 				}
 			}

@@ -30,7 +30,7 @@ func offloadConfig() ExperimentConfig {
 
 // TestOffloadSearchEndToEnd is the feature's public acceptance path: the
 // default search on the constrained workload reports ErrInfeasibleMemory
-// (HTTP 422 through serve), the same request with WithOffloadSearch finds a
+// (HTTP 422 through serve), the same request with OffloadSearch set finds a
 // feasible plan, the plan survives the save/load round trip, and the runtime
 // executes it reproducibly.
 func TestOffloadSearchEndToEnd(t *testing.T) {
@@ -45,15 +45,14 @@ func TestOffloadSearchEndToEnd(t *testing.T) {
 		t.Fatalf("default search: %v, want wrapped ErrInfeasibleMemory", err)
 	}
 
-	exp, err := p.Plan(ctx, offloadConfig(), WithOffloadSearch())
+	offCfg := offloadConfig()
+	offCfg.OffloadSearch = true
+	exp, err := p.Plan(ctx, offCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := exp.FeasibleMemory(); err != nil {
 		t.Fatalf("offload-aware search still infeasible: %v", err)
-	}
-	if !exp.Config.OffloadSearch {
-		t.Error("WithOffloadSearch did not set Config.OffloadSearch")
 	}
 	offloaded := 0
 	for _, n := range exp.Plan.Graph.Nodes {
@@ -70,7 +69,7 @@ func TestOffloadSearchEndToEnd(t *testing.T) {
 	}
 
 	// The two requests are distinct problems and distinct plan-cache
-	// entries: re-asking without the option must still be infeasible.
+	// entries: re-asking without OffloadSearch must still be infeasible.
 	def2, err := p.Plan(ctx, offloadConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +116,23 @@ func TestOffloadSearchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHeuristicRejectsOffloadSearch: Heuristic runs no search, so the
-// search-shaping option is an explicit error, not a silent no-op.
-func TestHeuristicRejectsOffloadSearch(t *testing.T) {
+// TestHeuristicIgnoresOffloadSearch: Heuristic runs no search, so it ignores
+// OffloadSearch like every other search knob of the config — the symmetric
+// plan and its estimate are those of the same config without it.
+func TestHeuristicIgnoresOffloadSearch(t *testing.T) {
 	p := NewPlanner(ClusterConfig{})
-	if _, err := p.Heuristic(fastConfig(), WithOffloadSearch()); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("Heuristic with WithOffloadSearch: %v, want wrapped ErrInvalidConfig", err)
+	plain, err := p.Heuristic(fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	cfg.OffloadSearch = true
+	heur, err := p.Heuristic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heur.Plan.Fingerprint() != plain.Plan.Fingerprint() || heur.Estimate.Cost != plain.Estimate.Cost {
+		t.Errorf("OffloadSearch changed the heuristic: %s (%v) vs %s (%v)",
+			heur.Plan.Fingerprint(), heur.Estimate.Cost, plain.Plan.Fingerprint(), plain.Estimate.Cost)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"realhf/internal/estimator"
 	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
-	"realhf/internal/model"
 	"realhf/internal/search"
 )
 
@@ -40,13 +39,13 @@ type ClusterConfig struct {
 	ProblemCacheEntries int `json:"problem_cache_entries"`
 }
 
-// Planner is a long-lived, concurrency-safe planning service — the
-// session-oriented replacement for one-shot Auto calls. It owns the
-// cluster model, per-model costers and estimators, a pool of memoized
-// search.CostCache instances (one per distinct problem, shared across
-// requests and search chains), and an LRU plan cache keyed by a canonical
-// ExperimentConfig fingerprint, so a repeated or equivalent request is
-// answered without re-running MCMC at all.
+// Planner is a long-lived, concurrency-safe planning service — the one way
+// to plan (the paper's @auto decorator is Plan). It owns an LRU pool of
+// per-problem estimators and memoized search.CostCache instances (one per
+// distinct problem, shared across requests and search chains), and an LRU
+// plan cache keyed by a canonical ExperimentConfig fingerprint, so a
+// repeated or equivalent request is answered without re-running MCMC at
+// all.
 //
 // Any number of goroutines may call Plan, Heuristic and LoadExperiment
 // concurrently. Identical concurrent requests may each run a solve (the
@@ -58,18 +57,10 @@ type Planner struct {
 	cc ClusterConfig
 
 	mu       sync.Mutex
-	costers  map[costerKey]gpumodel.ModelCoster
 	problems *lruCache // problemKey -> *problemState
 	plans    *lruCache // request fingerprint -> canonical *Experiment
 
 	planRequests, planHits, planMisses atomic.Int64
-}
-
-// costerKey identifies one per-model coster: the oracle's tables depend
-// only on the cluster shape and the architecture.
-type costerKey struct {
-	nodes, gpusPerNode int
-	arch               string
 }
 
 // problemState is what the planner keeps per distinct problem: the
@@ -100,36 +91,18 @@ func NewPlanner(cc ClusterConfig) *Planner {
 	cc = cc.withDefaults()
 	return &Planner{
 		cc:       cc,
-		costers:  map[costerKey]gpumodel.ModelCoster{},
 		problems: newLRU(cc.ProblemCacheEntries),
 		plans:    newLRU(cc.PlanCacheEntries),
 	}
-}
-
-var (
-	defaultPlannerOnce sync.Once
-	defaultPlannerInst *Planner
-)
-
-// DefaultPlanner returns the lazily-initialized package-level Planner
-// behind Auto, Heuristic and LoadExperiment.
-func DefaultPlanner() *Planner {
-	defaultPlannerOnce.Do(func() { defaultPlannerInst = NewPlanner(ClusterConfig{}) })
-	return defaultPlannerInst
 }
 
 // AutoOption customizes one Plan request.
 type AutoOption func(*autoOptions)
 
 type autoOptions struct {
-	progress      func(search.ProgressPoint)
-	warmStarts    []*core.Plan
-	solver        string
-	chains        int
-	hasChains     bool
-	overlapAware  bool
-	offloadSearch bool
-	runOpts       *RunOptions
+	progress   func(search.ProgressPoint)
+	warmStarts []*core.Plan
+	runOpts    *RunOptions
 	// calib attaches profile-feedback calibration to the request's problem:
 	// Trainer sessions set it directly when replanning, and
 	// WithCalibrationFactors builds it from caller-supplied multipliers
@@ -189,43 +162,12 @@ func WithProgress(fn func(search.ProgressPoint)) AutoOption {
 }
 
 // WithWarmStart seeds the search with previously found plans (e.g. loaded
-// via LoadExperiment from an earlier session): the solver starts from the
+// via Planner.LoadExperiment from an earlier session): the solver starts from the
 // cheapest of the warm starts and its own greedy/heuristic seeds. Warm
 // starts participate in the plan-cache key, so requests with different
 // seeds never alias.
 func WithWarmStart(plans ...*core.Plan) AutoOption {
 	return func(o *autoOptions) { o.warmStarts = append(o.warmStarts, plans...) }
-}
-
-// WithSolver overrides ExperimentConfig.Solver for this request ("mcmc",
-// "parallel-mcmc", "greedy", "exhaustive", or any registered name).
-func WithSolver(name string) AutoOption {
-	return func(o *autoOptions) { o.solver = name }
-}
-
-// WithSearchParallelism overrides ExperimentConfig.SearchParallelism for
-// this request (the number of concurrent MCMC chains).
-func WithSearchParallelism(chains int) AutoOption {
-	return func(o *autoOptions) { o.chains, o.hasChains = chains, true }
-}
-
-// WithOverlapAwareSearch makes this request search under the
-// overlapped-engine cost semantics — the per-request mirror of
-// ExperimentConfig.PlanForOverlap. The solver then minimizes the makespan
-// the overlapped runtime (realhf.DefaultRunOptions) will actually achieve,
-// instead of the serialized schedule's.
-func WithOverlapAwareSearch() AutoOption {
-	return func(o *autoOptions) { o.overlapAware = true }
-}
-
-// WithOffloadSearch makes this request search over per-call host offload —
-// the per-request mirror of ExperimentConfig.OffloadSearch. The solver then
-// treats parameter residency of frozen roles as a plan dimension and the
-// memory ledger as a hard constraint: a feasible plan beats any infeasible
-// one regardless of time cost. Offload participates in the problem key, so
-// offload-aware and default requests never share a cost cache.
-func WithOffloadSearch() AutoOption {
-	return func(o *autoOptions) { o.offloadSearch = true }
 }
 
 // WithRunOptions binds run options to the returned Experiment: its Run()
@@ -288,20 +230,7 @@ func (p *Planner) prepare(cfg ExperimentConfig, opts []AutoOption) (ExperimentCo
 	for _, fn := range opts {
 		fn(o)
 	}
-	cfg = p.merge(cfg)
-	if o.solver != "" {
-		cfg.Solver = o.solver
-	}
-	if o.hasChains {
-		cfg.SearchParallelism = o.chains
-	}
-	if o.overlapAware {
-		cfg.PlanForOverlap = true
-	}
-	if o.offloadSearch {
-		cfg.OffloadSearch = true
-	}
-	cfg = cfg.withDefaults()
+	cfg = p.merge(cfg).withDefaults()
 	if err := cfg.validate(); err != nil {
 		return cfg, nil, err
 	}
@@ -312,8 +241,8 @@ func (p *Planner) prepare(cfg ExperimentConfig, opts []AutoOption) (ExperimentCo
 	return cfg, o, nil
 }
 
-// Plan searches for an efficient execution plan for cfg — the session
-// analogue of Auto. The context is honored for the whole request:
+// Plan searches for an efficient execution plan for cfg — the analogue of
+// the paper's @auto decorator. The context is honored for the whole request:
 // cancellation or a deadline aborts the solver mid-search with a wrapped
 // context error. An equivalent step-bounded config planned before (same
 // canonical fingerprint after defaults, same warm starts) is answered from
@@ -411,20 +340,18 @@ func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experim
 // 3D plan instead of a searched one (the paper's REAL-Heuristic baseline),
 // sharing the session's estimators and cost caches — its evaluation also
 // pre-warms the cost cache a later Plan call for the same problem draws on.
-// No search runs, so the only applicable option is WithRunOptions; passing
-// a search-shaping option (WithProgress, WithWarmStart, WithSolver,
-// WithSearchParallelism, WithOverlapAwareSearch, WithOffloadSearch) is an
-// error rather than a
-// silent no-op. (To estimate the heuristic plan under the overlapped
-// semantics, set cfg.PlanForOverlap — that is a config property, not a
-// search option.)
+// No search runs, so the config's search knobs (Solver, SearchSteps,
+// SearchParallelism, OffloadSearch, ...) are ignored, and the only
+// applicable option is WithRunOptions: WithProgress, WithWarmStart and
+// WithCalibrationFactors are an error rather than a silent no-op. (To
+// estimate the heuristic plan under the overlapped semantics, set
+// cfg.PlanForOverlap — it selects the cost model, not the search.)
 func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experiment, error) {
 	var o autoOptions
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.progress != nil || o.warmStarts != nil || o.solver != "" || o.hasChains || o.overlapAware ||
-		o.offloadSearch || o.calib != nil || o.calibFactors != nil {
+	if o.progress != nil || o.warmStarts != nil || o.calib != nil || o.calibFactors != nil {
 		return nil, fmt.Errorf("realhf: Heuristic runs no search and accepts only WithRunOptions: %w", ErrInvalidConfig)
 	}
 	cfg = p.merge(cfg).withDefaults()
@@ -483,8 +410,8 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 // wire, a checkpoint's incumbent) for cfg's problem: the stored cluster
 // shape and model cast must agree with cfg, and the assignments are
 // re-attached to cfg's own graph and models. Every rejection wraps
-// ErrInvalidConfig — a malformed or invalid stored plan (including an
-// OffloadWhenIdle hint on a trainable role) can never succeed on retry, so
+// ErrInvalidConfig — a malformed or invalid stored plan (including a legacy
+// offload_when_idle mark on a trainable role) can never succeed on retry, so
 // serve maps it to HTTP 400. label names the source in errors.
 func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, calib *estimator.Calibration) (*core.Plan, *estimator.Result, error) {
 	g, models, err := buildGraph(cfg)
@@ -535,12 +462,6 @@ func (p *Planner) attach(cfg ExperimentConfig, calib *estimator.Calibration, ass
 		return nil, nil, err
 	}
 	return plan, res, nil
-}
-
-// LoadExperiment rebuilds a runnable Experiment from a saved plan through
-// the default Planner — the package-level mirror of Planner.LoadExperiment.
-func LoadExperiment(path string, cfg ExperimentConfig) (*Experiment, error) {
-	return DefaultPlanner().LoadExperiment(path, cfg)
 }
 
 // PlannerStats reports a session's cache effectiveness. It is also a wire
@@ -617,7 +538,7 @@ func (e *Experiment) instantiate(runOpts *RunOptions) *Experiment {
 
 // problemFor resolves the session state for cfg's problem — building the
 // graph and model cast fresh (they are cheap and per-request) while the
-// estimator, costers and cost cache come from the session pools. A non-nil
+// estimator and cost cache come from the session pool. A non-nil
 // calibration selects (or creates) the problem's calibrated twin: the
 // calibration key joins the pool key, so a calibrated problem owns its own
 // estimator and search.CostCache and can never poison the uncalibrated
@@ -635,9 +556,9 @@ func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration)
 	if v, ok := p.problems.get(key); ok {
 		return v.(*problemState), hw, g, models, nil
 	}
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
+	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(models))
 	for role, ms := range models {
-		costers[role] = p.costerLocked(hw, ms.Cfg)
+		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
 	}
 	est := estimator.New(hw, costers)
 	// The problem's cost semantics follow the config: with PlanForOverlap
@@ -658,18 +579,6 @@ func calibToken(c *estimator.Calibration) string {
 		return ";calib=" + k
 	}
 	return ""
-}
-
-// costerLocked returns the session's coster for (cluster shape, arch),
-// creating it on first use. Callers hold p.mu.
-func (p *Planner) costerLocked(hw hardware.Cluster, cfg model.Config) gpumodel.ModelCoster {
-	k := costerKey{nodes: hw.Nodes, gpusPerNode: hw.GPUsPerNode, arch: cfg.Name}
-	if mc, ok := p.costers[k]; ok {
-		return mc
-	}
-	mc := gpumodel.NewOracle(hw, cfg)
-	p.costers[k] = mc
-	return mc
 }
 
 // --- canonical request keys ---

@@ -184,33 +184,36 @@ func TestPlannerCancellationMidSearch(t *testing.T) {
 }
 
 // TestHeuristicValidatesLikeAuto pins the bugfix: Heuristic used to skip the
-// Nodes check that Auto performed.
+// Nodes check that Plan performs.
 func TestHeuristicValidatesLikeAuto(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
 	bad := plannerConfig(1, 100)
 	bad.Nodes = 0
-	_, autoErr := Auto(bad)
-	_, heurErr := Heuristic(bad)
-	if autoErr == nil || heurErr == nil {
-		t.Fatalf("Nodes=0 must fail: auto=%v heuristic=%v", autoErr, heurErr)
+	_, planErr := p.Plan(context.Background(), bad)
+	_, heurErr := p.Heuristic(bad)
+	if planErr == nil || heurErr == nil {
+		t.Fatalf("Nodes=0 must fail: plan=%v heuristic=%v", planErr, heurErr)
 	}
-	if autoErr.Error() != heurErr.Error() {
-		t.Errorf("Auto and Heuristic must return the same validation error: %q vs %q",
-			autoErr, heurErr)
+	if planErr.Error() != heurErr.Error() {
+		t.Errorf("Plan and Heuristic must return the same validation error: %q vs %q",
+			planErr, heurErr)
 	}
 	bad.Nodes = -3
-	if _, err := Heuristic(bad); err == nil {
+	if _, err := p.Heuristic(bad); err == nil {
 		t.Error("negative Nodes must fail")
 	}
 
-	// Heuristic runs no search: search-shaping options are an error, not a
-	// silent no-op; WithRunOptions still applies.
-	p := NewPlanner(ClusterConfig{})
+	// Heuristic runs no search: the options it cannot honour are an error,
+	// not a silent no-op; WithRunOptions still applies.
 	good := plannerConfig(1, 100)
-	if _, err := p.Heuristic(good, WithSolver("greedy")); err == nil {
-		t.Error("Heuristic must reject search-shaping options")
-	}
-	if _, err := p.Heuristic(good, WithProgress(func(search.ProgressPoint) {})); err == nil {
-		t.Error("Heuristic must reject WithProgress")
+	for name, opt := range map[string]AutoOption{
+		"WithProgress":           WithProgress(func(search.ProgressPoint) {}),
+		"WithWarmStart":          WithWarmStart(nil),
+		"WithCalibrationFactors": WithCalibrationFactors(map[string]float64{"actor/GENERATE": 1.5}),
+	} {
+		if _, err := p.Heuristic(good, opt); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Heuristic(%s) = %v, want wrapped ErrInvalidConfig", name, err)
+		}
 	}
 	exp, err := p.Heuristic(good, WithRunOptions(RunOptions{UseCUDAGraph: true}))
 	if err != nil {
@@ -272,29 +275,31 @@ func TestPlannerOptions(t *testing.T) {
 		t.Errorf("cached request streamed %d new progress points", len(pts)-n)
 	}
 
-	// WithSolver overrides the engine; greedy is deterministic and distinct
-	// from the cached MCMC request.
-	greedy, err := p.Plan(context.Background(), cfg, WithSolver("greedy"))
+	// Solver selects the engine; greedy is deterministic and distinct from
+	// the cached MCMC request.
+	greedyCfg := cfg
+	greedyCfg.Solver = "greedy"
+	greedy, err := p.Plan(context.Background(), greedyCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if greedy.Cached {
 		t.Error("different solver must not alias the mcmc cache entry")
 	}
-	if greedy.Config.Solver != "greedy" {
-		t.Errorf("WithSolver not applied: %q", greedy.Config.Solver)
-	}
-	if _, err := p.Plan(context.Background(), cfg, WithSolver("no-such-solver")); err == nil {
+	greedyCfg.Solver = "no-such-solver"
+	if _, err := p.Plan(context.Background(), greedyCfg); err == nil {
 		t.Error("unknown solver must fail")
 	}
 
-	// WithSearchParallelism upgrades the default solver to parallel-mcmc.
-	par, err := p.Plan(context.Background(), cfg, WithSearchParallelism(2))
+	// SearchParallelism upgrades the default solver to parallel-mcmc.
+	parCfg := cfg
+	parCfg.SearchParallelism = 2
+	par, err := p.Plan(context.Background(), parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Config.Solver != "parallel-mcmc" || len(par.SearchStats.Chains) != 2 {
-		t.Errorf("WithSearchParallelism(2): solver=%q chains=%d",
+		t.Errorf("SearchParallelism 2: solver=%q chains=%d",
 			par.Config.Solver, len(par.SearchStats.Chains))
 	}
 
@@ -366,11 +371,6 @@ func TestSavePlanLoadExperimentRoundtrip(t *testing.T) {
 	}
 	if rep.OOM || rep.IterationTime <= 0 {
 		t.Errorf("loaded experiment failed to run: %+v", rep)
-	}
-
-	// The package-level mirror goes through the default planner.
-	if _, err := LoadExperiment(path, cfg); err != nil {
-		t.Fatal(err)
 	}
 
 	// Cluster-shape mismatches are rejected.
@@ -576,8 +576,9 @@ func TestPlannerTimeBoundedBypassesCache(t *testing.T) {
 	// parallel request runs a fresh solve (its exchange barriers terminate
 	// on the clock, so results are nondeterministic and must not be
 	// replayed).
+	cfg.SearchParallelism = 3
 	for i := 0; i < 2; i++ {
-		exp, err := p.Plan(context.Background(), cfg, WithSearchParallelism(3))
+		exp, err := p.Plan(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,8 +598,7 @@ func TestPlannerTimeBoundedBypassesCache(t *testing.T) {
 
 // TestPlanForOverlapIsolatesCaches: a serialized and an overlap-aware
 // request for the same workload must not share the per-problem cost cache
-// (their estimators disagree about every makespan) nor the plan cache, and
-// WithOverlapAwareSearch must be equivalent to setting the config knob.
+// (their estimators disagree about every makespan) nor the plan cache.
 func TestPlanForOverlapIsolatesCaches(t *testing.T) {
 	p := NewPlanner(ClusterConfig{})
 	cfg := plannerConfig(3, 200)
@@ -618,23 +618,8 @@ func TestPlanForOverlapIsolatesCaches(t *testing.T) {
 	if st := p.Stats(); st.Problems != 2 {
 		t.Errorf("serialized and overlap-aware solves must own separate cost caches, got %d problems", st.Problems)
 	}
-	// Same request expressed through the option: identical fingerprint,
-	// answered from the overlap-aware cache entry.
-	viaOpt, err := p.Plan(context.Background(), cfg, WithOverlapAwareSearch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaOpt.Cached {
-		t.Error("WithOverlapAwareSearch must alias ExperimentConfig.PlanForOverlap in the plan cache")
-	}
-	if viaOpt.Plan.Fingerprint() != over.Plan.Fingerprint() {
-		t.Error("option and config knob chose different plans")
-	}
 	if serial.Config.PlanForOverlap || !over.Config.PlanForOverlap {
 		t.Error("returned Experiment.Config must echo the cost semantics used")
-	}
-	if _, err := p.Heuristic(cfg, WithOverlapAwareSearch()); err == nil {
-		t.Error("Heuristic must reject WithOverlapAwareSearch (no search runs)")
 	}
 	// Heuristic honors the config knob: same symmetric plan, estimated
 	// under the overlapped schedule — never above its serialized estimate.

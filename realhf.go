@@ -9,8 +9,8 @@
 // experiment is a list of ModelFunctionCallDef values wired together by
 // named data dependencies. A long-lived Planner session derives efficient
 // execution plans via MCMC search over a profiling-backed cost model,
-// reusing per-model costers, memoized cost caches and previously searched
-// plans across requests, and Run executes the chosen plan. Physical GPUs
+// reusing per-problem estimators, memoized cost caches and previously
+// searched plans across requests, and Run executes the chosen plan. Physical GPUs
 // are replaced by a calibrated analytic cluster model (see DESIGN.md);
 // every system layer above the kernels — planner, estimator, reallocation,
 // runtime protocol — runs for real.
@@ -23,13 +23,9 @@
 //	    RPCs:      realhf.PPORPCs("llama7b", "llama7b-critic"),
 //	})
 //	report, err := exp.Run()
-//
-// The one-shot Auto/Heuristic helpers — the paper's @auto decorator shape —
-// survive as thin wrappers over a lazily-initialized default Planner.
 package realhf
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -96,8 +92,8 @@ type ModelFunctionCallDef struct {
 	MiniBatches int `json:"mini_batches,omitempty"`
 }
 
-// ExperimentConfig describes one RLHF experiment, the input to Auto. It is
-// also the plan service's wire type: MarshalJSON emits the canonical
+// ExperimentConfig describes one RLHF experiment, the input to Planner.Plan.
+// It is also the plan service's wire type: MarshalJSON emits the canonical
 // defaults-applied form and UnmarshalJSON parses it back, round-tripping
 // bit-stably through the config fingerprint (see wire.go).
 type ExperimentConfig struct {
@@ -187,8 +183,9 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 }
 
 // validate reports configuration errors. It is the single checker shared by
-// every planning entry point — Auto, Heuristic and Planner.Plan — so all of
-// them reject a bad config with the same error, wrapping ErrInvalidConfig.
+// every planning entry point — Planner.Plan, Heuristic, LoadExperiment and
+// Train — so all of them reject a bad config with the same error, wrapping
+// ErrInvalidConfig.
 func (c ExperimentConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("realhf: Nodes must be positive: %w", ErrInvalidConfig)
@@ -448,27 +445,9 @@ type Experiment struct {
 	runOpts *RunOptions
 }
 
-// Auto builds the experiment and searches for an efficient execution plan —
-// the analogue of the paper's @auto decorator. It is a thin wrapper over
-// the package's lazily-initialized default Planner: repeated Auto calls
-// share its per-model costers, memoized cost caches and plan cache, and a
-// repeated equivalent config is answered from the plan cache without
-// re-running search. The planning engine is selected by cfg.Solver via the
-// search package's solver registry.
-func Auto(cfg ExperimentConfig) (*Experiment, error) {
-	return DefaultPlanner().Plan(context.Background(), cfg)
-}
-
-// Heuristic builds the same experiment with the pre-training-style symmetric
-// 3D plan instead of a searched one (the paper's REAL-Heuristic baseline),
-// through the default Planner's shared caches and config validation.
-func Heuristic(cfg ExperimentConfig) (*Experiment, error) {
-	return DefaultPlanner().Heuristic(cfg)
-}
-
 // SavePlan writes the experiment's execution plan to a JSON file. Load it
-// later with LoadExperiment (or Planner.LoadExperiment) to run the same
-// plan without re-searching — the plan-once-run-many workflow.
+// later with Planner.LoadExperiment to run the same plan without
+// re-searching — the plan-once-run-many workflow.
 func (e *Experiment) SavePlan(path string) error {
 	return core.SavePlan(e.Plan, path)
 }

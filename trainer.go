@@ -172,9 +172,10 @@ func WithTrainRunOptions(opts RunOptions) TrainOption {
 	return func(o *trainOptions) { o.runOpts, o.hasRunOpts = &opts, true }
 }
 
-// WithPlanOptions forwards planning options (WithSolver,
-// WithSearchParallelism, WithOverlapAwareSearch, ...) to the initial plan
-// and to every replan the session issues.
+// WithPlanOptions forwards planning options (WithProgress, WithWarmStart,
+// ...) to the initial plan and to every replan the session issues. Search
+// knobs — solver, chains, offload search — are fields of the config passed
+// to Train.
 func WithPlanOptions(opts ...AutoOption) TrainOption {
 	return func(o *trainOptions) { o.planOpts = append(o.planOpts, opts...) }
 }

@@ -173,3 +173,119 @@ func TestLoadExperimentBytesRoundTrip(t *testing.T) {
 		t.Error("truncated plan bytes loaded without error")
 	}
 }
+
+// fuzzPresets are the workflows FuzzLoadExperimentBytes loads plans for; a
+// corpus entry's preset byte selects one.
+var fuzzPresets = []string{"ppo", "dpo", "grpo", "remax"}
+
+// fuzzPlanConfig is the one-node config a plan for fuzzPresets[preset mod 4]
+// is loaded against.
+func fuzzPlanConfig(preset uint8) ExperimentConfig {
+	rpcs, err := AlgoRPCs(fuzzPresets[int(preset)%len(fuzzPresets)], "llama7b", "llama7b-critic")
+	if err != nil {
+		panic(err) // every fuzzPresets entry is a preset
+	}
+	return ExperimentConfig{
+		Nodes: 1, BatchSize: 64, PromptLen: 256, GenLen: 256,
+		RPCs: rpcs, SearchSteps: 100, Seed: 1,
+	}
+}
+
+// editPlanJSON decodes serialized plan bytes into generic JSON, with numbers
+// kept exact, applies edit and re-encodes.
+func editPlanJSON(t testing.TB, data []byte, edit func(plan map[string]any)) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var plan map[string]any
+	if err := dec.Decode(&plan); err != nil {
+		t.Fatal(err)
+	}
+	edit(plan)
+	out, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// setAssignment overwrites fields of one call's stored assignment.
+func setAssignment(plan map[string]any, call string, fields map[string]string) {
+	a := plan["assignments"].(map[string]any)[call].(map[string]any)
+	for k, v := range fields {
+		a[k] = json.Number(v)
+	}
+}
+
+// TestLoadExperimentBytesRejectsOverflow pins the stored-plan validation
+// against integer wrap-around: a mesh whose first GPU sits near MaxInt (so
+// mesh_first+mesh_count wraps negative) and a strategy whose dp·tp·pp wraps
+// to exactly the mesh size both used to load with finite estimates — the
+// first one then hung Run, since no device owned its calls.
+func TestLoadExperimentBytesRejectsOverflow(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
+	cfg := fuzzPlanConfig(0)
+	heur, err := p.Heuristic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := heur.MarshalPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fields := range map[string]map[string]string{
+		"mesh bounds":    {"mesh_first": "9223372036854775800", "mesh_count": "8"},
+		"degree product": {"dp": "2305843009213693953", "tp": "8", "pp": "1"}, // 2^61+1
+	} {
+		bad := editPlanJSON(t, data, func(plan map[string]any) { setAssignment(plan, "actor/GENERATE", fields) })
+		if _, err := p.LoadExperimentBytes(bad, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: LoadExperimentBytes = %v, want wrapped ErrInvalidConfig", name, err)
+		}
+	}
+}
+
+// FuzzLoadExperimentBytes: stored plan bytes are untrusted input (plan files,
+// plans returned over the wire). Whatever the bytes, LoadExperimentBytes
+// either fails with ErrInvalidConfig or returns a plan whose every mesh lies
+// inside the cluster with each parallel degree at most the mesh size, and
+// re-marshaling a loaded plan is a fixed point after one round.
+func FuzzLoadExperimentBytes(f *testing.F) {
+	p := NewPlanner(ClusterConfig{})
+	f.Fuzz(func(t *testing.T, preset uint8, data []byte) {
+		cfg := fuzzPlanConfig(preset)
+		exp, err := p.LoadExperimentBytes(data, cfg)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("LoadExperimentBytes error %v does not wrap ErrInvalidConfig", err)
+			}
+			return
+		}
+		gpus := exp.Cluster.NumGPUs()
+		for name, a := range exp.Plan.Assign {
+			m, s := a.Mesh, a.Strategy
+			if m.First < 0 || m.Count < 1 || m.First > gpus-m.Count {
+				t.Fatalf("call %s: mesh [%d,+%d) outside the %d-GPU cluster", name, m.First, m.Count, gpus)
+			}
+			for _, d := range []int{s.DP, s.TP, s.PP} {
+				if d < 1 || d > m.Count {
+					t.Fatalf("call %s: degree %d of %v outside [1, %d]", name, d, s, m.Count)
+				}
+			}
+		}
+		once, err := exp.MarshalPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := p.LoadExperimentBytes(once, cfg)
+		if err != nil {
+			t.Fatalf("re-loading a marshaled plan: %v", err)
+		}
+		twice, err := again.MarshalPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("marshal→load is not a fixed point:\n%s\nvs\n%s", once, twice)
+		}
+	})
+}
