@@ -270,10 +270,7 @@ func BenchmarkLimitationStudy(b *testing.B) {
 func BenchmarkSearchThroughput(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := pr.SearchPlan(500, int64(i)); err != nil {
@@ -283,19 +280,15 @@ func BenchmarkSearchThroughput(b *testing.B) {
 }
 
 // BenchmarkParallelMCMCWallClock compares plan cost at equal wall clock:
-// the sequential single-chain walker versus parallel-mcmc with
-// max(4, GOMAXPROCS) chains under the same TimeLimit. The parallel solver
-// shares one memoized cost cache across chains and reduces to the best
-// chain, so its cost must stay at or below the single chain's (the
+// the single-chain mcmc walker versus mcmc with max(4, GOMAXPROCS) chains
+// under the same TimeLimit. The chains share one memoized cost cache and
+// the solve reduces to the best chain, so its cost must stay at or below the single chain's (the
 // speedup-x metric stays >= 1); with more cores the gap widens because
 // chains explore concurrently instead of time-sharing.
 func BenchmarkParallelMCMCWallClock(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	limit := time.Second
 	chains := runtime.GOMAXPROCS(0)
 	if chains < 4 {
@@ -309,7 +302,7 @@ func BenchmarkParallelMCMCWallClock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		multi, multiSt, err := pr.SolveWith("parallel-mcmc", search.Options{
+		multi, multiSt, err := pr.SolveWith("mcmc", search.Options{
 			TimeLimit: limit, Seed: int64(i + 1), Chains: chains,
 		})
 		if err != nil {
@@ -331,10 +324,7 @@ func BenchmarkParallelMCMCWallClock(b *testing.B) {
 func BenchmarkOverlapAwareSearch(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serial, _, err := pr.SearchPlanFor(false, benchSteps, 1)
@@ -368,10 +358,7 @@ func BenchmarkOverlapAwareSearch(b *testing.B) {
 // check: default-oom must stay 1, offload-oom must stay 0.
 func BenchmarkOffloadSearch(b *testing.B) {
 	b.ReportAllocs()
-	pr, err := experiments.OffloadProblem()
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.OffloadProblem()
 	const offloadBenchSteps = 400
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -577,10 +564,7 @@ func BenchmarkPlannerCachedPlan(b *testing.B) {
 func BenchmarkEstimatorEvaluate(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	plan, err := baselines.BuildHeuristic(pr.Cluster, pr.Graph, pr.Models)
 	if err != nil {
 		b.Fatal(err)
@@ -602,10 +586,7 @@ func BenchmarkEstimatorEvaluate(b *testing.B) {
 func BenchmarkEstimatorDelta(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	plan, err := baselines.BuildHeuristic(pr.Cluster, pr.Graph, pr.Models)
 	if err != nil {
 		b.Fatal(err)
@@ -659,10 +640,7 @@ func BenchmarkEstimatorDelta(b *testing.B) {
 func BenchmarkRuntimeExecution(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	plan, err := baselines.BuildHeuristic(pr.Cluster, pr.Graph, pr.Models)
 	if err != nil {
 		b.Fatal(err)
@@ -723,10 +701,7 @@ func BenchmarkRuntimeOverlap(b *testing.B) {
 func BenchmarkGreedySeed(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
-	pr, err := experiments.NewProblem(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pr := experiments.NewProblem(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := search.Solve(context.Background(), "greedy", pr.SearchProblem(), search.Options{}); err != nil {

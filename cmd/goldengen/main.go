@@ -28,9 +28,7 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
-	"realhf/internal/hardware"
+	"realhf/internal/experiments"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
 	"realhf/internal/parallel"
@@ -38,49 +36,20 @@ import (
 	"realhf/internal/search"
 )
 
-// goldenProblem mirrors the search tests' 2-node 7B+7B problem, so the
-// fingerprints here cross-check TestGoldenSingleChainPlans.
-func goldenProblem() (*core.Plan, *estimator.Estimator) {
-	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
-	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, estimator.New(cluster, costers)
-}
-
-// offloadProblem is the memory-constrained single-node problem of the
-// offload-aware section: 7B trainable actor/critic with 34B frozen
-// ref/reward on 4 GPUs, where only plans that park the frozen weights in
-// host memory fit HBM (mirrors TestOffloadSearchFindsFeasiblePlan).
-func offloadProblem() (*core.Plan, *estimator.Estimator) {
-	cluster := hardware.DefaultCluster(1)
-	cluster.GPUsPerNode = 4
-	g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: 1})
-	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
-	ref := models[dfg.Ref]
-	ref.Cfg = model.LLaMA34B
-	models[dfg.Ref] = ref
-	rw := models[dfg.Reward]
-	rw.Cfg = model.LLaMA34B
-	models[dfg.Reward] = rw
-	p := core.NewPlan(cluster, g, models)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, estimator.New(cluster, costers)
+// goldenSetting is the search tests' 2-node 7B+7B problem, so the
+// fingerprints here cross-check TestGoldenSingleChainPlans. The
+// offload-aware section solves experiments.OffloadProblem, the
+// memory-constrained 4-GPU problem of TestOffloadSearchFindsFeasiblePlan.
+var goldenSetting = experiments.Setting{
+	Nodes: 2, Actor: model.LLaMA7B, Critic: model.LLaMA7B,
+	Spec: dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1},
 }
 
 // splitPlan is the fixed reallocation-heavy placement (actor half / critic
 // half with re-parallelized generation) whose overlapped run must beat the
 // serialized baseline.
 func splitPlan() (*core.Plan, error) {
-	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
-	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
+	p := experiments.NewProblem(goldenSetting).EmptyPlan()
 	m0, err := mesh.New(0, 8, 8)
 	if err != nil {
 		return nil, err
@@ -170,8 +139,8 @@ func main() {
 	}
 
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := goldenProblem()
-		res := solve(search.Problem{Est: est, Plan: plan}, search.Options{MaxSteps: *steps, Seed: seed})
+		pr := experiments.NewProblem(goldenSetting)
+		res := solve(pr.SearchProblem(), search.Options{MaxSteps: *steps, Seed: seed})
 		if err := checkAgreement(res, false); err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
 		}
@@ -199,9 +168,8 @@ func main() {
 	// byte-identical — the knob defaults off.
 	b.WriteString("# Overlap-aware search (candidates costed with estimator OverlapComm).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := goldenProblem()
-		res := solve(search.Problem{Est: est, Plan: plan, Overlap: true},
-			search.Options{MaxSteps: *steps, Seed: seed})
+		pr := experiments.NewProblem(goldenSetting)
+		res := solve(pr.SearchProblemFor(true), search.Options{MaxSteps: *steps, Seed: seed})
 		if err := checkAgreement(res, true); err != nil {
 			log.Fatalf("overlap-aware seed %d: %v", seed, err)
 		}
@@ -220,8 +188,7 @@ func main() {
 	// defaults off and touches no default-path RNG stream.
 	b.WriteString("# Offload-aware search (host offload searched per call, memory as a hard constraint).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := offloadProblem()
-		res := solve(search.Problem{Est: est, Plan: plan},
+		res := solve(experiments.OffloadProblem().SearchProblem(),
 			search.Options{MaxSteps: *steps, Seed: seed, OffloadSearch: true})
 		if res.Estimate.OOM {
 			log.Fatalf("offload-aware seed %d: chosen plan infeasible (max %d bytes)", seed, res.Estimate.MaxMem)

@@ -1,7 +1,6 @@
 // Command realbench regenerates the paper's tables and figures on the
 // simulated cluster. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records the comparison against the published
-// numbers.
+// reports, for side-by-side comparison with the published numbers.
 //
 // Usage:
 //

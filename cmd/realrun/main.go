@@ -44,9 +44,7 @@ import (
 	"realhf/internal/baselines"
 	"realhf/internal/core"
 	"realhf/internal/estimator"
-	"realhf/internal/experiments"
 	"realhf/internal/hardware"
-	"realhf/internal/model"
 	"realhf/internal/runtime"
 	"realhf/internal/trace"
 )
@@ -129,29 +127,19 @@ func main() {
 		}
 		plan, cluster = exp.Plan, exp.Cluster
 	default:
-		// The split-placement baseline systems live below the public API.
-		actorCfg, err := model.ByName(*actor)
+		// The split-placement baseline systems live below the public API;
+		// they place the public config's problem: the cluster, graph and
+		// model cast of its heuristic plan.
+		exp, err := planner.Heuristic(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		criticCfg, err := model.ByName(*critic)
+		cluster = exp.Cluster
+		est := estimator.NewOracle(cluster, exp.Plan.Models, true)
+		plan, _, err = baselines.Evaluate(baselines.System(*system), est, cluster, exp.Plan.Graph, exp.Plan.Models)
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := experiments.PaperSetting(*nodes, actorCfg, criticCfg)
-		s.Algo = *algo
-		if *batch > 0 {
-			s.Batch = *batch
-		}
-		pr, err := experiments.NewProblem(s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan, _, err = baselines.Evaluate(baselines.System(*system), pr.Est, pr.Cluster, pr.Graph, pr.Models)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cluster = pr.Cluster
 	}
 
 	opts := runtime.Options{UseCUDAGraph: *cudaGraph, OverlapComm: *overlap}

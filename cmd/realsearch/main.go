@@ -9,7 +9,7 @@
 // Usage:
 //
 //	realsearch -actor 70b -critic 7b -nodes 16 -batch 4096 -steps 4000
-//	realsearch -actor 7b -critic 7b -solver parallel-mcmc -chains 8
+//	realsearch -actor 7b -critic 7b -chains 8
 //	realsearch -actor 7b -critic 7b -algo remax -progress -save plan.json
 //	realsearch -actor 7b -critic 7b -overlap-cost
 //	realsearch -actor 7b -critic 34b -nodes 1 -offload-search
@@ -47,9 +47,8 @@ func run() int {
 	gen := flag.Int("gen", 1024, "generated tokens per sequence")
 	algo := flag.String("algo", "ppo", "RLHF algorithm: ppo, dpo, grpo, remax")
 	solver := flag.String("solver", "",
-		"planning engine: "+strings.Join(search.Names(), ", ")+
-			" (default mcmc; parallel-mcmc when -chains > 1)")
-	chains := flag.Int("chains", 0, "parallel MCMC chains (0 = solver default)")
+		"planning engine: "+strings.Join(search.Names(), ", ")+" (default mcmc)")
+	chains := flag.Int("chains", 0, "concurrent MCMC chains (0 or 1 = one chain)")
 	steps := flag.Int("steps", 4000, "MCMC search steps (per chain)")
 	seed := flag.Int64("seed", 1, "search seed")
 	overlapCost := flag.Bool("overlap-cost", false,
@@ -97,11 +96,6 @@ func run() int {
 	cfg.Solver, cfg.SearchParallelism = *solver, *chains
 	cfg.PlanForOverlap = *overlapCost
 	cfg.OffloadSearch = *offloadSearch
-	if *chains > 1 && cfg.Solver == "mcmc" {
-		// An explicit -solver mcmc with -chains N has always meant the
-		// multi-chain engine (chain 0 reproduces the sequential walker).
-		cfg.Solver = "parallel-mcmc"
-	}
 
 	planner := realhf.NewPlanner(realhf.ClusterConfig{})
 

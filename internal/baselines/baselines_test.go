@@ -6,7 +6,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 )
@@ -16,11 +15,7 @@ func setup(t *testing.T, nodes int, actor, critic model.Config) (hardware.Cluste
 	hw := hardware.DefaultCluster(nodes)
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	models := core.PPOModels(actor, critic)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	return hw, g, models, estimator.New(hw, costers)
+	return hw, g, models, estimator.NewOracle(hw, models, true)
 }
 
 func TestHeuristicMatchesPaperTable3(t *testing.T) {

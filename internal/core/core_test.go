@@ -248,19 +248,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestModelsFor(t *testing.T) {
-	g := dfg.BuildGRPO(dfg.Spec{Batch: 64, PromptLen: 128, GenLen: 128})
-	ms := ModelsFor(g, model.LLaMA7B, model.LLaMA7B)
-	if _, ok := ms[dfg.Critic]; ok {
-		t.Error("GRPO cast must not include a critic")
-	}
-	for _, r := range []dfg.Role{dfg.Actor, dfg.Ref, dfg.Reward} {
-		if _, ok := ms[r]; !ok {
-			t.Errorf("GRPO cast missing %q", r)
-		}
-	}
-}
-
 func TestFingerprintCanonical(t *testing.T) {
 	a := ppoPlan(t, 2, 1)
 	b := ppoPlan(t, 2, 1)

@@ -79,20 +79,6 @@ func PPOModels(actor, critic model.Config) map[dfg.Role]ModelSpec {
 	}
 }
 
-// ModelsFor builds the model cast needed by the given algorithm's graph.
-func ModelsFor(g *dfg.Graph, actor, critic model.Config) map[dfg.Role]ModelSpec {
-	all := PPOModels(actor, critic)
-	out := map[dfg.Role]ModelSpec{}
-	for _, r := range g.Roles() {
-		ms, ok := all[r]
-		if !ok {
-			ms = ModelSpec{Role: r, Cfg: actor}
-		}
-		out[r] = ms
-	}
-	return out
-}
-
 // Plan is an execution plan p: per-call assignments over a cluster for a
 // dataflow graph. Assignments are keyed by call name; the same call repeats
 // with the same assignment every iteration, as in the paper's plans

@@ -138,10 +138,14 @@ func TestLoadPlanRejectsMismatchedGraph(t *testing.T) {
 	if err := SavePlan(p, path); err != nil {
 		t.Fatal(err)
 	}
-	// A DPO graph has different call names: validation must fail.
-	g := dfg.BuildDPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024})
+	// A graph with other call names: validation must fail.
+	g := dfg.NewGraph("custom")
+	w := dfg.Workload{Batch: 512, PromptLen: 1024, GenLen: 1024}
+	ref := g.AddNode("RefInf", dfg.Ref, dfg.Inference, 0, w)
+	w.MiniBatches = 1
+	g.AddEdge(ref, g.AddNode("PolicyTrain", dfg.Actor, dfg.Train, 0, w))
 	if _, err := LoadPlan(path, g); err == nil {
-		t.Error("loading a PPO plan onto a DPO graph must fail")
+		t.Error("loading a PPO plan onto a graph with other call names must fail")
 	}
 }
 

@@ -1,7 +1,11 @@
 // Package dfg implements the paper's dataflow graphs (§4): RLHF workflows
 // decomposed into model function calls — generation, inference, and training
 // tasks on independent LLMs — with data and parameter-version dependencies.
-// Builders are provided for PPO (Fig. 4), DPO, GRPO, and ReMax (Fig. 16).
+// BuildPPO builds the Fig. 4 PPO graph the internal experiments, tests and
+// golden plans use; every other workflow (the DPO, GRPO and ReMax presets
+// of Fig. 16, and custom ones) is lowered from the public API's model
+// function call definitions onto NewGraph/AddNode/AddEdge. PaperSpec is the
+// paper's Appendix A workload.
 package dfg
 
 import (
@@ -79,7 +83,8 @@ type Node struct {
 // (training at iteration t gates uses of the same Role at t+1).
 type Graph struct {
 	Nodes []*Node
-	// Name of the algorithm ("ppo", "dpo", ...).
+	// Algo names the workflow: "ppo" for BuildPPO, "custom" for graphs
+	// lowered from the public API's call definitions.
 	Algo string
 
 	parents  map[int][]int
@@ -191,7 +196,7 @@ func (g *Graph) Validate() error {
 	return err
 }
 
-// Spec carries the algorithm-level knobs used by the builders.
+// Spec carries the workload knobs of a dataflow graph.
 type Spec struct {
 	// Batch is the global number of prompts per iteration.
 	Batch int
@@ -204,8 +209,17 @@ type Spec struct {
 	MiniBatches int
 	// Iterations is how many consecutive RLHF iterations to concatenate.
 	Iterations int
-	// GroupSize is GRPO's per-prompt group size (8 in the paper).
-	GroupSize int
+}
+
+// PaperSpec is the paper's base workload (Appendix A, after InstructGPT) at
+// a cluster of the given size: 512 prompts per 16 GPUs (weak scaling, at
+// least 32), 1024 prompt and 1024 generated tokens, 8 mini-batches, one
+// iteration.
+func PaperSpec(gpus int) Spec {
+	return Spec{
+		Batch: max(32, 512*gpus/16), PromptLen: 1024, GenLen: 1024,
+		MiniBatches: 8, Iterations: 1,
+	}
 }
 
 func (s Spec) withDefaults() Spec {
@@ -214,9 +228,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Iterations == 0 {
 		s.Iterations = 1
-	}
-	if s.GroupSize == 0 {
-		s.GroupSize = 8
 	}
 	return s
 }
@@ -255,100 +266,4 @@ func BuildPPO(s Spec) *Graph {
 		prevActorTrain, prevCriticTrain = actorTrain, criticTrain
 	}
 	return g
-}
-
-// BuildDPO constructs the DPO graph of Fig. 16: RefInf → ActorTrain over
-// preference pairs (no generation, no critic). The batch counts pairs; both
-// chosen and rejected sequences pass through, which the workload expresses
-// by doubling the batch.
-func BuildDPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("dpo")
-	w := Workload{Batch: 2 * s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := w
-	train.MiniBatches = 1
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		refInf := g.AddNode("RefInf", Ref, Inference, t, w)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(refInf, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, actorTrain)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// BuildGRPO constructs the GRPO graph of Fig. 16: ActorGen (grouped: batch
-// ×GroupSize sequences) → {RewInf, RefInf} → ActorTrain. GRPO has no critic;
-// advantages are group-normalized rewards.
-func BuildGRPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("grpo")
-	grouped := Workload{Batch: s.Batch * s.GroupSize, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := grouped
-	train.MiniBatches = s.MiniBatches
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		gen := g.AddNode("ActorGen", Actor, Generate, t, grouped)
-		rewInf := g.AddNode("RewInf", Reward, Inference, t, grouped)
-		refInf := g.AddNode("RefInf", Ref, Inference, t, grouped)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(gen, rewInf)
-		g.AddEdge(gen, refInf)
-		g.AddEdge(rewInf, actorTrain)
-		g.AddEdge(refInf, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, gen)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// BuildReMax constructs the ReMax graph of Fig. 16: two independent
-// generations (sampled and greedy) feed two reward inferences; the training
-// call consumes both (the greedy reward is the variance-reduction baseline).
-// The two generation calls have no mutual dependency — the paper notes ReaL
-// wins most on ReMax by running them concurrently.
-func BuildReMax(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("remax")
-	w := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := w
-	train.MiniBatches = 1
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		sampleGen := g.AddNode("SampleGen", Actor, Generate, t, w)
-		greedyGen := g.AddNode("GreedyGen", Actor, Generate, t, w)
-		sampleRew := g.AddNode("SampleRew", Reward, Inference, t, w)
-		greedyRew := g.AddNode("GreedyRew", Reward, Inference, t, w)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(sampleGen, sampleRew)
-		g.AddEdge(greedyGen, greedyRew)
-		g.AddEdge(sampleRew, actorTrain)
-		g.AddEdge(greedyRew, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, sampleGen)
-			g.AddEdge(prevTrain, greedyGen)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// Build dispatches on the algorithm name.
-func Build(algo string, s Spec) (*Graph, error) {
-	switch algo {
-	case "ppo":
-		return BuildPPO(s), nil
-	case "dpo":
-		return BuildDPO(s), nil
-	case "grpo":
-		return BuildGRPO(s), nil
-	case "remax":
-		return BuildReMax(s), nil
-	}
-	return nil, fmt.Errorf("dfg: unknown algorithm %q", algo)
 }

@@ -97,91 +97,6 @@ func TestCycleDetection(t *testing.T) {
 	}
 }
 
-func TestDPOShape(t *testing.T) {
-	g := BuildDPO(baseSpec())
-	if len(g.Nodes) != 2 {
-		t.Fatalf("DPO has %d calls, want 2", len(g.Nodes))
-	}
-	roles := g.Roles()
-	if len(roles) != 2 || roles[0] != Actor || roles[1] != Ref {
-		t.Errorf("DPO roles = %v, want [actor ref]", roles)
-	}
-	for _, n := range g.Nodes {
-		if n.Type == Generate {
-			t.Error("DPO has no generation call")
-		}
-		if n.Work.Batch != 2*512 {
-			t.Errorf("DPO processes chosen+rejected: batch %d, want 1024", n.Work.Batch)
-		}
-	}
-}
-
-func TestGRPOShape(t *testing.T) {
-	s := baseSpec()
-	s.GroupSize = 8
-	g := BuildGRPO(s)
-	if len(g.Nodes) != 4 {
-		t.Fatalf("GRPO has %d calls, want 4", len(g.Nodes))
-	}
-	for _, r := range g.Roles() {
-		if r == Critic {
-			t.Error("GRPO must not use a critic")
-		}
-	}
-	for _, n := range g.Nodes {
-		if n.Work.Batch != 512*8 {
-			t.Errorf("GRPO grouped batch = %d, want 4096", n.Work.Batch)
-		}
-	}
-}
-
-func TestReMaxConcurrentGenerations(t *testing.T) {
-	g := BuildReMax(baseSpec())
-	if len(g.Nodes) != 5 {
-		t.Fatalf("ReMax has %d calls, want 5", len(g.Nodes))
-	}
-	var gens []*Node
-	for _, n := range g.Nodes {
-		if n.Type == Generate {
-			gens = append(gens, n)
-		}
-	}
-	if len(gens) != 2 {
-		t.Fatalf("ReMax has %d generation calls, want 2", len(gens))
-	}
-	// The two generations must be mutually independent (this is what lets
-	// ReaL run them concurrently, the paper's biggest Fig. 16 win).
-	for _, a := range gens {
-		for _, b := range g.Children(a) {
-			if b.Type == Generate {
-				t.Error("generation calls must not depend on each other")
-			}
-		}
-	}
-	if len(g.Sources()) != 2 {
-		t.Errorf("ReMax iteration 0 has %d sources, want the 2 generations", len(g.Sources()))
-	}
-}
-
-func TestBuildDispatch(t *testing.T) {
-	for _, algo := range []string{"ppo", "dpo", "grpo", "remax"} {
-		g, err := Build(algo, baseSpec())
-		if err != nil {
-			t.Errorf("Build(%q): %v", algo, err)
-			continue
-		}
-		if g.Algo != algo {
-			t.Errorf("Build(%q).Algo = %q", algo, g.Algo)
-		}
-		if err := g.Validate(); err != nil {
-			t.Errorf("Build(%q) invalid: %v", algo, err)
-		}
-	}
-	if _, err := Build("a2c", baseSpec()); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
-}
-
 func TestWorkloadArithmetic(t *testing.T) {
 	w := Workload{Batch: 512, PromptLen: 1024, GenLen: 1024}
 	if w.SeqLen() != 2048 {
@@ -192,21 +107,15 @@ func TestWorkloadArithmetic(t *testing.T) {
 	}
 }
 
-// Property: all builders produce DAGs whose per-iteration call count is
+// Property: BuildPPO produces a DAG whose per-iteration call count is
 // constant, for any iteration count.
 func TestBuildersScaleWithIterations(t *testing.T) {
-	perIter := map[string]int{"ppo": 6, "dpo": 2, "grpo": 4, "remax": 5}
 	f := func(it uint8) bool {
 		iters := int(it%5) + 1
-		for algo, per := range perIter {
-			s := baseSpec()
-			s.Iterations = iters
-			g, err := Build(algo, s)
-			if err != nil || len(g.Nodes) != per*iters || g.Validate() != nil {
-				return false
-			}
-		}
-		return true
+		s := baseSpec()
+		s.Iterations = iters
+		g := BuildPPO(s)
+		return len(g.Nodes) == 6*iters && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -216,5 +125,17 @@ func TestBuildersScaleWithIterations(t *testing.T) {
 func TestCallTypeString(t *testing.T) {
 	if Generate.String() != "generate" || Inference.String() != "inference" || Train.String() != "train" {
 		t.Error("CallType strings wrong")
+	}
+}
+
+func TestPaperSpec(t *testing.T) {
+	for _, tc := range []struct{ gpus, batch int }{{16, 512}, {128, 4096}, {8, 256}, {1, 32}} {
+		s := PaperSpec(tc.gpus)
+		if s.Batch != tc.batch {
+			t.Errorf("PaperSpec(%d).Batch = %d, want %d", tc.gpus, s.Batch, tc.batch)
+		}
+		if s.PromptLen != 1024 || s.GenLen != 1024 || s.MiniBatches != 8 || s.Iterations != 1 {
+			t.Errorf("PaperSpec(%d) = %+v, want prompt 1024, gen 1024, 8 mini-batches, 1 iteration", tc.gpus, s)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -19,15 +20,25 @@ type Calibration struct {
 	key     string
 }
 
+// CheckFactor rejects a calibration multiplier that is not positive and
+// finite: a calibration can speed a call up or slow it down, never erase,
+// negate or unbound it. Every entry point that accepts factors shares this
+// check and wraps its error in its own sentinel or status.
+func CheckFactor(call string, f float64) error {
+	if f > 0 && !math.IsInf(f, 1) { // false for NaN too
+		return nil
+	}
+	return fmt.Errorf("calibration factor %q = %v must be a positive finite multiplier", call, f)
+}
+
 // NewCalibration builds a calibration from per-call multipliers. Factors
 // that are exactly 1 (no correction) are dropped, so a map of unit factors
-// is equivalent to no calibration at all. Non-positive factors are invalid
-// and rejected by returning nil (a calibration can speed a call up or slow
-// it down, never erase or negate it).
+// is equivalent to no calibration at all. A factor CheckFactor rejects
+// makes the whole set invalid: NewCalibration then returns nil.
 func NewCalibration(factors map[string]float64) *Calibration {
 	clean := make(map[string]float64, len(factors))
 	for name, f := range factors {
-		if f <= 0 || f != f { // non-positive or NaN
+		if CheckFactor(name, f) != nil {
 			return nil
 		}
 		if f == 1 {

@@ -1,11 +1,11 @@
 package estimator
 
 import (
+	"math"
 	"testing"
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -22,11 +22,7 @@ func calibPlan(t *testing.T) (*core.Plan, *Estimator) {
 	for _, name := range p.CallNames() {
 		p.Assign[name] = core.Assignment{Mesh: full, Strategy: st}
 	}
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, New(cluster, costers)
+	return p, NewOracle(cluster, p.Models, true)
 }
 
 // TestCalibrationIdentity: a nil calibration, a unit-factor calibration and
@@ -99,5 +95,26 @@ func TestCalibrationKeyCanonical(t *testing.T) {
 	}
 	if NewCalibration(map[string]float64{"A": -1}) != nil {
 		t.Fatal("negative factor must be rejected")
+	}
+}
+
+// TestCheckFactor: the one calibration-factor check rejects every value
+// that is not a positive finite multiplier, and NewCalibration refuses a
+// factor set containing one.
+func TestCheckFactor(t *testing.T) {
+	for _, tc := range []struct {
+		f  float64
+		ok bool
+	}{
+		{0, false}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false},
+		{0.5, true}, {1, true}, {3, true},
+	} {
+		err := CheckFactor("ActorGen", tc.f)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckFactor(%v) = %v, want ok=%t", tc.f, err, tc.ok)
+		}
+		if c := NewCalibration(map[string]float64{"ActorGen": tc.f}); !tc.ok && c != nil {
+			t.Errorf("NewCalibration accepted factor %v", tc.f)
+		}
 	}
 }

@@ -53,6 +53,20 @@ func New(hw hardware.Cluster, costers map[dfg.Role]gpumodel.ModelCoster) *Estima
 	return &Estimator{HW: hw, Costers: costers, Comm: gpumodel.Comm{HW: hw}}
 }
 
+// NewOracle builds the ground-truth estimator for a model cast on hw: every
+// role is costed by the analytic gpumodel oracle of its architecture, with
+// decode kernels captured into CUDA graphs when cudaGraph is set. It is the
+// estimator planners search with and the one the runtime executes.
+func NewOracle(hw hardware.Cluster, models map[dfg.Role]core.ModelSpec, cudaGraph bool) *Estimator {
+	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(models))
+	for role, ms := range models {
+		o := gpumodel.NewOracle(hw, ms.Cfg)
+		o.UseCUDAGraph = cudaGraph
+		costers[role] = o
+	}
+	return New(hw, costers)
+}
+
 // CallSpecOf resolves the gpumodel.CallSpec of a dfg node under a plan.
 func CallSpecOf(p *core.Plan, n *dfg.Node) (gpumodel.CallSpec, error) {
 	a, ok := p.AssignmentOf(n)

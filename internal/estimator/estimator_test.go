@@ -7,21 +7,11 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
 	"realhf/internal/parallel"
 )
-
-// oracleCosters builds ground-truth costers for every role of a plan.
-func oracleCosters(hw hardware.Cluster, models map[dfg.Role]core.ModelSpec) map[dfg.Role]gpumodel.ModelCoster {
-	out := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		out[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	return out
-}
 
 func symmetricPlan(t *testing.T, nodes int, actor, critic model.Config) *core.Plan {
 	t.Helper()
@@ -37,7 +27,7 @@ func symmetricPlan(t *testing.T, nodes int, actor, critic model.Config) *core.Pl
 }
 
 func newEstimator(p *core.Plan) *Estimator {
-	return New(p.Cluster, oracleCosters(p.Cluster, p.Models))
+	return NewOracle(p.Cluster, p.Models, true)
 }
 
 func TestEvaluateSymmetricPlan(t *testing.T) {
@@ -294,7 +284,7 @@ func TestEvaluateRejectsInvalidStrategy(t *testing.T) {
 func TestEvaluateRejectsMeshBeyondCluster(t *testing.T) {
 	p := symmetricPlan(t, 2, model.LLaMA7B, model.LLaMA7B) // meshes span 16 GPUs
 	small := hardware.DefaultCluster(1)                    // estimator models 8
-	e := New(small, oracleCosters(small, p.Models))
+	e := NewOracle(small, p.Models, true)
 	if _, err := e.Evaluate(p); err == nil {
 		t.Fatal("mesh beyond the estimator's cluster must fail evaluation, not under-cost")
 	} else if !strings.Contains(err.Error(), "outside") {

@@ -8,8 +8,6 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -174,10 +172,7 @@ func AblationNoRealloc(nodes, steps int) ([]AblationRow, string, error) {
 	}
 	var rows []AblationRow
 	for i, s := range settings {
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		full, _, err := pr.SearchPlan(steps, int64(10+i))
 		if err != nil {
 			return nil, "", err
@@ -238,10 +233,7 @@ func AblationOverlap(nodes, steps int) ([]OverlapRow, string, error) {
 	}
 	var rows []OverlapRow
 	for i, s := range settings {
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		searched, _, err := pr.SearchPlan(steps, int64(30+i))
 		if err != nil {
 			return nil, "", err
@@ -366,10 +358,7 @@ func AblationOverlapSearch(nodes, steps int) ([]OverlapSearchRow, string, error)
 	}
 	var rows []OverlapSearchRow
 	for i, s := range settings {
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		seed := int64(50 + i)
 		serial, _, err := pr.SearchPlanFor(false, steps, seed)
 		if err != nil {
@@ -409,46 +398,27 @@ func AblationOverlapSearch(nodes, steps int) ([]OverlapSearchRow, string, error)
 	return rows, b.String(), nil
 }
 
-// OffloadSetting is the memory-constrained single-node workload of the
+// OffloadProblem is the memory-constrained single-node workload of the
 // offload ablation: 7B trainable actor/critic plus 34B frozen ref/reward on
-// 1 node × 4 GPUs (320 GB HBM total). The training state alone costs
-// ~56 GB/GPU; keeping the frozen resting copies on-device adds ~34 GB/GPU
-// more, so every residency-fixed plan overflows the 80 GB devices — only a
-// plan that parks the frozen weights in host memory can be feasible.
-func OffloadSetting() Setting {
-	return Setting{
+// 1 node × 4 GPUs (320 GB HBM total), a cast and cluster shape Setting
+// cannot express. The training state alone costs ~56 GB/GPU; keeping the
+// frozen resting copies on-device adds ~34 GB/GPU more, so every
+// residency-fixed plan overflows the 80 GB devices — only a plan that parks
+// the frozen weights in host memory can be feasible.
+func OffloadProblem() *Problem {
+	s := Setting{
 		Nodes: 1, Actor: model.LLaMA7B, Critic: model.LLaMA7B,
-		Batch: 64, PromptLen: 256, GenLen: 256,
-		MiniBatches: 8, Algo: "ppo", Iterations: 1,
+		Spec: dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, MiniBatches: 8, Iterations: 1},
 	}
-}
-
-// OffloadProblem materializes OffloadSetting with its non-standard cast
-// (34B frozen ref/reward) and cluster shape (4 GPUs on the single node).
-// Setting cannot express either, so the problem is assembled directly.
-func OffloadProblem() (*Problem, error) {
-	s := OffloadSetting()
 	hw := hardware.DefaultCluster(1)
 	hw.GPUsPerNode = 4
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
+	models := core.PPOModels(s.Actor, s.Critic)
+	for _, role := range []dfg.Role{dfg.Ref, dfg.Reward} {
+		ms := models[role]
+		ms.Cfg = model.LLaMA34B
+		models[role] = ms
 	}
-	models := core.ModelsFor(g, s.Actor, s.Critic)
-	ref := models["ref"]
-	ref.Cfg = model.LLaMA34B
-	models["ref"] = ref
-	rw := models["reward"]
-	rw.Cfg = model.LLaMA34B
-	models["reward"] = rw
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	return &Problem{
-		Setting: s, Cluster: hw, Graph: g, Models: models,
-		Est: estimator.New(hw, costers),
-	}, nil
+	return newProblem(s, hw, models)
 }
 
 // OffloadRow summarizes the offload ablation: the default (residency-fixed)
@@ -474,10 +444,7 @@ type OffloadRow struct {
 // plan and the runtime executes it. Both solves are step-bounded and
 // seeded, so the report is byte-reproducible.
 func AblationOffload(steps int) (OffloadRow, string, error) {
-	pr, err := OffloadProblem()
-	if err != nil {
-		return OffloadRow{}, "", err
-	}
+	pr := OffloadProblem()
 	const seed = 60
 	def, _, err := pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed})
 	if err != nil {
@@ -526,10 +493,7 @@ func AblationCrossIter(s Setting, steps int) (single, double float64, report str
 	_ = steps
 	s1 := s
 	s1.Iterations = 1
-	pr1, err := NewProblem(s1)
-	if err != nil {
-		return 0, 0, "", err
-	}
+	pr1 := NewProblem(s1)
 	plan1, err := splitPlan(pr1)
 	if err != nil {
 		return 0, 0, "", err
@@ -541,10 +505,7 @@ func AblationCrossIter(s Setting, steps int) (single, double float64, report str
 
 	s2 := s
 	s2.Iterations = 2
-	pr2, err := NewProblem(s2)
-	if err != nil {
-		return 0, 0, "", err
-	}
+	pr2 := NewProblem(s2)
 	plan2, err := splitPlan(pr2)
 	if err != nil {
 		return 0, 0, "", err

@@ -105,10 +105,7 @@ func TestAblationCrossIter(t *testing.T) {
 }
 
 func TestRoleCandidatesNonEmpty(t *testing.T) {
-	pr, err := NewProblem(PaperSetting(1, model.LLaMA7B, model.LLaMA7B))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := NewProblem(PaperSetting(1, model.LLaMA7B, model.LLaMA7B))
 	for _, role := range []string{"actor", "critic", "ref", "reward"} {
 		if got := len(RoleCandidates(pr, role)); got == 0 {
 			t.Errorf("role %q has no shared candidates", role)
@@ -117,10 +114,7 @@ func TestRoleCandidatesNonEmpty(t *testing.T) {
 }
 
 func TestEnumerateAssignmentsLegal(t *testing.T) {
-	pr, err := NewProblem(PaperSetting(2, model.LLaMA7B, model.LLaMA7B))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := NewProblem(PaperSetting(2, model.LLaMA7B, model.LLaMA7B))
 	all := EnumerateAssignments(pr.Cluster)
 	if len(all) == 0 {
 		t.Fatal("no assignments enumerated")

@@ -46,10 +46,7 @@ func Fig11(combos [][2]model.Config, nodes, steps int) ([]Fig11Row, string, erro
 	var rows []Fig11Row
 	for i, combo := range combos {
 		s := PaperSetting(nodes, combo[0], combo[1])
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		heur, err := pr.HeuristicPlan()
 		if err != nil {
 			return nil, "", err

@@ -51,10 +51,7 @@ func Fig7(critic model.Config, gpuCounts []int, steps int) ([]Fig7Row, string, e
 			return nil, "", fmt.Errorf("experiments: no weak-scaling actor for %d GPUs", gpus)
 		}
 		s := PaperSetting(gpus/8, actor, critic)
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		// Baseline systems.
 		for _, sys := range baselines.All() {
 			plan, _, err := baselines.Evaluate(sys, pr.Est, pr.Cluster, pr.Graph, pr.Models)
@@ -129,10 +126,7 @@ func Fig8(combos [][2]model.Config, nodes int, ctxs []int, steps int) ([]Fig8Row
 	for _, combo := range combos {
 		for _, ctx := range ctxs {
 			s := PaperSetting(nodes, combo[0], combo[1]).WithContext(ctx)
-			pr, err := NewProblem(s)
-			if err != nil {
-				return nil, "", err
-			}
+			pr := NewProblem(s)
 			heur, err := pr.HeuristicPlan()
 			if err != nil {
 				return nil, "", err
@@ -181,10 +175,7 @@ type ProgressiveStage struct {
 // time after each step (paper Fig. 9; the same walk with percentage gains is
 // Fig. 2).
 func Fig9(s Setting, steps int, seed int64) ([]ProgressiveStage, string, error) {
-	pr, err := NewProblem(s)
-	if err != nil {
-		return nil, "", err
-	}
+	pr := NewProblem(s)
 	heur, err := pr.HeuristicPlan()
 	if err != nil {
 		return nil, "", err

@@ -3,8 +3,8 @@
 // heuristic comparisons across context lengths, progressive-optimization
 // breakdowns, kernel traces, GPU-time decompositions, estimator/profiler
 // studies, search ablations, beyond-PPO algorithms, and strong scaling.
-// DESIGN.md maps each experiment to its paper artifact; EXPERIMENTS.md
-// records paper-vs-measured outcomes.
+// cmd/realbench runs each of them by name; DESIGN.md describes the
+// subsystems they exercise.
 package experiments
 
 import (
@@ -16,41 +16,27 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 	"realhf/internal/runtime"
 	"realhf/internal/search"
 )
 
-// Setting is one experiment instance: a cluster scale, a model pair, and a
-// workload.
+// Setting is one PPO experiment instance: a cluster scale, a model pair, and
+// the workload of the Fig. 4 graph.
 type Setting struct {
-	Nodes       int
-	Actor       model.Config
-	Critic      model.Config
-	Batch       int
-	PromptLen   int
-	GenLen      int
-	MiniBatches int
-	Algo        string // "ppo" (default), "dpo", "grpo", "remax"
-	Iterations  int
+	Nodes  int
+	Actor  model.Config
+	Critic model.Config
+	dfg.Spec
 }
 
-// PaperSetting returns the paper's base configuration (Appendix A —
-// InstructGPT-style: batch 512, prompt 1024, generation 1024, 8 PPO
-// mini-batches) at the given scale. Weak-scaling settings scale the batch
-// with the device count (512 per 16 GPUs).
+// PaperSetting returns the paper's base configuration (dfg.PaperSpec,
+// Appendix A) at the given scale.
 func PaperSetting(nodes int, actor, critic model.Config) Setting {
-	batch := 512 * nodes / 2
-	if batch < 32 {
-		batch = 32
-	}
-	return Setting{
-		Nodes: nodes, Actor: actor, Critic: critic,
-		Batch: batch, PromptLen: 1024, GenLen: 1024,
-		MiniBatches: 8, Algo: "ppo", Iterations: 1,
-	}
+	s := Setting{Nodes: nodes, Actor: actor, Critic: critic}
+	s.Spec = dfg.PaperSpec(s.Cluster().NumGPUs())
+	return s
 }
 
 // WithContext rescales the setting to a different context length at a fixed
@@ -70,30 +56,8 @@ func (s Setting) WithContext(ctx int) Setting {
 // Cluster returns the hardware model at this setting's scale.
 func (s Setting) Cluster() hardware.Cluster { return hardware.DefaultCluster(s.Nodes) }
 
-// Graph builds the setting's dataflow graph.
-func (s Setting) Graph() (*dfg.Graph, error) {
-	algo := s.Algo
-	if algo == "" {
-		algo = "ppo"
-	}
-	iters := s.Iterations
-	if iters == 0 {
-		iters = 1
-	}
-	return dfg.Build(algo, dfg.Spec{
-		Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen,
-		MiniBatches: s.MiniBatches, Iterations: iters,
-	})
-}
-
-// Models returns the model cast for the setting's algorithm.
-func (s Setting) Models() (map[dfg.Role]core.ModelSpec, error) {
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	return core.ModelsFor(g, s.Actor, s.Critic), nil
-}
+// Graph builds the setting's PPO dataflow graph.
+func (s Setting) Graph() *dfg.Graph { return dfg.BuildPPO(s.Spec) }
 
 // Problem bundles everything needed to plan and run a setting.
 type Problem struct {
@@ -104,22 +68,18 @@ type Problem struct {
 	Est     *estimator.Estimator
 }
 
-// NewProblem materializes a setting with ground-truth (oracle) costers.
-func NewProblem(s Setting) (*Problem, error) {
-	hw := s.Cluster()
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	models := core.ModelsFor(g, s.Actor, s.Critic)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
+// NewProblem materializes a setting with the ground-truth (oracle)
+// estimator.
+func NewProblem(s Setting) *Problem {
+	return newProblem(s, s.Cluster(), core.PPOModels(s.Actor, s.Critic))
+}
+
+// newProblem materializes a setting on an explicit cluster and model cast.
+func newProblem(s Setting, hw hardware.Cluster, models map[dfg.Role]core.ModelSpec) *Problem {
 	return &Problem{
-		Setting: s, Cluster: hw, Graph: g, Models: models,
-		Est: estimator.New(hw, costers),
-	}, nil
+		Setting: s, Cluster: hw, Graph: s.Graph(), Models: models,
+		Est: estimator.NewOracle(hw, models, true),
+	}
 }
 
 // EmptyPlan returns an unassigned plan for the problem.

@@ -54,10 +54,7 @@ func Fig12(scales []int, steps int) ([]Fig12Point, string, error) {
 			actor = model.LLaMA7B
 		}
 		s := PaperSetting(nodes, actor, model.LLaMA7B)
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		// Estimator driven by profiled (noisy, interpolated) tables.
 		costers := map[dfg.Role]gpumodel.ModelCoster{}
 		for role, ms := range pr.Models {
@@ -182,10 +179,7 @@ func Fig13(steps int, ctxs []int) ([]ConvergenceCurve, string, error) {
 	for _, ctx := range ctxs {
 		for _, sc := range scales {
 			s := PaperSetting(sc.nodes, sc.actor, model.LLaMA7B).WithContext(ctx)
-			pr, err := NewProblem(s)
-			if err != nil {
-				return nil, "", err
-			}
+			pr := NewProblem(s)
 			_, st, err := pr.SearchPlan(steps, int64(ctx+sc.nodes))
 			if err != nil {
 				return nil, "", err
@@ -212,10 +206,7 @@ func Fig14(steps int, caps []int) ([]ConvergenceCurve, string, error) {
 		caps = []int{215, 464, 1000}
 	}
 	s := PaperSetting(128, model.LLaMA70B, model.LLaMA7B)
-	pr, err := NewProblem(s)
-	if err != nil {
-		return nil, "", err
-	}
+	pr := NewProblem(s)
 	heur, err := pr.HeuristicPlan()
 	if err != nil {
 		return nil, "", err
@@ -264,13 +255,12 @@ func Fig15(steps, topK int) ([]Fig15Result, string, error) {
 	for _, cfg := range settings {
 		s := Setting{
 			Nodes: 1, Actor: model.LLaMA7B, Critic: model.LLaMA7B,
-			Batch: cfg.batch, PromptLen: cfg.seqLen / 2, GenLen: cfg.seqLen / 2,
-			MiniBatches: 8, Algo: "ppo", Iterations: 1,
+			Spec: dfg.Spec{
+				Batch: cfg.batch, PromptLen: cfg.seqLen / 2, GenLen: cfg.seqLen / 2,
+				MiniBatches: 8, Iterations: 1,
+			},
 		}
-		pr, err := NewProblem(s)
-		if err != nil {
-			return nil, "", err
-		}
+		pr := NewProblem(s)
 		bf, _, err := search.Solve(context.Background(), "exhaustive", pr.SearchProblem(),
 			search.Options{MaxCandidatesPerCall: topK})
 		if err != nil {

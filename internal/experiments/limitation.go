@@ -32,10 +32,7 @@ type LimitationRow struct {
 // to re-planning at the realized length.
 func LimitationStudy(nodes, steps int, spreads []float64, seed int64) ([]LimitationRow, string, error) {
 	base := PaperSetting(nodes, model.LLaMA7B, model.LLaMA7B)
-	pr, err := NewProblem(base)
-	if err != nil {
-		return nil, "", err
-	}
+	pr := NewProblem(base)
 	res, _, err := pr.SearchPlan(steps, seed)
 	if err != nil {
 		return nil, "", err
@@ -69,10 +66,7 @@ func LimitationStudy(nodes, steps int, spreads []float64, seed int64) ([]Limitat
 			if realized.GenLen < 64 {
 				realized.GenLen = 64
 			}
-			prReal, err := NewProblem(realized)
-			if err != nil {
-				return nil, "", err
-			}
+			prReal := NewProblem(realized)
 			// Execute the stale plan (searched under the mean length) on
 			// the realized workload: same assignments, new graph.
 			stale := prReal.EmptyPlan()

@@ -32,10 +32,7 @@ func Fig17(actors []model.Config, nodeCounts []int, steps int) ([]Fig17Row, stri
 		for _, nodes := range nodeCounts {
 			s := PaperSetting(nodes, actor, model.LLaMA7B)
 			s.Batch = 512 // strong scaling: fixed problem size
-			pr, err := NewProblem(s)
-			if err != nil {
-				return nil, "", err
-			}
+			pr := NewProblem(s)
 			res, _, err := pr.SearchPlan(steps, int64(nodes*1000))
 			if err != nil {
 				return nil, "", err

@@ -67,10 +67,7 @@ type BreakdownCase struct {
 
 // RunBreakdownCase searches and measures one Table 6 column.
 func RunBreakdownCase(name string, s Setting, steps int, seed int64) (*BreakdownCase, error) {
-	pr, err := NewProblem(s)
-	if err != nil {
-		return nil, err
-	}
+	pr := NewProblem(s)
 	res, _, err := pr.SearchPlan(steps, seed)
 	if err != nil {
 		return nil, err

@@ -195,15 +195,10 @@ func (c Comm) Broadcast(bytes int64, crossNode bool) float64 {
 	return float64(bytes)/c.HW.Bandwidth(crossNode) + c.HW.Latency(crossNode)
 }
 
-// Offload is a host<->device copy over PCIe.
-func (c Comm) Offload(bytes int64) float64 {
-	return float64(bytes) / c.HW.Net.PCIeBandwidth
-}
-
-// OffloadTransfer is the host<->device lane cost of one offload/reload node:
-// the PCIe bandwidth term of Offload plus the fixed per-transfer setup
-// latency. The estimator and the runtime master share this formula so
-// planned and executed offload timelines agree bit for bit.
+// OffloadTransfer is the host<->device cost of one offload or reload over
+// PCIe: the bytes over the PCIe bandwidth plus a fixed per-transfer setup
+// latency. The estimator prices offload nodes and the search prices an
+// offloaded call's reload with it.
 func (c Comm) OffloadTransfer(bytes int64) float64 {
 	return float64(bytes)/c.HW.Net.PCIeBandwidth + c.HW.Net.PCIeLatency
 }

@@ -103,8 +103,8 @@ func TestP2PAndBroadcast(t *testing.T) {
 	if c.Broadcast(0, false) <= 0 {
 		t.Error("broadcast has a latency floor")
 	}
-	if c.Offload(1<<30) <= 0 {
-		t.Error("offload must take time")
+	if c.OffloadTransfer(1<<30) <= c.OffloadTransfer(0) {
+		t.Error("offload must take time beyond its setup latency")
 	}
 }
 

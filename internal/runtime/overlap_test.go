@@ -11,7 +11,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -158,11 +157,7 @@ func TestOverlapDeterministicOverTCP(t *testing.T) {
 func TestOverlapConsistentWithEstimator(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		p := reallocHeavyPlan(t, 1)
-		costers := map[dfg.Role]gpumodel.ModelCoster{}
-		for role, ms := range p.Models {
-			costers[role] = gpumodel.NewOracle(p.Cluster, ms.Cfg)
-		}
-		e := estimator.New(p.Cluster, costers)
+		e := estimator.NewOracle(p.Cluster, p.Models, true)
 		e.OverlapComm = overlap
 		est, err := e.Evaluate(p)
 		if err != nil {

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"realhf/internal/core"
-	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 )
 
 // Options configures a run.
@@ -68,8 +66,6 @@ type Report struct {
 	// CallTimes maps call names to their iteration-0 virtual durations
 	// (Table 6 rows).
 	CallTimes map[string]float64
-	// CallBreakdowns carries the kernel-category split per call (Fig. 11).
-	CallBreakdowns map[string]gpumodel.Breakdown
 	// CommTimeV totals parameter reallocation + data transfer + offload
 	// time across the run (independent of whether it was overlapped).
 	CommTimeV float64
@@ -130,8 +126,6 @@ type nodeWork struct {
 	alloc int64
 	// dur, startV and endV are the node's span in the estimator's timeline.
 	dur, startV, endV float64
-	// breakdown is set for iteration-0 call nodes.
-	breakdown gpumodel.Breakdown
 }
 
 // Compile validates the plan and fixes its execution: every node, its
@@ -143,13 +137,7 @@ type nodeWork struct {
 // estimator's profiled tables and calibration. Of opts, only UseCUDAGraph
 // and OverlapComm shape a compile; the rest matter to an execution.
 func Compile(p *core.Plan, opts Options) (*Program, error) {
-	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(p.Models))
-	for role, ms := range p.Models {
-		o := gpumodel.NewOracle(p.Cluster, ms.Cfg)
-		o.UseCUDAGraph = opts.UseCUDAGraph
-		costers[role] = o
-	}
-	est := estimator.New(p.Cluster, costers)
+	est := estimator.NewOracle(p.Cluster, p.Models, opts.UseCUDAGraph)
 	est.OverlapComm = opts.OverlapComm
 	res, err := est.Evaluate(p)
 	if err != nil {
@@ -187,11 +175,6 @@ func Compile(p *core.Plan, opts Options) (*Program, error) {
 				prog.callsPerIter = append(prog.callsPerIter, 0)
 			}
 			prog.callsPerIter[nd.Call.Iter]++
-			if nd.Call.Iter == 0 {
-				if w.breakdown, err = est.CallBreakdown(p, nd.Call); err != nil {
-					return nil, err
-				}
-			}
 		}
 		prog.works[nd.ID] = w
 		prog.order[i] = nd.ID
@@ -277,9 +260,8 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 	works := prog.works
 	total := len(works)
 	report := &Report{
-		OverlapComm:    prog.overlap,
-		CallTimes:      map[string]float64{},
-		CallBreakdowns: map[string]gpumodel.Breakdown{},
+		OverlapComm: prog.overlap,
+		CallTimes:   map[string]float64{},
 	}
 	state := make([]nodeRun, total)
 	for id := range works {
@@ -356,7 +338,6 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 				donePerIter[n.Call.Iter]++
 				if n.Call.Iter == 0 {
 					report.CallTimes[n.Call.Name] = w.dur
-					report.CallBreakdowns[n.Call.Name] = w.breakdown
 				}
 			default:
 				report.CommTimeV += w.dur

@@ -8,7 +8,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -59,11 +58,7 @@ func TestRunMatchesEstimatorClosely(t *testing.T) {
 	// the runtime executes the estimator's own timeline and the two agree
 	// exactly — no dispatch overhead or other runtime-only cost exists.
 	p := ppoPlan(t, 2, 1, model.LLaMA7B, model.LLaMA7B)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(p.Cluster, ms.Cfg)
-	}
-	e := estimator.New(p.Cluster, costers)
+	e := estimator.NewOracle(p.Cluster, p.Models, true)
 	est, err := e.Evaluate(p)
 	if err != nil {
 		t.Fatal(err)

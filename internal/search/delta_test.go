@@ -150,7 +150,7 @@ func TestDeltaCostingDirectFallback(t *testing.T) {
 }
 
 // TestDeltaCostingConcurrentSharedCache runs several sessions on concurrent
-// goroutines against one shared CostCache — the parallel-mcmc topology —
+// goroutines against one shared CostCache — the multi-chain mcmc topology —
 // each verifying the differential property on its own mutation walk. Run
 // under -race this checks the session/cache concurrency contract: sessions
 // are chain-local, the cache underneath is shared. Each session runs under

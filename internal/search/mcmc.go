@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -16,8 +15,8 @@ import (
 
 // seedStride derives per-chain RNG seeds from Options.Seed: chain i runs on
 // Seed + i·seedStride (a large odd constant, so chains never share streams),
-// and chain 0 uses Options.Seed verbatim — a one-chain parallel run is
-// therefore bit-identical to the sequential walker.
+// and chain 0 uses Options.Seed verbatim — a one-chain run is therefore the
+// sequential walk.
 const seedStride uint64 = 0x9E3779B97F4A7C15
 
 // progressEvery is the step interval between periodic trace points.
@@ -97,8 +96,8 @@ func (c *chainState) record(pt ProgressPoint) {
 }
 
 // run advances the chain until its per-chain budget (opt.MaxSteps or
-// opt.TimeLimit, matching the sequential walker's termination rule), the
-// round boundary `until` (0 = none), or ctx cancellation. The proposal loop
+// opt.TimeLimit), the round boundary `until` (0 = none), or ctx
+// cancellation. The proposal loop
 // and RNG consumption order replicate the pre-Solver engine exactly — one
 // Intn per call pick, one per candidate pick, one Float64 only when the
 // Metropolis test is reached — so a fixed seed reproduces its plan bit for
@@ -229,34 +228,18 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 	return cur, curPC, nil
 }
 
-// mcmcSolver is the sequential single-chain Metropolis–Hastings walker —
-// the paper's §5.2 search engine.
+// mcmcSolver is the Metropolis–Hastings walker of §5.2. It runs
+// max(1, Options.Chains) chains, concurrently when there are several, with
+// periodic best-plan exchange at deterministic step boundaries, all sharing
+// one memoized cost cache. Chain 0 walks from Options.Seed, so a one-chain
+// run is the sequential walk. The reduction is deterministic: lowest best
+// cost wins, ties broken by chain index.
 type mcmcSolver struct{}
 
 func (mcmcSolver) Name() string { return "mcmc" }
 
 func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
-	return solveMCMC(ctx, prob, opt, 1)
-}
-
-// parallelMCMCSolver runs K independent chains across goroutines with
-// periodic best-plan exchange at deterministic step boundaries, all sharing
-// one memoized cost cache. The reduction is deterministic: lowest best cost
-// wins, ties broken by chain index.
-type parallelMCMCSolver struct{}
-
-func (parallelMCMCSolver) Name() string { return "parallel-mcmc" }
-
-func (parallelMCMCSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
-	k := opt.Chains
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return solveMCMC(ctx, prob, opt, k)
-}
-
-// solveMCMC is the shared engine behind both MCMC solvers.
-func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solution, Stats, error) {
+	chains := max(1, opt.Chains)
 	opt = opt.withDefaults()
 	start := time.Now() //lint:realvet wallclock -- anchors the TimeLimit budget and Elapsed trace, never plan content
 	e, p := prob.estimator(), prob.Plan

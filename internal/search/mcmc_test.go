@@ -101,7 +101,7 @@ func TestParallelSolveRecoversFromOOMSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	oom, _ := oomSeedPlan(t, prob, sp)
-	sol, st, err := parallelMCMCSolver{}.Solve(context.Background(), prob, Options{
+	sol, st, err := mcmcSolver{}.Solve(context.Background(), prob, Options{
 		Seed: 6, MaxSteps: 400, Chains: 3, ExchangeEvery: 32, InitialPlan: oom,
 	})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestMergeTracesStableTieBreak(t *testing.T) {
 // terminate cleanly at a barrier, with consistent counters.
 func TestTimeBoundedParallelSolveCrossesBarriers(t *testing.T) {
 	prob := testProblem(t, 1, 64)
-	sol, st, err := parallelMCMCSolver{}.Solve(context.Background(), prob, Options{
+	sol, st, err := mcmcSolver{}.Solve(context.Background(), prob, Options{
 		TimeLimit: 300 * time.Millisecond, Chains: 4, ExchangeEvery: 16, Seed: 3,
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestParallelCancellationMidBarrier(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := Solve(ctx, "parallel-mcmc", prob, Options{
+	_, _, err := Solve(ctx, "mcmc", prob, Options{
 		TimeLimit: 30 * time.Second, Chains: 4, ExchangeEvery: 8, Seed: 2,
 	})
 	if !errors.Is(err, context.Canceled) {

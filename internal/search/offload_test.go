@@ -7,7 +7,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 )
@@ -30,11 +29,7 @@ func offloadProblem(t *testing.T, batch, prompt, gen int) (*core.Plan, *estimato
 	rw.Cfg = model.LLaMA34B
 	models[dfg.Reward] = rw
 	p := core.NewPlan(cluster, g, models)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, estimator.New(cluster, costers)
+	return p, estimator.NewOracle(cluster, p.Models, true)
 }
 
 func TestCandidatesEmitOffloadVariants(t *testing.T) {
@@ -175,22 +170,18 @@ func TestOffloadSearchFindsFeasiblePlan(t *testing.T) {
 func TestOffloadSearchDeterministic(t *testing.T) {
 	p, e := offloadProblem(t, 64, 256, 256)
 	prob := Problem{Est: e, Plan: p}
-	for _, name := range []string{"mcmc", "parallel-mcmc"} {
-		solver, err := New(name)
+	for _, chains := range []int{1, 2} {
+		opt := Options{Seed: 7, MaxSteps: 200, Chains: chains, OffloadSearch: true}
+		a, _, err := mcmcSolver{}.Solve(context.Background(), prob, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := Options{Seed: 7, MaxSteps: 200, Chains: 2, OffloadSearch: true}
-		a, _, err := solver.Solve(context.Background(), prob, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := solver.Solve(context.Background(), prob, opt)
+		b, _, err := mcmcSolver{}.Solve(context.Background(), prob, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Plan.Fingerprint() != b.Plan.Fingerprint() {
-			t.Errorf("%s: offload-aware solve not deterministic", name)
+			t.Errorf("%d chains: offload-aware solve not deterministic", chains)
 		}
 	}
 }

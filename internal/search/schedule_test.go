@@ -9,7 +9,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 	"realhf/internal/runtime"
@@ -43,11 +42,7 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	for _, iters := range []int{1, 2} {
 		g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: iters})
 		p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
-		costers := map[dfg.Role]gpumodel.ModelCoster{}
-		for role, ms := range p.Models {
-			costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-		}
-		e := estimator.New(cluster, costers)
+		e := estimator.NewOracle(cluster, p.Models, true)
 		sets, _, err := candidateSets(p, PruneNone, true)
 		if err != nil {
 			t.Fatal(err)

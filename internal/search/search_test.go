@@ -8,7 +8,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -20,11 +19,7 @@ func newProblem(t *testing.T, nodes int, actor, critic model.Config, batch, prom
 	cluster := hardware.DefaultCluster(nodes)
 	g := dfg.BuildPPO(dfg.Spec{Batch: batch, PromptLen: prompt, GenLen: gen, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(actor, critic))
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, estimator.New(cluster, costers)
+	return p, estimator.NewOracle(cluster, p.Models, true)
 }
 
 // greedySeed builds the greedy seed plan over the unpruned candidate space.

@@ -1,7 +1,7 @@
 // Package search implements the paper's execution-plan search (§5.2) behind
-// a pluggable Solver interface: a greedy per-call seeder, a sequential
-// Metropolis–Hastings MCMC walker, a parallel multi-chain MCMC solver with
-// periodic best-plan exchange, and a bounded exhaustive search used as the
+// a pluggable Solver interface: a greedy per-call seeder, a
+// Metropolis–Hastings MCMC walker (one chain, or several with periodic
+// best-plan exchange), and a bounded exhaustive search used as the
 // optimality reference of Fig. 15. All solvers share a concurrency-safe
 // memoized cost cache keyed by canonical plan fingerprints, so no
 // (mesh, strategy, call) cost is estimated twice across chains.
@@ -70,25 +70,25 @@ type ChainStats struct {
 
 // Stats aggregates solver-side counters: step/acceptance totals, the
 // convergence trace, the pruned-space size, cache effectiveness, and
-// per-chain breakdowns for multi-chain solvers.
+// per-chain MCMC breakdowns.
 type Stats struct {
-	// Steps counts solver steps. For the MCMC solvers it is the number of
+	// Steps counts solver steps. For MCMC it is the number of
 	// proposals attempted, summed over chains — including proposals whose
 	// evaluation failed — and always equals the sum of ChainStats.Proposed.
 	// For the exhaustive solver it is the number of plans evaluated.
 	Steps int
 	// Accepted counts accepted Metropolis moves (summed over chains).
 	Accepted int
-	// Trace samples best-cost-so-far over search time. For multi-chain
-	// solvers it is the merged global-best curve.
+	// Trace samples best-cost-so-far over search time. For a multi-chain
+	// solve it is the merged global-best curve.
 	Trace []ProgressPoint
 	// SpaceLog10 is the log₁₀ size of the pruned joint candidate space.
 	SpaceLog10 float64
 	// CacheHits and CacheMisses count plan-level cost-cache lookups made
 	// during this solve.
 	CacheHits, CacheMisses int64
-	// Chains carries per-chain counters for multi-chain solvers (one entry
-	// for single-chain MCMC).
+	// Chains carries per-chain MCMC counters (one entry for a single
+	// chain; empty for the other solvers).
 	Chains []ChainStats
 }
 
@@ -133,9 +133,9 @@ type Options struct {
 	// MaxSteps bounds MCMC steps per chain (0 = unbounded; the time limit
 	// governs).
 	MaxSteps int
-	// Seed makes the chain deterministic. Multi-chain solvers derive each
-	// chain's seed from it (chain 0 uses it verbatim, so a one-chain run
-	// reproduces the sequential walker exactly).
+	// Seed makes the search deterministic. A multi-chain MCMC solve derives
+	// each chain's seed from it (chain 0 uses it verbatim, so a one-chain
+	// run is the sequential walk).
 	Seed int64
 	// Prune selects the candidate-space pruning level.
 	Prune PruneLevel
@@ -147,11 +147,11 @@ type Options struct {
 	MaxCandidatesPerCall int
 	// Progress, when non-nil, streams every recorded ProgressPoint (samples
 	// every progressEvery steps and best-cost improvements) while the search
-	// runs — the hook
-	// behind the public API's WithProgress option. Multi-chain solvers
-	// serialize invocations, so the callback needs no locking of its own,
-	// but it runs on the search's critical path and must be fast. Callback
-	// order across chains is scheduling-dependent; the chosen plan is not.
+	// runs — the hook behind the public API's WithProgress option. A
+	// multi-chain solve serializes invocations, so the callback needs no
+	// locking of its own, but it runs on the search's critical path and
+	// must be fast. Callback order across chains is scheduling-dependent;
+	// the chosen plan is not.
 	Progress func(ProgressPoint)
 	// InitialPlan seeds the chain instead of the greedy plan. It must be
 	// fully assigned.
@@ -165,13 +165,13 @@ type Options struct {
 	// all other assignments stay frozen at the initial plan. Used by the
 	// progressive-optimization breakdowns (paper Figs. 2 and 9).
 	RestrictCalls []string
-	// Chains is the number of parallel MCMC chains for the parallel-mcmc
-	// solver: 0 means GOMAXPROCS-many, 1 runs a single chain (bit-identical
-	// to the sequential walker), and the sequential solvers ignore it.
+	// Chains is the number of MCMC chains: 0 and 1 both run the single
+	// sequential chain, and the other solvers ignore it.
 	Chains int
 	// ExchangeEvery is the per-chain step interval between best-plan
-	// exchanges in the parallel solver (default 256). Exchanges happen at
-	// deterministic step boundaries so multi-chain runs stay reproducible.
+	// exchanges of a multi-chain MCMC solve (default 256). Exchanges happen
+	// at deterministic step boundaries so multi-chain runs stay
+	// reproducible.
 	ExchangeEvery int
 	// Cache optionally shares a cost cache across solver invocations (e.g.
 	// re-planning the same problem with different solvers). When nil each
@@ -212,10 +212,9 @@ type ProgressPoint struct {
 // solvers is the fixed registry table. It is never written, so concurrent
 // solves may resolve solvers without locking.
 var solvers = map[string]Solver{
-	"greedy":        greedySolver{},
-	"mcmc":          mcmcSolver{},
-	"parallel-mcmc": parallelMCMCSolver{},
-	"exhaustive":    exhaustiveSolver{},
+	"greedy":     greedySolver{},
+	"mcmc":       mcmcSolver{},
+	"exhaustive": exhaustiveSolver{},
 }
 
 // New resolves a registered solver by name.

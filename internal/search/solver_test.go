@@ -21,7 +21,7 @@ func testProblem(t *testing.T, nodes, batch int) Problem {
 }
 
 func TestRegistryResolvesAllSolvers(t *testing.T) {
-	want := []string{"exhaustive", "greedy", "mcmc", "parallel-mcmc"}
+	want := []string{"exhaustive", "greedy", "mcmc"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -46,19 +46,19 @@ func TestRegistryResolvesAllSolvers(t *testing.T) {
 }
 
 // TestSolverDeterminism: same Options.Seed ⇒ byte-identical chosen plan for
-// every registered solver, including parallel-mcmc at Chains > 1.
+// every registered solver, including mcmc at Chains > 1.
 func TestSolverDeterminism(t *testing.T) {
 	cases := []struct {
-		solver string
-		opt    Options
+		name, solver string
+		opt          Options
 	}{
-		{"greedy", Options{Seed: 9}},
-		{"mcmc", Options{Seed: 9, MaxSteps: 400}},
-		{"exhaustive", Options{Seed: 9, MaxCandidatesPerCall: 3}},
-		{"parallel-mcmc", Options{Seed: 9, MaxSteps: 300, Chains: 4, ExchangeEvery: 64}},
+		{"greedy", "greedy", Options{Seed: 9}},
+		{"mcmc", "mcmc", Options{Seed: 9, MaxSteps: 400}},
+		{"exhaustive", "exhaustive", Options{Seed: 9, MaxCandidatesPerCall: 3}},
+		{"mcmc-4-chains", "mcmc", Options{Seed: 9, MaxSteps: 300, Chains: 4, ExchangeEvery: 64}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.solver, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			prob := testProblem(t, 1, 128)
 			s, err := New(tc.solver)
 			if err != nil {
@@ -79,35 +79,6 @@ func TestSolverDeterminism(t *testing.T) {
 				t.Errorf("plan not byte-identical across runs:\n  %s\n  %s", a, b)
 			}
 		})
-	}
-}
-
-// TestParallelOneChainMatchesSequential: the parallel solver at Chains=1 must
-// reproduce the sequential walker bit for bit (same seed, same plan, same
-// counters).
-func TestParallelOneChainMatchesSequential(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		prob := testProblem(t, 2, 256)
-		opt := Options{Seed: seed, MaxSteps: 500}
-		seq, seqSt, err := mcmcSolver{}.Solve(context.Background(), prob, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Chains = 1
-		par, parSt, err := parallelMCMCSolver{}.Solve(context.Background(), prob, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Cost != par.Cost {
-			t.Errorf("seed %d: cost %v (sequential) != %v (1-chain parallel)", seed, seq.Cost, par.Cost)
-		}
-		if a, b := seq.Plan.Fingerprint(), par.Plan.Fingerprint(); a != b {
-			t.Errorf("seed %d: plans differ:\n  %s\n  %s", seed, a, b)
-		}
-		if seqSt.Steps != parSt.Steps || seqSt.Accepted != parSt.Accepted {
-			t.Errorf("seed %d: counters differ: steps %d/%d accepted %d/%d",
-				seed, seqSt.Steps, parSt.Steps, seqSt.Accepted, parSt.Accepted)
-		}
 	}
 }
 
@@ -141,7 +112,7 @@ func TestParallelChainsNotWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, st, err := parallelMCMCSolver{}.Solve(context.Background(), prob,
+		par, st, err := mcmcSolver{}.Solve(context.Background(), prob,
 			Options{Seed: seed, MaxSteps: 400, Chains: 4, ExchangeEvery: 100})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +133,7 @@ func TestParallelChainsNotWorse(t *testing.T) {
 // winning chain's best cost matches the solution.
 func TestParallelStatsConsistency(t *testing.T) {
 	prob := testProblem(t, 1, 128)
-	sol, st, err := parallelMCMCSolver{}.Solve(context.Background(), prob,
+	sol, st, err := mcmcSolver{}.Solve(context.Background(), prob,
 		Options{Seed: 5, MaxSteps: 300, Chains: 3, ExchangeEvery: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +176,7 @@ func TestParallelStatsConsistency(t *testing.T) {
 // cache, and the hit rate must be visible in Stats.
 func TestCostCacheHitsAcrossChains(t *testing.T) {
 	prob := testProblem(t, 1, 128)
-	_, st, err := parallelMCMCSolver{}.Solve(context.Background(), prob,
+	_, st, err := mcmcSolver{}.Solve(context.Background(), prob,
 		Options{Seed: 2, MaxSteps: 500, Chains: 4, ExchangeEvery: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +329,7 @@ func TestCachedResultTimelineStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := Solve(context.Background(), "parallel-mcmc", prob,
+	if _, _, err := Solve(context.Background(), "mcmc", prob,
 		Options{MaxSteps: 200, Seed: 3, Chains: 2, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +345,13 @@ func TestSolveCancellation(t *testing.T) {
 	prob := testProblem(t, 1, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, solver := range []string{"mcmc", "parallel-mcmc", "greedy"} {
-		_, _, err := Solve(ctx, solver, prob, Options{Seed: 1, MaxSteps: 100000, Chains: 2})
+	for _, tc := range []struct {
+		solver string
+		chains int
+	}{{"mcmc", 1}, {"mcmc", 2}, {"greedy", 0}} {
+		_, _, err := Solve(ctx, tc.solver, prob, Options{Seed: 1, MaxSteps: 100000, Chains: tc.chains})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled %s solve returned %v, want context.Canceled", solver, err)
+			t.Errorf("cancelled %s solve (%d chains) returned %v, want context.Canceled", tc.solver, tc.chains, err)
 		}
 	}
 	// The exhaustive solver must refuse to pass off a partial sweep as the

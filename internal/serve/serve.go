@@ -261,12 +261,9 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest) (*PlanResponse, int
 		cfg.RPCs = rpcs
 	}
 	for name, f := range req.Calibration {
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		if err := estimator.CheckFactor(name, f); err != nil {
 			s.invalid.Add(1)
-			return nil, http.StatusBadRequest, &ErrorResponse{
-				Code:  CodeInvalidConfig,
-				Error: fmt.Sprintf("calibration factor %q = %v must be a positive finite multiplier", name, f),
-			}
+			return nil, http.StatusBadRequest, &ErrorResponse{Code: CodeInvalidConfig, Error: err.Error()}
 		}
 	}
 	cfg = s.planner.Canonicalize(cfg)

@@ -384,9 +384,18 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 	if _, err := client.Do(ctx, &PlanRequest{Algo: "alignprop"}); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
 		t.Errorf("unknown algo: %v, want 400 wrapping ErrInvalidConfig", err)
 	}
-	// Non-positive calibration factor.
-	if _, err := client.Plan(ctx, testConfig(6, 200), map[string]float64{"actor/GENERATE": -1}); !errors.Is(err, realhf.ErrInvalidConfig) {
-		t.Errorf("negative calibration factor: %v, want ErrInvalidConfig", err)
+	// Non-positive calibration factors.
+	for _, f := range []float64{0, -1} {
+		if _, err := client.Plan(ctx, testConfig(6, 200), map[string]float64{"actor/GENERATE": f}); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
+			t.Errorf("calibration factor %v: %v, want 400 wrapping ErrInvalidConfig", f, err)
+		}
+	}
+	// A solver name that is not registered (multi-chain search is mcmc
+	// with search_parallelism, not a solver of its own).
+	unknown := testConfig(6, 200)
+	unknown.Solver = "parallel-mcmc"
+	if _, err := client.Plan(ctx, unknown, nil); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
+		t.Errorf("unregistered solver: %v, want 400 wrapping ErrInvalidConfig", err)
 	}
 
 	// A 70B cast on one node has no memory-feasible plan: 422.

@@ -9,7 +9,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 	"realhf/internal/parallel"
@@ -68,11 +67,7 @@ func TestPlanFractionsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	e := estimator.New(hw, costers)
+	e := estimator.NewOracle(hw, models, true)
 	res, err := e.Evaluate(p)
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +95,7 @@ func TestReaLReducesOverheadFractions(t *testing.T) {
 	hw := hardware.DefaultCluster(2)
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	e := estimator.New(hw, costers)
+	e := estimator.NewOracle(hw, models, true)
 
 	heur, err := baselines.BuildHeuristic(hw, g, models)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/search"
 )
@@ -123,9 +121,8 @@ func (o *autoOptions) validate() error {
 		}
 	}
 	for name, f := range o.calibFactors {
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("realhf: calibration factor %q = %v: %w (must be a positive finite multiplier)",
-				name, f, ErrInvalidConfig)
+		if err := estimator.CheckFactor(name, f); err != nil {
+			return fmt.Errorf("realhf: %w: %w", err, ErrInvalidConfig)
 		}
 	}
 	return nil
@@ -154,8 +151,8 @@ func withCalibration(c *estimator.Calibration) AutoOption {
 }
 
 // WithProgress streams the search's convergence (periodic samples and every
-// best-cost improvement) to fn while Plan runs. Multi-chain solvers
-// serialize invocations; fn runs on the search's critical path and must be
+// best-cost improvement) to fn while Plan runs. A multi-chain search
+// serializes invocations; fn runs on the search's critical path and must be
 // fast. Plan-cache hits skip the search and emit no points.
 func WithProgress(fn func(search.ProgressPoint)) AutoOption {
 	return func(o *autoOptions) { o.progress = fn }
@@ -556,11 +553,7 @@ func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration)
 	if v, ok := p.problems.get(key); ok {
 		return v.(*problemState), hw, g, models, nil
 	}
-	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(models))
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	est := estimator.New(hw, costers)
+	est := estimator.NewOracle(hw, models, true)
 	// The problem's cost semantics follow the config: with PlanForOverlap
 	// set, every estimate this problem produces (search, Heuristic,
 	// LoadExperiment) simulates the overlapped engine. problemKey encodes

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"realhf/internal/dfg"
 	"realhf/internal/search"
 )
 
@@ -291,14 +294,14 @@ func TestPlannerOptions(t *testing.T) {
 		t.Error("unknown solver must fail")
 	}
 
-	// SearchParallelism upgrades the default solver to parallel-mcmc.
+	// SearchParallelism sets the default solver's chain count.
 	parCfg := cfg
 	parCfg.SearchParallelism = 2
 	par, err := p.Plan(context.Background(), parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Config.Solver != "parallel-mcmc" || len(par.SearchStats.Chains) != 2 {
+	if par.Config.Solver != "mcmc" || len(par.SearchStats.Chains) != 2 {
 		t.Errorf("SearchParallelism 2: solver=%q chains=%d",
 			par.Config.Solver, len(par.SearchStats.Chains))
 	}
@@ -411,14 +414,16 @@ func TestAlgoPresets(t *testing.T) {
 		if !models["actor"].Trainable {
 			t.Errorf("%s: actor must be trainable", tc.algo)
 		}
+		cfg.Iterations = 3
+		if g3, _, err := buildGraph(cfg.withDefaults()); err != nil || len(g3.Nodes) != 3*tc.calls {
+			t.Errorf("%s over 3 iterations: err %v, want %d calls", tc.algo, err, 3*tc.calls)
+		}
 	}
 	if _, err := AlgoRPCs("rlaif", "llama7b", "llama7b-critic"); err == nil {
 		t.Error("unknown algorithm must fail")
 	}
 
-	// Workload shaping: GRPO's calls see the grouped batch, DPO's the
-	// doubled pair batch, and DPO/ReMax train full-batch.
-	check := func(algo string, wantBatch, wantTrainMB int) {
+	graphOf := func(algo string) *dfg.Graph {
 		t.Helper()
 		rpcs, err := AlgoRPCs(algo, "llama7b", "llama7b-critic")
 		if err != nil {
@@ -430,7 +435,14 @@ func TestAlgoPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range g.Nodes {
+		return g
+	}
+
+	// Workload shaping: GRPO's calls see the grouped batch, DPO's the
+	// doubled pair batch, and DPO/ReMax train full-batch.
+	check := func(algo string, wantBatch, wantTrainMB int) {
+		t.Helper()
+		for _, n := range graphOf(algo).Nodes {
 			if n.Work.Batch != wantBatch {
 				t.Errorf("%s call %s batch=%d, want %d", algo, n.Name, n.Work.Batch, wantBatch)
 			}
@@ -572,8 +584,8 @@ func TestPlannerTimeBoundedBypassesCache(t *testing.T) {
 	if a.Cached || b.Cached {
 		t.Error("time-bounded searches must not be replayed from the plan cache")
 	}
-	// The bypass also covers the multi-chain engine: every time-bounded
-	// parallel request runs a fresh solve (its exchange barriers terminate
+	// The bypass also covers multi-chain solves: every time-bounded
+	// multi-chain request runs a fresh solve (its exchange barriers terminate
 	// on the clock, so results are nondeterministic and must not be
 	// replayed).
 	cfg.SearchParallelism = 3
@@ -583,7 +595,7 @@ func TestPlannerTimeBoundedBypassesCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		if exp.Cached {
-			t.Error("time-bounded parallel-mcmc request hit the plan cache")
+			t.Error("time-bounded multi-chain request hit the plan cache")
 		}
 		if got := len(exp.SearchStats.Chains); got != 3 {
 			t.Errorf("want 3 chains of stats, got %d", got)
@@ -678,4 +690,73 @@ func ExamplePlanner() {
 	fmt.Println("second request cached:", second.Cached,
 		"identical:", first.Plan.Fingerprint() == second.Plan.Fingerprint())
 	// Output: second request cached: true identical: true
+}
+
+// TestPlanIndependentOfGOMAXPROCS: the config fingerprint is the plan-cache
+// and coalescing key, so it must fix the plan on every host. With
+// SearchParallelism 0 every registered solver plans the 2-node 7B PPO
+// preset with at most one chain, to the same plan under GOMAXPROCS 1 and 4.
+func TestPlanIndependentOfGOMAXPROCS(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	cfg, err := PaperExperiment("ppo", "llama7b", "llama7b-critic", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SearchSteps, cfg.Seed = 600, 1
+	for _, solver := range search.Names() {
+		cfg.Solver = solver
+		var fps []string
+		for _, procs := range []int{1, 4} {
+			goruntime.GOMAXPROCS(procs)
+			exp, err := NewPlanner(ClusterConfig{}).Plan(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s under GOMAXPROCS %d: %v", solver, procs, err)
+			}
+			if n := len(exp.SearchStats.Chains); n > 1 {
+				t.Errorf("%s under GOMAXPROCS %d ran %d chains, want at most 1", solver, procs, n)
+			}
+			fps = append(fps, exp.Plan.Fingerprint())
+		}
+		if fps[0] != fps[1] {
+			t.Errorf("%s: one config fingerprint, two plans under GOMAXPROCS 1 and 4:\n  %s\n  %s", solver, fps[0], fps[1])
+		}
+	}
+}
+
+// TestCalibrationFactorCheck: every entry point that takes calibration
+// factors rejects the same values with ErrInvalidConfig — a request's
+// WithCalibrationFactors and a resumed checkpoint's calibration alike.
+func TestCalibrationFactorCheck(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlanner(ClusterConfig{})
+	cfg := trainerConfig()
+	tr, err := p.Train(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.mu.Lock()
+	state, err := tr.checkpointLocked()
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := p.Plan(ctx, cfg, WithCalibrationFactors(map[string]float64{"ActorGen": f})); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("factor %v: Plan returned %v, want ErrInvalidConfig", f, err)
+		}
+		bad := *state
+		bad.Calibration = map[string]float64{"ActorGen": f}
+		if rt, err := p.resumeTrain(ctx, &bad, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("factor %v: resume returned %v, want ErrInvalidConfig", f, err)
+			if rt != nil {
+				rt.Close()
+			}
+		}
+	}
+	rt, err := p.resumeTrain(ctx, state, cfg)
+	if err != nil {
+		t.Fatalf("resuming the untouched checkpoint: %v", err)
+	}
+	rt.Close()
 }

@@ -96,10 +96,7 @@ func reusePools(t *testing.T, plan *core.Plan) (map[string]*realruntime.WorkerPo
 // over both transports and both stream semantics. Compiling once is only an
 // optimization if re-executing the program leaks nothing between runs.
 func TestProgramReuseMatchesFreshRun(t *testing.T) {
-	pr, err := experiments.NewProblem(experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := experiments.NewProblem(experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B))
 	heuristic, err := baselines.BuildHeuristic(pr.Cluster, pr.Graph, pr.Models)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ type ModelFunctionCallDef struct {
 	// BatchScale multiplies the experiment's BatchSize for this call
 	// (0 or 1 means unscaled). The algorithm presets use it where a
 	// workflow inflates the sequence count per prompt: GRPO's grouped
-	// generation processes BatchSize×GroupSize sequences, and DPO's calls
+	// generation processes BatchSize×GRPOGroupSize sequences, and DPO's calls
 	// see both the chosen and rejected sequence of every preference pair.
 	BatchScale int `json:"batch_scale,omitempty"`
 	// MiniBatches overrides ExperimentConfig.MiniBatches for this TrainStep
@@ -115,28 +115,24 @@ type ExperimentConfig struct {
 	// RPCs is the workflow definition.
 	RPCs []ModelFunctionCallDef `json:"rpcs"`
 
-	// SearchSteps bounds the MCMC search (default 4000; per chain for the
-	// parallel solver).
+	// SearchSteps bounds the MCMC search (default 4000; per chain when
+	// SearchParallelism runs several).
 	SearchSteps int `json:"search_steps"`
 	// SearchTime optionally bounds search wall time instead.
 	SearchTime time.Duration `json:"search_time_ns"`
-	// Seed fixes the search RNG (default 1). Multi-chain solvers derive
+	// Seed fixes the search RNG (default 1). A multi-chain search derives
 	// per-chain seeds from it, and a fixed seed with a step-bounded search
 	// reproduces the chosen plan byte for byte.
 	Seed int64 `json:"seed"`
 	// Solver selects the planning engine by registry name: "mcmc" (the
-	// default sequential Metropolis–Hastings walker of §5.2),
-	// "parallel-mcmc" (K independent chains with periodic best-plan
-	// exchange and a shared memoized cost cache), "greedy" (the per-call
+	// default Metropolis–Hastings walker of §5.2), "greedy" (the per-call
 	// seed plan only), or "exhaustive" (the bounded brute-force reference
-	// of Fig. 15; small problems only). Leaving it empty keeps the
-	// pre-Solver behavior: "mcmc", upgraded to "parallel-mcmc" when
-	// SearchParallelism > 1.
+	// of Fig. 15; small problems only).
 	Solver string `json:"solver"`
-	// SearchParallelism is the number of concurrent MCMC chains for the
-	// parallel solver. 0 or 1 keeps the sequential engine (backward
-	// compatible); with Solver == "parallel-mcmc" and SearchParallelism
-	// left at 0 the solver uses GOMAXPROCS chains.
+	// SearchParallelism is the number of concurrent MCMC chains, which
+	// exchange their best plan periodically and share one memoized cost
+	// cache. 0 and 1 both run the single sequential chain; the other
+	// solvers ignore it.
 	SearchParallelism int `json:"search_parallelism"`
 	// PlanForOverlap makes the search score candidate plans under the
 	// overlapped-engine cost semantics (estimator.Estimator.OverlapComm) —
@@ -175,9 +171,6 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 	}
 	if c.Solver == "" {
 		c.Solver = "mcmc"
-		if c.SearchParallelism > 1 {
-			c.Solver = "parallel-mcmc"
-		}
 	}
 	return c
 }
@@ -298,25 +291,23 @@ func AlgoRPCs(algo, actorType, criticType string) ([]ModelFunctionCallDef, error
 	return nil, fmt.Errorf("realhf: unknown algorithm %q (have ppo, dpo, grpo, remax): %w", algo, ErrInvalidConfig)
 }
 
-// PaperExperiment returns the paper's base configuration (Appendix A —
-// InstructGPT-style: prompt 1024, generation 1024, 8 PPO mini-batches,
-// weak-scaled batch of 512 prompts per 16 GPUs when batch is 0) at the
-// given scale for the named algorithm. It is the config behind
+// PaperExperiment returns the paper's base configuration (Appendix A, see
+// dfg.PaperSpec: prompt 1024, generation 1024, 8 PPO mini-batches, and a
+// weak-scaled batch of 512 prompts per 16 GPUs when batch is 0) on nodes
+// 8-GPU hosts for the named algorithm. It is the config behind
 // cmd/realsearch and cmd/realrun; tune the returned value freely.
 func PaperExperiment(algo, actorType, criticType string, nodes, batch int) (ExperimentConfig, error) {
 	rpcs, err := AlgoRPCs(algo, actorType, criticType)
 	if err != nil {
 		return ExperimentConfig{}, err
 	}
+	spec := dfg.PaperSpec(hardware.DefaultCluster(nodes).NumGPUs())
 	if batch == 0 {
-		batch = 512 * nodes / 2
-		if batch < 32 {
-			batch = 32
-		}
+		batch = spec.Batch
 	}
 	return ExperimentConfig{
-		Nodes: nodes, BatchSize: batch, PromptLen: 1024, GenLen: 1024,
-		MiniBatches: 8, RPCs: rpcs,
+		Nodes: nodes, BatchSize: batch, PromptLen: spec.PromptLen, GenLen: spec.GenLen,
+		MiniBatches: spec.MiniBatches, RPCs: rpcs,
 	}, nil
 }
 
@@ -434,7 +425,7 @@ type Experiment struct {
 	// SearchTrace records the planner's convergence.
 	SearchTrace []search.ProgressPoint
 	// SearchStats carries the solver's counters: steps, acceptance,
-	// cost-cache hit rate, and per-chain breakdowns for parallel solvers.
+	// cost-cache hit rate, and per-chain breakdowns for MCMC.
 	SearchStats search.Stats
 	// Cached reports that this experiment was answered from a Planner's
 	// plan cache: Plan, Estimate, SearchTrace and SearchStats were carried

@@ -261,8 +261,8 @@ func TestAutoSolverSelection(t *testing.T) {
 		t.Error("explicit mcmc solver must reproduce the default plan")
 	}
 
-	// SearchParallelism > 1 without a solver name upgrades to parallel-mcmc
-	// and reports per-chain stats.
+	// SearchParallelism > 1 runs that many mcmc chains and reports
+	// per-chain stats.
 	cfg.Solver = ""
 	cfg.SearchParallelism = 3
 	par, err := solveFresh(cfg)
@@ -290,7 +290,6 @@ func TestAutoSolverSelection(t *testing.T) {
 func TestAutoDeterministicAcrossSolverRuns(t *testing.T) {
 	cfg := quickConfig()
 	cfg.SearchSteps = 300
-	cfg.Solver = "parallel-mcmc"
 	cfg.SearchParallelism = 2
 	a, err := solveFresh(cfg)
 	if err != nil {

@@ -108,8 +108,8 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 		return nil, fmt.Errorf("realhf: resume: checkpoint records planned GenLen %d: %w", state.PlannedGenLen, ErrInvalidConfig)
 	}
 	for name, f := range state.Calibration {
-		if f <= 0 || f != f {
-			return nil, fmt.Errorf("realhf: resume: calibration factor %q = %v: %w", name, f, ErrInvalidConfig)
+		if err := estimator.CheckFactor(name, f); err != nil {
+			return nil, fmt.Errorf("realhf: resume: %w: %w", err, ErrInvalidConfig)
 		}
 	}
 	// The checkpointed scale wins over the config's: shrinks and resizes

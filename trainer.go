@@ -71,8 +71,6 @@ type Trainer struct {
 	prog    *runtime.Program
 	progKey string
 
-	workerTimeout time.Duration
-
 	iter              int
 	replans, switches int
 	workerFailures    int
@@ -91,8 +89,6 @@ type trainOptions struct {
 	threshold   float64
 	frozen      bool
 	runOpts     *RunOptions
-	planOpts    []AutoOption
-	hasRunOpts  bool
 	poolFactory WorkerPoolFactory
 }
 
@@ -169,15 +165,7 @@ func WithFrozenPlan() TrainOption {
 // planning still models the unscaled cluster, so the resulting
 // estimate-vs-observed drift is real feedback the session calibrates away.
 func WithTrainRunOptions(opts RunOptions) TrainOption {
-	return func(o *trainOptions) { o.runOpts, o.hasRunOpts = &opts, true }
-}
-
-// WithPlanOptions forwards planning options (WithProgress, WithWarmStart,
-// ...) to the initial plan and to every replan the session issues. Search
-// knobs — solver, chains, offload search — are fields of the config passed
-// to Train.
-func WithPlanOptions(opts ...AutoOption) TrainOption {
-	return func(o *trainOptions) { o.planOpts = append(o.planOpts, opts...) }
+	return func(o *trainOptions) { o.runOpts = &opts }
 }
 
 // IterationReport describes one executed campaign iteration.
@@ -284,7 +272,7 @@ func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...Train
 	if err != nil {
 		return nil, err
 	}
-	exp, err := p.Plan(ctx, t.base, t.opts.planOpts...)
+	exp, err := p.Plan(ctx, t.base)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +295,7 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 		return nil, fmt.Errorf("realhf: replan threshold %v must be positive: %w", o.threshold, ErrInvalidConfig)
 	}
 	run := DefaultRunOptions()
-	if o.hasRunOpts {
+	if o.runOpts != nil {
 		run = *o.runOpts
 	}
 	if err := run.Validate(); err != nil {
@@ -338,11 +326,10 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 			return runtime.NewWorkerPool(numGPUs, memoryBytes), nil
 		}
 	}
-	wt := run.WorkerTimeout
-	if wt == 0 {
-		wt = defaultWorkerTimeout
+	if run.WorkerTimeout == 0 {
+		run.WorkerTimeout = defaultWorkerTimeout
 	}
-	return &Trainer{planner: p, base: cfg, opts: o, run: run, workerTimeout: wt}, nil
+	return &Trainer{planner: p, base: cfg, opts: o, run: run}, nil
 }
 
 // start adopts the session's first plan, last (re)considered at plannedCfg,
@@ -353,7 +340,7 @@ func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
 	if err != nil {
 		return fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
 	}
-	pool.SetFenceTimeout(t.workerTimeout)
+	pool.SetFenceTimeout(t.run.WorkerTimeout)
 	t.pool, t.hw = pool, hw
 	t.plan, t.plannedCfg = plan, plannedCfg
 	return nil
@@ -424,7 +411,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 		UseCUDAGraph:  t.run.UseCUDAGraph,
 		OverlapComm:   t.run.OverlapComm,
 		Context:       ctx,
-		WorkerTimeout: t.workerTimeout,
+		WorkerTimeout: t.run.WorkerTimeout,
 	}
 	for {
 		// The replan loop is bounded by the shrinking mesh (shrinkLocked
@@ -533,7 +520,7 @@ func foldFeedback(cur *estimator.Calibration, observed, predicted map[string]flo
 // Either way the workload is considered handled: the schedule must change
 // (or new drift appear) before the next replan.
 func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (switched, cached bool, err error) {
-	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
+	opts := []AutoOption{withCalibration(t.calib)}
 	stalePlan, staleEst, staleErr := t.planner.attach(workCfg, t.calib, t.plan.Assign)
 	if staleErr == nil {
 		opts = append(opts, WithWarmStart(stalePlan))
@@ -585,7 +572,7 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 	newCfg := t.base
 	newCfg.Nodes--
 	newCfg.GenLen = workCfg.GenLen
-	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
+	opts := []AutoOption{withCalibration(t.calib)}
 	if stalePlan, _, staleErr := t.planner.attach(newCfg, t.calib, t.plan.Assign); staleErr == nil {
 		opts = append(opts, WithWarmStart(stalePlan))
 	}
@@ -695,8 +682,7 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 			newCfg.GenLen = g
 		}
 	}
-	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	exp, err := t.planner.Plan(ctx, newCfg, opts...)
+	exp, err := t.planner.Plan(ctx, newCfg, withCalibration(t.calib))
 	if err == nil {
 		err = t.swapFleetLocked(exp, nodes)
 	}
@@ -728,7 +714,7 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	if err != nil {
 		return fmt.Errorf("worker pool for %d GPUs: %w", newHW.NumGPUs(), err)
 	}
-	pool.SetFenceTimeout(t.workerTimeout)
+	pool.SetFenceTimeout(t.run.WorkerTimeout)
 	t.pool = pool
 	t.prog = nil
 	t.replans++
