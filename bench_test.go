@@ -437,9 +437,10 @@ func BenchmarkTrainerReplan(b *testing.B) {
 
 // BenchmarkTrainerStep measures one steady campaign step of the 16-node
 // (128-GPU) 70B PPO session: a frozen plan at a fixed workload, so every
-// timed Step re-executes the incumbent — instantiate, fence Reset and
-// dispatch over the persistent fleet — with no replan. makespan-s is the
-// step's virtual time, deterministic and gated exactly.
+// timed Step reuses the executed plan, estimate and program the first step
+// derived, and pays only for the fence Reset and dispatch over the
+// persistent fleet. makespan-s is the step's virtual time, deterministic
+// and gated exactly.
 func BenchmarkTrainerStep(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()

@@ -142,13 +142,18 @@ func Write(w io.Writer, s *State) error {
 
 // Read strictly decodes a checkpoint: unknown fields are an error (a field
 // this build does not understand cannot be silently dropped from campaign
-// state), and a version other than Version is rejected.
+// state), so is anything but whitespace after the document, and a version
+// other than Version is rejected.
 func Read(r io.Reader) (*State, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var in stateJSON
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	}
+	// Token, not More: More reports a stray ']' as the end of the input.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("checkpoint: decode: trailing data after the checkpoint")
 	}
 	if in.Version != Version {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d (this build reads %d)", in.Version, Version)

@@ -96,6 +96,36 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestReadRejectsTrailingBytes: a checkpoint is exactly one document. Only
+// whitespace may follow it (Write ends it with a newline); anything else is
+// a decode error, including a stray ']' that Decoder.More would take for the
+// end of the input.
+func TestReadRejectsTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{
+		{"", true},
+		{" \t\r\n\n", true},
+		{"garbage", false},
+		{"]", false},
+		{"}", false},
+		{"0", false},
+		{"{}", false},
+		{doc, false},
+	} {
+		_, err := Read(strings.NewReader(doc + c.tail))
+		if (err == nil) != c.ok {
+			t.Errorf("checkpoint followed by %q: err = %v, want accepted = %v", c.tail, err, c.ok)
+		}
+	}
+}
+
 // TestVersionSkewRejected on both sides: Read refuses other versions, and
 // Write refuses to emit a version this build does not produce.
 func TestVersionSkewRejected(t *testing.T) {

@@ -128,6 +128,39 @@ func TestRunWorkerTimeoutPartialReport(t *testing.T) {
 	}
 }
 
+// TestRunWorkerTimeoutDroppedWorker: a wedged worker mid-run — its
+// requests silently swallowed from the third on, with no send error — is
+// caught by the worker timeout while every other worker keeps replying, and
+// the loss is blamed on exactly that device.
+func TestRunWorkerTimeoutDroppedWorker(t *testing.T) {
+	plan := reallocHeavyPlan(t, 2)
+	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
+	defer wp.Close()
+	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
+		t.Fatal(err)
+	}
+	ft.InjectAfter(5, 3, FaultDrop)
+
+	rep, err := wp.Run(plan, Options{
+		UseCUDAGraph: true, OverlapComm: true,
+		WorkerTimeout: 200 * time.Millisecond,
+	})
+	var lost *ErrWorkerLost
+	if !errors.As(err, &lost) {
+		t.Fatalf("Run with a dropped worker returned %v, want *ErrWorkerLost", err)
+	}
+	if lost.GPU != 5 {
+		t.Fatalf("lost gpu %d, want 5", lost.GPU)
+	}
+	if rep == nil {
+		t.Fatal("worker loss must still return the partial report")
+	}
+	if rep.Iterations != 2 || rep.CompletedIterations >= rep.Iterations {
+		t.Fatalf("partial report has %d of %d iterations completed, want fewer than the configured 2",
+			rep.CompletedIterations, rep.Iterations)
+	}
+}
+
 // TestFaultFreePassThroughIsBitIdentical: with no fault armed the wrapper
 // is invisible — the pooled run over a FaultyTransport reproduces the
 // one-shot timeline byte for byte (determinism survives the extra hop).

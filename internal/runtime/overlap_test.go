@@ -257,6 +257,62 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
+// inlineTransport handles each request inside Send and buffers the reply,
+// so the master finds a reply queued at every step of the run and never
+// blocks. Its cancelAt-th Send cancels the run's context.
+type inlineTransport struct {
+	workers  []*ModelWorker
+	replies  chan Reply
+	cancel   context.CancelFunc
+	cancelAt int
+	sends    int
+}
+
+func (it *inlineTransport) Send(gpu int, req Request) error {
+	if it.sends++; it.sends == it.cancelAt {
+		it.cancel()
+	}
+	it.replies <- it.workers[gpu].Handle(req)
+	return nil
+}
+
+func (it *inlineTransport) Replies() <-chan Reply { return it.replies }
+func (it *inlineTransport) Close() error          { return nil }
+
+// TestRunCancelledWhileRepliesReady: a cancellation is observed even when
+// the master never waits for a reply, because a reply is always queued.
+func TestRunCancelledWhileRepliesReady(t *testing.T) {
+	p := ppoPlan(t, 1, 4, model.LLaMA7B, model.LLaMA7B)
+	opts := Options{UseCUDAGraph: true}
+	prog, err := Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := 0 // the run's every reply fits the buffer, so Send never blocks
+	for _, w := range prog.works {
+		sends += len(w.gpus)
+	}
+	workers := make([]*ModelWorker, p.Cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	it := &inlineTransport{workers: workers, replies: make(chan Reply, sends), cancel: cancel, cancelAt: 3}
+	opts.Context = ctx
+	rep, err := NewWorkerPoolWith(workers, it).Run(p, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled with replies always ready returned %v, want a wrapped context.Canceled", err)
+	}
+	if rep == nil {
+		t.Fatal("cancelled run must still return the partial report")
+	}
+	if rep.CompletedIterations >= rep.Iterations {
+		t.Fatalf("CompletedIterations = %d of %d after cancellation, want a partial report",
+			rep.CompletedIterations, rep.Iterations)
+	}
+}
+
 // TestCustomTransportRequiresWorkers: a pool adopting a custom transport
 // must bring one worker per device of the plan — the worker ledgers account
 // peak memory and OOM — or the run is refused before anything is sent.

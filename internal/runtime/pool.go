@@ -118,28 +118,38 @@ func (wp *WorkerPool) drainLocked() error {
 	}
 	replies := wp.transport.Replies()
 	for outstanding := n; outstanding > 0; {
+		var (
+			rep Reply
+			ok  bool
+		)
+		// Drain, then block, as the dispatch loop does: a queued reply is
+		// taken without entering the select on the fence timeout.
 		select {
-		case rep, ok := <-replies:
-			if !ok {
-				return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
-			}
-			// Node IDs (>= 0) are stragglers of an earlier run; discard.
-			if gpu := fenceGPU(rep.ID); rep.ID < 0 && gpu < n && !fenced[gpu] {
-				fenced[gpu] = true
-				outstanding--
-			}
-		case <-timeout:
-			// Deterministic blame: the smallest device with an outstanding
-			// fence.
-			lost := -1
-			for gpu, ok := range fenced {
-				if !ok {
-					lost = gpu
-					break
+		case rep, ok = <-replies:
+		default:
+			select {
+			case rep, ok = <-replies:
+			case <-timeout:
+				// Deterministic blame: the smallest device with an
+				// outstanding fence.
+				lost := -1
+				for gpu, ok := range fenced {
+					if !ok {
+						lost = gpu
+						break
+					}
 				}
+				return fmt.Errorf("runtime: fence timeout after %v with %d fences outstanding: %w",
+					wp.fenceTimeout, outstanding, &ErrWorkerLost{GPU: lost})
 			}
-			return fmt.Errorf("runtime: fence timeout after %v with %d fences outstanding: %w",
-				wp.fenceTimeout, outstanding, &ErrWorkerLost{GPU: lost})
+		}
+		if !ok {
+			return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
+		}
+		// Node IDs (>= 0) are stragglers of an earlier run; discard.
+		if gpu := fenceGPU(rep.ID); rep.ID < 0 && gpu < n && !fenced[gpu] {
+			fenced[gpu] = true
+			outstanding--
 		}
 	}
 	return nil

@@ -397,55 +397,77 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
+	cancelled := func() (*Report, error) {
+		finish()
+		return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
+			completed, total, ctx.Err())
+	}
 	for completed < total {
 		if inflight == 0 {
 			finish()
 			return report, fmt.Errorf("runtime: scheduler stalled with %d/%d nodes complete", completed, total)
 		}
-		// Block for the next reply. The liveness timer ticks every
-		// WorkerTimeout/livenessTicks and is never re-armed per wait (that
-		// would cost a clock read per reply): a wait that spans
-		// livenessTicks+1 ticks has lasted at least WorkerTimeout with
-		// replies owed, and is caught within one tick of that.
-		waits++
-	wait:
-		for {
-			select {
-			case <-ctx.Done():
-				finish()
-				return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
-					completed, total, ctx.Err())
-			case <-timeoutC:
-				if waits != tickedWait {
-					tickedWait, quietTicks = waits, 0
-				} else {
-					quietTicks++
-				}
-				if quietTicks < livenessTicks {
-					timer.Reset(tick)
-					continue
-				}
-				finish()
-				lost := -1
-				for gpu, owed := range owedByGPU {
-					if owed > 0 {
-						lost = gpu
-						break
-					}
-				}
-				return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
-					opts.WorkerTimeout, completed, total, &ErrWorkerLost{GPU: lost})
-			case rep, ok := <-replies:
-				if !ok {
-					finish()
-					return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
-				}
-				if err := handleReply(rep); err != nil {
-					finish()
-					return report, err
-				}
-				break wait
+		var (
+			rep Reply
+			ok  bool
+		)
+		// Drain, then block: a reply already queued is taken with a
+		// non-blocking receive, so a step's thousands of replies do not
+		// each enter the three-way select below, whose channel locks the
+		// master and the executors would fight over. Only that select
+		// watches ctx.Done, so a drained reply checks the context itself:
+		// a fleet that always has a reply ready stays cancellable.
+		select {
+		case rep, ok = <-replies:
+			if ctx.Err() != nil {
+				return cancelled()
 			}
+		default:
+			// Block for the next reply. The liveness timer ticks every
+			// WorkerTimeout/livenessTicks and is never re-armed per wait
+			// (that would cost a clock read per reply): a blocking wait
+			// that spans livenessTicks+1 ticks has lasted at least
+			// WorkerTimeout with replies owed, and is caught within one
+			// tick of that. Only blocking waits count; a tick that lands
+			// while the master drains is discounted by the next one.
+			waits++
+		wait:
+			for {
+				select {
+				case <-ctx.Done():
+					return cancelled()
+				case <-timeoutC:
+					if waits != tickedWait {
+						tickedWait, quietTicks = waits, 0
+					} else {
+						quietTicks++
+					}
+					if quietTicks < livenessTicks {
+						timer.Reset(tick)
+						continue
+					}
+					finish()
+					lost := -1
+					for gpu, owed := range owedByGPU {
+						if owed > 0 {
+							lost = gpu
+							break
+						}
+					}
+					return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
+						opts.WorkerTimeout, completed, total, &ErrWorkerLost{GPU: lost})
+				case rep, ok = <-replies:
+					break wait
+				}
+			}
+		}
+		if !ok {
+			finish()
+			return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
+		}
+		if err := handleReply(rep); err != nil {
+			finish()
+			return report, err
 		}
 	}
 	finish()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -209,7 +210,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req PlanRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// Token, not More: More reports a stray ']' as the end of the body.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the request")
+		}
+	}
+	if err != nil {
 		s.invalid.Add(1)
 		s.writeError(w, http.StatusBadRequest, &ErrorResponse{
 			Code: CodeInvalidConfig, Error: "decode plan request: " + err.Error()})

@@ -434,6 +434,42 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsTrailingBytes: a plan request body is exactly one JSON
+// value. Whitespace may follow it; anything else — garbage, a stray ']',
+// a second request — is a strict-decode 400 invalid_config.
+func TestPlanRejectsTrailingBytes(t *testing.T) {
+	_, hs, _ := newTestServer(t, Config{})
+	body, err := json.Marshal(&PlanRequest{Config: testConfig(6, 200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail   string
+		status int
+	}{
+		{"", http.StatusOK},
+		{"\n \t\r\n", http.StatusOK},
+		{"garbage", http.StatusBadRequest},
+		{"]", http.StatusBadRequest},
+		{"}", http.StatusBadRequest},
+		{string(body), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+PathPlan, "application/json", strings.NewReader(string(body)+c.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire ErrorResponse
+		if c.status != http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&wire)
+		}
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status || (c.status != http.StatusOK && wire.Code != CodeInvalidConfig) {
+			t.Errorf("request followed by %q: HTTP %d code %q (decode err %v), want %d",
+				c.tail, resp.StatusCode, wire.Code, err, c.status)
+		}
+	}
+}
+
 // TestStatsEndpoint: /v1/stats serves both counter families and the
 // health endpoint answers 200 while serving.
 func TestStatsEndpoint(t *testing.T) {

@@ -1,12 +1,14 @@
 package realhf
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"realhf/internal/baselines"
+	"realhf/internal/checkpoint"
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/experiments"
@@ -188,12 +190,49 @@ func checkAgainstFreshRun(t *testing.T, tr *Trainer, rep *IterationReport) {
 	}
 }
 
-// TestTrainerProgramInvalidation: the Trainer's cached program follows the
-// workload and the plan. A frozen campaign keeps one plan fingerprint while
-// its GenLen changes every iteration (the graph changes under it) and
-// resizes partway; a replanning campaign switches plans. Every iteration's
-// makespan must equal a fresh run of the plan it executed, and steady
-// iterations must reuse the compiled program.
+// stepDerived snapshots what tr's last step derived from its inputs.
+func stepDerived(tr *Trainer) stepState {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return *tr.steady
+}
+
+// checkCheckpointedIncumbent requires tr's checkpoint to carry its current
+// incumbent: the bytes Checkpoint writes must equal a checkpoint built from
+// a fresh MarshalJSON and Fingerprint of the incumbent, so cached plan bytes
+// can never outlive a plan change.
+func checkCheckpointedIncumbent(t *testing.T, tr *Trainer, when string) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := tr.Checkpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	state, err := tr.checkpointLocked()
+	if err == nil {
+		state.Plan, err = tr.plan.MarshalJSON()
+		state.PlanFingerprint = tr.plan.Fingerprint()
+	}
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Write(&want, state); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: checkpoint carries a stale incumbent:\n%s\nwant\n%s", when, got.Bytes(), want.Bytes())
+	}
+}
+
+// TestTrainerProgramInvalidation: what a step derives — the executed plan,
+// its estimate and its compiled program — follows the step's inputs. A
+// frozen campaign keeps one plan fingerprint while its GenLen changes under
+// it and resizes partway; a replanning campaign switches plans; a session
+// resumed with calibration factors other than 1 sees its calibration move.
+// Every iteration's makespan must equal a fresh run of the plan it executed,
+// steady iterations must reuse all three, and after a resize or a switch the
+// checkpoint must carry the new incumbent.
 func TestTrainerProgramInvalidation(t *testing.T) {
 	ctx := context.Background()
 	planner := NewPlanner(ClusterConfig{})
@@ -204,25 +243,34 @@ func TestTrainerProgramInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer frozen.Close()
-	var prev *realruntime.Program
+	// Before iteration 5 the session resizes away and back: the step's
+	// workload, nodes and cluster are those of iteration 4, but the
+	// incumbent is the plan the last Resize adopted.
+	resizes := map[int][]int{3: {2}, 5: {1, 2}}
+	var prev stepState
 	for i := range lens {
-		if i == 3 {
-			if err := frozen.Resize(ctx, 2); err != nil {
+		for _, nodes := range resizes[i] {
+			if err := frozen.Resize(ctx, nodes); err != nil {
 				t.Fatal(err)
 			}
+			checkCheckpointedIncumbent(t, frozen, fmt.Sprintf("after Resize(%d) before iter %d", nodes, i))
 		}
 		rep, err := frozen.Step(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAgainstFreshRun(t, frozen, rep)
-		frozen.mu.Lock()
-		prog := frozen.prog
-		frozen.mu.Unlock()
-		if steady := i > 0 && i != 3 && lens[i] == lens[i-1]; steady != (prog == prev) {
-			t.Fatalf("iter %d (GenLen %d): program reused = %v, want %v", i, lens[i], prog == prev, steady)
+		checkCheckpointedIncumbent(t, frozen, fmt.Sprintf("iter %d", i))
+		st := stepDerived(frozen)
+		steady := i > 0 && len(resizes[i]) == 0 && lens[i] == lens[i-1]
+		if steady {
+			if st.exec != prev.exec || st.est != prev.est || st.prog != prev.prog {
+				t.Fatalf("iter %d (GenLen %d): a steady step re-derived its plan, estimate or program", i, lens[i])
+			}
+		} else if i > 0 && (st.exec == prev.exec || st.prog == prev.prog) {
+			t.Fatalf("iter %d (GenLen %d): a changed step reused the previous plan or program", i, lens[i])
 		}
-		prev = prog
+		prev = st
 	}
 
 	replan, err := planner.Train(ctx, trainerConfig(), WithGenLenSchedule(rampSchedule))
@@ -232,14 +280,66 @@ func TestTrainerProgramInvalidation(t *testing.T) {
 	defer replan.Close()
 	switched := false
 	for i := 0; i < 4; i++ {
+		checkCheckpointedIncumbent(t, replan, fmt.Sprintf("replanning campaign before iter %d", i))
 		rep, err := replan.Step(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switched = switched || rep.Switched
 		checkAgainstFreshRun(t, replan, rep)
+		if rep.Switched {
+			checkCheckpointedIncumbent(t, replan, fmt.Sprintf("replanning campaign after the switch at iter %d", i))
+		}
 	}
 	if !switched {
 		t.Fatal("the replanning campaign never switched plans")
+	}
+
+	// A session resumed with a calibration factor other than 1 folds its
+	// first step's feedback into a new calibration, so its second step must
+	// re-instantiate and estimate under the new key.
+	var ckpt bytes.Buffer
+	if err := frozen.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	state, err := checkpoint.Read(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state.Drifted, state.Calibration = false, map[string]float64{"actor/GENERATE": 1.05}
+	ckpt.Reset()
+	if err := checkpoint.Write(&ckpt, state); err != nil {
+		t.Fatal(err)
+	}
+	cfg := trainerConfig()
+	cfg.GenLen = state.PlannedGenLen
+	resumed, err := planner.ResumeTrain(ctx, &ckpt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	var keys []string
+	var derived []stepState
+	for i := 0; i < 2; i++ {
+		resumed.mu.Lock()
+		keys = append(keys, resumed.calib.Key())
+		resumed.mu.Unlock()
+		rep, err := resumed.Step(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Replanned {
+			t.Fatalf("resumed step %d replanned; the calibration change must be the only moved input", i)
+		}
+		derived = append(derived, stepDerived(resumed))
+	}
+	if keys[0] == keys[1] {
+		t.Fatalf("calibration key stayed %q across the resumed steps", keys[0])
+	}
+	if derived[1].exec == derived[0].exec || derived[1].est == derived[0].est || derived[1].prog == derived[0].prog {
+		t.Fatal("a step whose calibration key changed reused the previous step's plan, estimate or program")
+	}
+	if derived[1].est.TimeCost == derived[0].est.TimeCost {
+		t.Fatalf("estimates under calibrations %q and %q are equal (%v)", keys[0], keys[1], derived[0].est.TimeCost)
 	}
 }

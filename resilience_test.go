@@ -239,8 +239,8 @@ func TestCheckpointResumeExactReplay(t *testing.T) {
 }
 
 // TestResumeRejectsBadCheckpoints: resume failures are config errors —
-// garbage bytes, a tampered fingerprint, and a node count the checkpoint
-// cannot describe all wrap ErrInvalidConfig.
+// garbage bytes, bytes trailing the document, a tampered fingerprint, and
+// a node count the checkpoint cannot describe all wrap ErrInvalidConfig.
 func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	ctx := context.Background()
 	planner := NewPlanner(ClusterConfig{})
@@ -259,6 +259,14 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 
 	if _, err := planner.ResumeTrain(ctx, strings.NewReader("not json"), trainerConfig()); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("garbage checkpoint: %v, want ErrInvalidConfig", err)
+	}
+
+	// A checkpoint is exactly one document: nothing but whitespace may
+	// follow it.
+	for _, tail := range []string{"garbage", "]", good.String()} {
+		if _, err := planner.ResumeTrain(ctx, strings.NewReader(good.String()+tail), trainerConfig()); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("checkpoint followed by %.10q: %v, want ErrInvalidConfig", tail, err)
+		}
 	}
 
 	tampered := strings.Replace(good.String(), `"plan_fingerprint": "`, `"plan_fingerprint": "00`, 1)

@@ -45,9 +45,9 @@ func (t *Trainer) checkpointLocked() (*checkpoint.State, error) {
 	if t.closed {
 		return nil, fmt.Errorf("realhf: %w", ErrTrainerClosed)
 	}
-	planBytes, err := t.plan.MarshalJSON()
-	if err != nil {
-		return nil, fmt.Errorf("realhf: checkpoint: marshal plan: %w", err)
+	inc := t.incumbentLocked()
+	if inc.err != nil {
+		return nil, fmt.Errorf("realhf: checkpoint: marshal plan: %w", inc.err)
 	}
 	return &checkpoint.State{
 		Version:            checkpoint.Version,
@@ -61,8 +61,8 @@ func (t *Trainer) checkpointLocked() (*checkpoint.State, error) {
 		Drifted:            t.drifted,
 		Nodes:              t.base.Nodes,
 		PlannedGenLen:      t.plannedCfg.GenLen,
-		Plan:               planBytes,
-		PlanFingerprint:    t.plan.Fingerprint(),
+		Plan:               inc.bytes,
+		PlanFingerprint:    inc.fingerprint,
 		Calibration:        t.calib.Factors(),
 	}, nil
 }

@@ -64,12 +64,12 @@ type Trainer struct {
 	calib      *estimator.Calibration
 	drifted    bool // profile feedback demands a replan before the next iteration
 
-	// prog is the incumbent's compiled program, reused while progKey —
-	// the workload's problemKey plus the executed plan's fingerprint —
-	// holds. The workload is part of the key because a frozen plan keeps
-	// its fingerprint while a GenLen schedule changes its graph.
-	prog    *runtime.Program
-	progKey string
+	// steady is what the last step derived from its inputs (stepKey):
+	// a step with the same inputs reuses it and goes straight to Reset
+	// and Execute.
+	steady *stepState
+	// inc is what Stats and checkpoints derive from the incumbent plan.
+	inc *incumbent
 
 	iter              int
 	replans, switches int
@@ -402,10 +402,8 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	// deterministic functions of the executed plan. Anything that is not a
 	// worker loss aborts the step as before.
 	var (
-		execPlan    *core.Plan
-		est         *estimator.Result
-		rep         *runtime.Report
-		fingerprint string
+		st  *stepState
+		rep *runtime.Report
 	)
 	runOpts := runtime.Options{
 		UseCUDAGraph:  t.run.UseCUDAGraph,
@@ -421,16 +419,10 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 			return nil, fmt.Errorf("realhf: training step cancelled: %w", err)
 		}
 		var err error
-		execPlan, est, err = t.instantiateLocked(workCfg)
-		if err != nil {
+		if st, err = t.stepStateLocked(workCfg, runOpts); err != nil {
 			return nil, err
 		}
-		fingerprint = execPlan.Fingerprint()
-		prog, err := t.programLocked(workCfg, execPlan, fingerprint, runOpts)
-		if err != nil {
-			return nil, fmt.Errorf("realhf: iteration %d failed: %w", iter, err)
-		}
-		if err := t.pool.Reset(prog.StaticPerGPU()); err != nil {
+		if err := t.pool.Reset(st.prog.StaticPerGPU()); err != nil {
 			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
 				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
 					return nil, serr
@@ -439,7 +431,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 			}
 			return nil, err
 		}
-		rep, err = t.pool.Execute(prog, runOpts)
+		rep, err = t.pool.Execute(st.prog, runOpts)
 		if err != nil {
 			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
 				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
@@ -453,15 +445,15 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	}
 
 	report.MakespanV = rep.MakespanV
-	report.EstMakespanV = est.TimeCost
+	report.EstMakespanV = st.est.TimeCost
 	report.CallTimes = rep.CallTimes
-	report.EstCallTimes = est.CallTimes
+	report.EstCallTimes = st.est.CallTimes
 	report.OOM = rep.OOM
 	report.Errors = rep.Errors
-	report.PlanFingerprint = fingerprint
+	report.PlanFingerprint = st.fingerprint
 	report.ReallocSwitchCost = t.pendingSwitchCost
 	if !rep.OOM {
-		report.ThroughputPFLOPs = estimator.Throughput(execPlan, rep.MakespanV)
+		report.ThroughputPFLOPs = estimator.Throughput(st.exec, rep.MakespanV)
 	}
 
 	// Profile feedback: compare what ran against what the (calibrated)
@@ -469,7 +461,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	// replan when the model was off by more than the threshold. OOM
 	// iterations carry truncated durations and are not folded in.
 	if !rep.OOM {
-		drift, next := foldFeedback(t.calib, rep.CallTimes, est.CallTimes)
+		drift, next := foldFeedback(t.calib, rep.CallTimes, st.est.CallTimes)
 		report.Drift = drift
 		if !t.opts.frozen {
 			t.calib = next
@@ -606,20 +598,71 @@ func (t *Trainer) instantiateLocked(workCfg ExperimentConfig) (*core.Plan, *esti
 	return exec, res, nil
 }
 
-// programLocked returns the compiled program of exec, the plan instantiated
-// for workCfg, compiling only when the workload or the plan changed since
-// the last iteration — a steady step pays for dispatch alone.
-func (t *Trainer) programLocked(workCfg ExperimentConfig, exec *core.Plan, fingerprint string, opts runtime.Options) (*runtime.Program, error) {
-	key := workCfg.problemKey() + ";plan=" + fingerprint
-	if t.prog != nil && t.progKey == key {
-		return t.prog, nil
+// stepKey is everything a step's executed plan, estimate and program derive
+// from: the workload (the session's base config at the step's GenLen — the
+// base's only other evolving field is Nodes), the execution cluster, the
+// calibration and the incumbent. The incumbent is compared by identity,
+// which is sound because the session never mutates a plan in place: a
+// replan, resize or shrink adopts a new one.
+type stepKey struct {
+	genLen, nodes int
+	hw            hardware.Cluster
+	calib         string
+	plan          *core.Plan
+}
+
+// stepState is what a step derives from its stepKey: the incumbent
+// instantiated for the step's workload, its estimate, fingerprint and
+// compiled program. It is immutable once built.
+type stepState struct {
+	key         stepKey
+	exec        *core.Plan
+	est         *estimator.Result
+	fingerprint string
+	prog        *runtime.Program
+}
+
+// stepStateLocked returns what the step at workCfg executes, deriving it only
+// when the step's inputs changed since the last step — a steady step pays
+// for fencing and dispatch alone. workCfg must be t.base at the step's
+// GenLen.
+func (t *Trainer) stepStateLocked(workCfg ExperimentConfig, opts runtime.Options) (*stepState, error) {
+	key := stepKey{genLen: workCfg.GenLen, nodes: t.base.Nodes, hw: t.hw, calib: t.calib.Key(), plan: t.plan}
+	if t.steady != nil && t.steady.key == key {
+		return t.steady, nil
 	}
-	prog, err := runtime.Compile(exec, opts)
+	exec, est, err := t.instantiateLocked(workCfg)
 	if err != nil {
 		return nil, err
 	}
-	t.prog, t.progKey = prog, key
-	return prog, nil
+	prog, err := runtime.Compile(exec, opts)
+	if err != nil {
+		return nil, fmt.Errorf("realhf: iteration %d failed: %w", t.iter, err)
+	}
+	t.steady = &stepState{key: key, exec: exec, est: est, fingerprint: exec.Fingerprint(), prog: prog}
+	return t.steady, nil
+}
+
+// incumbent is what Stats and checkpoints derive from one incumbent plan:
+// its fingerprint and its SavePlan bytes (or the error marshaling them). A
+// plan change replaces it rather than updating it, because Checkpoint
+// writes the bytes after releasing t.mu.
+type incumbent struct {
+	plan        *core.Plan
+	fingerprint string
+	bytes       []byte
+	err         error
+}
+
+// incumbentLocked returns the incumbent's derived state, computing it once
+// per adopted plan.
+func (t *Trainer) incumbentLocked() *incumbent {
+	if t.inc == nil || t.inc.plan != t.plan {
+		inc := &incumbent{plan: t.plan, fingerprint: t.plan.Fingerprint()}
+		inc.bytes, inc.err = t.plan.MarshalJSON()
+		t.inc = inc
+	}
+	return t.inc
 }
 
 // Campaign runs n iterations back to back, aggregating their reports. A
@@ -716,7 +759,6 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	}
 	pool.SetFenceTimeout(t.run.WorkerTimeout)
 	t.pool = pool
-	t.prog = nil
 	t.replans++
 	t.switches++
 	t.base.Nodes = nodes
@@ -739,7 +781,7 @@ func (t *Trainer) Stats() TrainerStats {
 		TotalMakespanV:     t.totalV,
 		WorkerFailures:     t.workerFailures,
 		Nodes:              t.base.Nodes,
-		PlanFingerprint:    t.plan.Fingerprint(),
+		PlanFingerprint:    t.incumbentLocked().fingerprint,
 		CalibrationFactors: t.calib.Factors(),
 	}
 }
