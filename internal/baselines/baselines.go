@@ -128,11 +128,7 @@ func BuildHeuristic(hw hardware.Cluster, g *dfg.Graph, models map[dfg.Role]core.
 func minTrainBatch(g *dfg.Graph) int {
 	min := math.MaxInt32
 	for _, n := range g.Nodes {
-		b := n.Work.Batch
-		if n.Type == dfg.Train && n.Work.MiniBatches > 1 {
-			b /= n.Work.MiniBatches
-		}
-		if b < min {
+		if b := n.UpdateBatch(); b < min {
 			min = b
 		}
 	}
@@ -155,19 +151,12 @@ func BuildDeepSpeedChat(hw hardware.Cluster, g *dfg.Graph, models map[dfg.Role]c
 		tp = n
 	}
 	hybrid := parallel.Strategy{DP: n / tp, TP: tp, PP: 1, MicroBatches: 1}
-	for _, node := range g.Nodes {
-		if _, ok := p.Assign[node.Name]; ok {
-			continue
-		}
+	for _, node := range g.Calls() {
 		st := zero3
 		if node.Type == dfg.Generate {
 			st = hybrid
 		}
-		batch := node.Work.Batch
-		if node.Type == dfg.Train && node.Work.MiniBatches > 1 {
-			batch /= node.Work.MiniBatches
-		}
-		st = fitMicroBatches(st, batch)
+		st = fitMicroBatches(st, node.UpdateBatch())
 		p.Assign[node.Name] = core.Assignment{Mesh: full, Strategy: st}
 	}
 	p = fitMemory(p)
@@ -195,12 +184,7 @@ func fitMicroBatches(st parallel.Strategy, batch int) parallel.Strategy {
 func fitMemory(p *core.Plan) *core.Plan {
 	static := estimator.StaticPerGPU(p)
 	cap := p.Cluster.GPU.MemoryBytes
-	seen := map[string]bool{}
-	for _, node := range p.Graph.Nodes {
-		if seen[node.Name] {
-			continue
-		}
-		seen[node.Name] = true
+	for _, node := range p.Graph.Calls() {
 		a := p.Assign[node.Name]
 		var maxStatic int64
 		for gpu := a.Mesh.First; gpu < a.Mesh.First+a.Mesh.Count; gpu++ {
@@ -208,11 +192,7 @@ func fitMemory(p *core.Plan) *core.Plan {
 				maxStatic = static[gpu]
 			}
 		}
-		batch := node.Work.Batch
-		if node.Type == dfg.Train && node.Work.MiniBatches > 1 {
-			batch /= node.Work.MiniBatches
-		}
-		perDP := (batch + a.Strategy.DP - 1) / a.Strategy.DP
+		perDP := (node.UpdateBatch() + a.Strategy.DP - 1) / a.Strategy.DP
 		for estimator.CallActiveBytes(p, node)+maxStatic > cap &&
 			a.Strategy.MicroBatches*2 <= perDP && a.Strategy.MicroBatches < 256 {
 			a.Strategy.MicroBatches *= 2
@@ -260,16 +240,9 @@ func BuildOpenRLHF(hw hardware.Cluster, g *dfg.Graph, models map[dfg.Role]core.M
 	genMesh, actorMesh, criticMesh := meshes[0], meshes[1], meshes[2]
 
 	p := core.NewPlan(hw, g, models)
-	for _, node := range g.Nodes {
-		if _, ok := p.Assign[node.Name]; ok {
-			continue
-		}
+	for _, node := range g.Calls() {
 		var m mesh.Mesh
 		var st parallel.Strategy
-		batch := node.Work.Batch
-		if node.Type == dfg.Train && node.Work.MiniBatches > 1 {
-			batch /= node.Work.MiniBatches
-		}
 		switch {
 		case node.Type == dfg.Generate:
 			m = genMesh
@@ -285,7 +258,7 @@ func BuildOpenRLHF(hw hardware.Cluster, g *dfg.Graph, models map[dfg.Role]core.M
 			m = criticMesh
 			st = parallel.Strategy{DP: m.NumGPUs(), TP: 1, PP: 1, MicroBatches: 1, ZeRO3: true}
 		}
-		st = fitMicroBatches(st, batch)
+		st = fitMicroBatches(st, node.UpdateBatch())
 		p.Assign[node.Name] = core.Assignment{Mesh: m, Strategy: st}
 	}
 	p = fitMemory(p)
@@ -318,18 +291,12 @@ func BuildNeMoAligner(hw hardware.Cluster, g *dfg.Graph, models map[dfg.Role]cor
 	actorMesh, criticMesh := meshes[0], meshes[1]
 
 	p := core.NewPlan(hw, g, models)
-	for _, node := range g.Nodes {
-		if _, ok := p.Assign[node.Name]; ok {
-			continue
-		}
+	for _, node := range g.Calls() {
 		m := criticMesh
 		if node.Role == dfg.Actor || node.Role == dfg.Ref {
 			m = actorMesh
 		}
-		batch := node.Work.Batch
-		if node.Type == dfg.Train && node.Work.MiniBatches > 1 {
-			batch /= node.Work.MiniBatches
-		}
+		batch := node.UpdateBatch()
 		ms := models[node.Role]
 		st, err := maxDPStrategy(hw, m.NumGPUs(), []core.ModelSpec{ms}, batch)
 		if err != nil {

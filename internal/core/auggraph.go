@@ -114,7 +114,7 @@ const DataBytesPerToken = 8
 
 // AugBuilder expands plans over one dataflow graph into augmented graphs. It
 // prepares everything assignment-independent once — topological order,
-// parent lists, each role's home call — and rebuilds into one node arena, so
+// parent lists, each node's home call — and rebuilds into one node arena, so
 // a long-lived builder (the estimator's incremental session) allocates
 // nothing per build once warm. A builder is single-goroutine state.
 type AugBuilder struct {
@@ -122,7 +122,6 @@ type AugBuilder struct {
 	topo    []*dfg.Node
 	parents [][]*dfg.Node // by dfg node ID
 	home    []*dfg.Node   // by dfg node ID: the home call of the node's role
-	homes   []*dfg.Node   // one home call per role, in first-appearance order
 	callIdx []int         // by dfg node ID: arena index of its call node
 	arena   []*AugNode
 	g       AugGraph
@@ -141,31 +140,11 @@ func NewAugBuilder(g *dfg.Graph) (*AugBuilder, error) {
 		home:    make([]*dfg.Node, len(g.Nodes)),
 		callIdx: make([]int, len(g.Nodes)),
 	}
-	// A role's home is its first Train call in Nodes order, else its first
-	// call — Plan.HomeOf on a fully assigned plan.
 	for _, n := range g.Nodes {
 		b.parents[n.ID] = g.Parents(n)
-		i := b.roleIndex(n.Role)
-		switch {
-		case i < 0:
-			b.homes = append(b.homes, n)
-		case b.homes[i].Type != dfg.Train && n.Type == dfg.Train:
-			b.homes[i] = n
-		}
-	}
-	for _, n := range g.Nodes {
-		b.home[n.ID] = b.homes[b.roleIndex(n.Role)]
+		b.home[n.ID] = g.Home(n.Role)
 	}
 	return b, nil
-}
-
-func (b *AugBuilder) roleIndex(role dfg.Role) int {
-	for i, h := range b.homes {
-		if h.Role == role {
-			return i
-		}
-	}
-	return -1
 }
 
 // Graph returns the dataflow graph the builder was prepared for.
@@ -173,9 +152,6 @@ func (b *AugBuilder) Graph() *dfg.Graph { return b.graph }
 
 // Home returns the home call of n's role: where its parameters rest.
 func (b *AugBuilder) Home(n *dfg.Node) *dfg.Node { return b.home[n.ID] }
-
-// Homes returns one home call per role of the graph.
-func (b *AugBuilder) Homes() []*dfg.Node { return b.homes }
 
 // node takes the next arena slot, recycling its edge slices.
 func (b *AugBuilder) node(k Kind, call *dfg.Node, meshes ...mesh.Mesh) *AugNode {

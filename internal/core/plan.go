@@ -114,13 +114,10 @@ func (p *Plan) Clone() *Plan {
 // CallNames returns the distinct call names of the graph in first-appearance
 // order.
 func (p *Plan) CallNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range p.Graph.Nodes {
-		if !seen[n.Name] {
-			seen[n.Name] = true
-			out = append(out, n.Name)
-		}
+	calls := p.Graph.Calls()
+	out := make([]string, len(calls))
+	for i, n := range calls {
+		out[i] = n.Name
 	}
 	return out
 }
@@ -160,11 +157,7 @@ func (p *Plan) Validate() error {
 		if a.Offload && ms.Trainable {
 			return fmt.Errorf("core: call %q offloads trainable role %q: optimizer state pins trainable parameters on-device", n.Name, n.Role)
 		}
-		batch := n.Work.Batch
-		if n.Type == dfg.Train && n.Work.MiniBatches > 1 {
-			batch /= n.Work.MiniBatches
-		}
-		if err := a.Strategy.Validate(a.Mesh, ms.Cfg, batch); err != nil {
+		if err := a.Strategy.Validate(a.Mesh, ms.Cfg, n.UpdateBatch()); err != nil {
 			return fmt.Errorf("core: call %q: %w", n.Name, err)
 		}
 	}
@@ -172,42 +165,30 @@ func (p *Plan) Validate() error {
 }
 
 // HomeOf returns the assignment where a role's parameters (and, for
-// trainable roles, gradients and optimizer states) rest: the role's training
-// call if it has one, otherwise its first call.
+// trainable roles, gradients and optimizer states) rest: the assignment of
+// the role's home call (dfg.Graph.Home). ok is false when the role has no
+// call or its home call is unassigned.
 func (p *Plan) HomeOf(role dfg.Role) (Assignment, bool) {
-	var first Assignment
-	found := false
-	for _, n := range p.Graph.Nodes {
-		if n.Role != role {
-			continue
-		}
-		a, ok := p.Assign[n.Name]
-		if !ok {
-			continue
-		}
-		if n.Type == dfg.Train {
-			return a, true
-		}
-		if !found {
-			first, found = a, true
-		}
+	h := p.Graph.Home(role)
+	if h == nil {
+		return Assignment{}, false
 	}
-	return first, found
+	a, ok := p.Assign[h.Name]
+	return a, ok
 }
 
 // RoleOffloaded reports whether the role's parameters rest in host memory
-// under this plan: every one of its assigned calls sources parameters
+// under this plan: every one of its calls is assigned and sources parameters
 // through a host reload (Assignment.Offload). A partially offloaded role
 // still needs its device-resident copy between the non-offloaded calls, so
 // only the all-calls case releases the static ledger.
 func (p *Plan) RoleOffloaded(role dfg.Role) bool {
 	found := false
-	for _, n := range p.Graph.Nodes {
+	for _, n := range p.Graph.Calls() {
 		if n.Role != role {
 			continue
 		}
-		a, ok := p.Assign[n.Name]
-		if !ok || !a.Offload {
+		if a, ok := p.Assign[n.Name]; !ok || !a.Offload {
 			return false
 		}
 		found = true

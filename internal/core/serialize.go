@@ -83,21 +83,9 @@ func SavePlan(p *Plan, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadPlan reads a serialized plan and attaches it to the given dataflow
-// graph, validating the result. The graph's call names must match the
-// stored assignments.
-func LoadPlan(path string, g *dfg.Graph) (*Plan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read plan: %w", err)
-	}
-	return UnmarshalPlan(data, g)
-}
-
 // UnmarshalPlan decodes a plan serialized by Plan.MarshalJSON (the SavePlan
-// format) and attaches it to the given dataflow graph — the in-memory twin
-// of LoadPlan, used by callers that carry plans over the wire instead of
-// the filesystem.
+// format) and attaches it to the given dataflow graph, validating the
+// result. The graph's call names must match the stored assignments.
 func UnmarshalPlan(data []byte, g *dfg.Graph) (*Plan, error) {
 	var in planJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -126,7 +114,7 @@ func UnmarshalPlan(data []byte, g *dfg.Graph) (*Plan, error) {
 	}
 	p := NewPlan(cluster, g, models)
 	roleOf := map[string]dfg.Role{}
-	for _, n := range g.Nodes {
+	for _, n := range g.Calls() {
 		roleOf[n.Name] = n.Role
 	}
 	for name, aj := range in.Assignments {

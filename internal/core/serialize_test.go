@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,14 +9,20 @@ import (
 	"realhf/internal/model"
 )
 
-func TestPlanSaveLoadRoundTrip(t *testing.T) {
-	p := ppoPlan(t, 2, 1)
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := SavePlan(p, path); err != nil {
+// reload marshals p in the SavePlan format and decodes it onto g.
+func reload(t *testing.T, p *Plan, g *dfg.Graph) (*Plan, error) {
+	t.Helper()
+	data, err := p.MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
+	return UnmarshalPlan(data, g)
+}
+
+func TestPlanSaveLoadRoundTrip(t *testing.T) {
+	p := ppoPlan(t, 2, 1)
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
-	q, err := LoadPlan(path, g)
+	q, err := reload(t, p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +100,8 @@ func TestPlanRoundTripPerCallOffload(t *testing.T) {
 	a.Offload = true
 	p.Assign["RefInf"] = a
 
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := SavePlan(p, path); err != nil {
-		t.Fatal(err)
-	}
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
-	q, err := LoadPlan(path, g)
+	q, err := reload(t, p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,41 +123,35 @@ func TestLoadPlanRejectsOffloadedTrainable(t *testing.T) {
 	a := p.Assign["ActorTrain"]
 	a.Offload = true
 	p.Assign["ActorTrain"] = a
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := SavePlan(p, path); err != nil {
-		t.Fatal(err)
-	}
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
-	if _, err := LoadPlan(path, g); err == nil {
+	if _, err := reload(t, p, g); err == nil {
 		t.Error("loading a plan that offloads a trainable role must fail")
 	}
 }
 
 func TestLoadPlanRejectsMismatchedGraph(t *testing.T) {
 	p := ppoPlan(t, 2, 1)
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := SavePlan(p, path); err != nil {
-		t.Fatal(err)
-	}
 	// A graph with other call names: validation must fail.
 	g := dfg.NewGraph("custom")
 	w := dfg.Workload{Batch: 512, PromptLen: 1024, GenLen: 1024}
 	ref := g.AddNode("RefInf", dfg.Ref, dfg.Inference, 0, w)
 	w.MiniBatches = 1
 	g.AddEdge(ref, g.AddNode("PolicyTrain", dfg.Actor, dfg.Train, 0, w))
-	if _, err := LoadPlan(path, g); err == nil {
+	if _, err := reload(t, p, g); err == nil {
 		t.Error("loading a PPO plan onto a graph with other call names must fail")
 	}
 }
 
 func TestLoadPlanRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := SavePlan(ppoPlan(t, 2, 1), bad); err != nil {
+	data, err := ppoPlan(t, 2, 1).MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPlan(filepath.Join(dir, "missing.json"), nil); err == nil {
-		t.Error("missing file must fail")
+	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	for _, bad := range []string{"", "{nope", string(data[:len(data)/2]), `{"version": 2}`} {
+		if _, err := UnmarshalPlan([]byte(bad), g); err == nil {
+			t.Errorf("UnmarshalPlan(%.40q) accepted garbage", bad)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ package dfg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CallType classifies a model function call (paper §2.1).
@@ -78,6 +78,16 @@ type Node struct {
 	Work Workload
 }
 
+// UpdateBatch is the number of sequences one pass of the call processes: a
+// Train call updates over Batch/MiniBatches sequences at a time, every other
+// call over its whole Batch. Strategies are validated against it.
+func (n *Node) UpdateBatch() int {
+	if n.Type == Train && n.Work.MiniBatches > 1 {
+		return n.Work.Batch / n.Work.MiniBatches
+	}
+	return n.Work.Batch
+}
+
 // Graph is a DAG of model function calls. Edges carry either data
 // dependencies (within an iteration) or parameter-version dependencies
 // (training at iteration t gates uses of the same Role at t+1).
@@ -89,6 +99,10 @@ type Graph struct {
 
 	parents  map[int][]int
 	children map[int][]int
+	// calls is the first node of each call name and homes the home call of
+	// each role, both in first-appearance order and maintained by AddNode.
+	calls []*Node
+	homes []*Node
 }
 
 // NewGraph returns an empty graph for the named algorithm.
@@ -100,8 +114,39 @@ func NewGraph(algo string) *Graph {
 func (g *Graph) AddNode(name string, role Role, typ CallType, iter int, w Workload) *Node {
 	n := &Node{ID: len(g.Nodes), Name: name, Role: role, Type: typ, Iter: iter, Work: w}
 	g.Nodes = append(g.Nodes, n)
+	if !slices.ContainsFunc(g.calls, func(c *Node) bool { return c.Name == name }) {
+		g.calls = append(g.calls, n)
+	}
+	i := slices.IndexFunc(g.homes, func(h *Node) bool { return h.Role == role })
+	switch {
+	case i < 0:
+		g.homes = append(g.homes, n)
+	case g.homes[i].Type != Train && typ == Train:
+		g.homes[i] = n
+	}
 	return n
 }
+
+// Calls returns the first node of each distinct call name, in
+// first-appearance order: the calls a plan assigns. The slice is shared;
+// callers must not modify it.
+func (g *Graph) Calls() []*Node { return g.calls }
+
+// Home returns the call where role's parameters (and, for a trainable role,
+// its gradients and optimizer states) rest: the role's first Train call,
+// else its first call. It is nil when the role has no call.
+func (g *Graph) Home(role Role) *Node {
+	for _, h := range g.homes {
+		if h.Role == role {
+			return h
+		}
+	}
+	return nil
+}
+
+// Homes returns the home call of every role, in the order the roles first
+// appear. The slice is shared; callers must not modify it.
+func (g *Graph) Homes() []*Node { return g.homes }
 
 // AddEdge records a dependency from parent to child.
 func (g *Graph) AddEdge(parent, child *Node) {
@@ -123,39 +168,13 @@ func (g *Graph) resolve(ids []int) []*Node {
 	return out
 }
 
-// Sources returns nodes with no parents.
-func (g *Graph) Sources() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if len(g.parents[n.ID]) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Roles returns the distinct model roles appearing in the graph, sorted.
 func (g *Graph) Roles() []Role {
-	set := map[Role]bool{}
-	for _, n := range g.Nodes {
-		set[n.Role] = true
+	out := make([]Role, len(g.homes))
+	for i, h := range g.homes {
+		out[i] = h.Role
 	}
-	out := make([]Role, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// CallsOfIter returns the nodes of iteration t in ID order.
-func (g *Graph) CallsOfIter(t int) []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if n.Iter == t {
-			out = append(out, n)
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -190,8 +209,22 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	return out, nil
 }
 
-// Validate checks the graph is a DAG with consistent edges.
+// Validate checks the graph is a DAG and that no call name repeats within
+// an iteration: plans, memos and calibration all key a call by its name, so
+// two calls sharing one would be planned and priced as one.
 func (g *Graph) Validate() error {
+	type key struct {
+		iter int
+		name string
+	}
+	seen := make(map[key]bool, len(g.Nodes))
+	for _, n := range g.Nodes {
+		k := key{n.Iter, n.Name}
+		if seen[k] {
+			return fmt.Errorf("dfg: call %q appears twice in iteration %d: give each model function call a distinct name (ModelFunctionCallDef.Name)", n.Name, n.Iter)
+		}
+		seen[k] = true
+	}
 	_, err := g.TopoSort()
 	return err
 }

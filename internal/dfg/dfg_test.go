@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,8 +50,8 @@ func TestPPOMultiIterationVersionEdges(t *testing.T) {
 	}
 	// ActorGen at iteration 1 must depend on ActorTrain at iteration 0.
 	var gen1 *Node
-	for _, n := range g.CallsOfIter(1) {
-		if n.Name == "ActorGen" {
+	for _, n := range g.Nodes {
+		if n.Iter == 1 && n.Name == "ActorGen" {
 			gen1 = n
 		}
 	}
@@ -62,6 +63,33 @@ func TestPPOMultiIterationVersionEdges(t *testing.T) {
 	}
 	if !found {
 		t.Error("missing parameter-version edge ActorTrain(0) -> ActorGen(1)")
+	}
+}
+
+// TestCallsAndHomes: over several iterations, Calls keeps the first node of
+// each call name and Home the role's first Train call, else its first call.
+func TestCallsAndHomes(t *testing.T) {
+	s := baseSpec()
+	s.Iterations = 2
+	g := BuildPPO(s)
+	var names []string
+	for _, n := range g.Calls() {
+		if n.Iter != 0 {
+			t.Errorf("Calls holds %s of iteration %d, want iteration 0", n.Name, n.Iter)
+		}
+		names = append(names, n.Name)
+	}
+	want := []string{"ActorGen", "RewInf", "RefInf", "CriticInf", "ActorTrain", "CriticTrain"}
+	if !slices.Equal(names, want) {
+		t.Errorf("Calls = %v, want %v", names, want)
+	}
+	for role, home := range map[Role]string{Actor: "ActorTrain", Critic: "CriticTrain", Ref: "RefInf", Reward: "RewInf"} {
+		if h := g.Home(role); h == nil || h.Name != home || h.Iter != 0 {
+			t.Errorf("Home(%s) = %+v, want %s of iteration 0", role, h, home)
+		}
+	}
+	if len(g.Homes()) != 4 || g.Home("vision") != nil {
+		t.Errorf("Homes = %d calls, Home(vision) = %v; want 4 and nil", len(g.Homes()), g.Home("vision"))
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 // (observed / estimated), applied on top of the analytic tables. The pure
 // cost model stays untouched — CallBreakdown and the gpumodel oracles are
 // never scaled — so a nil Calibration reproduces the historical estimates
-// byte for byte. A Calibration is immutable after construction; deriving an
-// updated one (With) allocates a new value, which keeps concurrent
-// estimator users race-free and lets caches key entries by Key.
+// byte for byte. A Calibration is immutable after construction, which keeps
+// concurrent estimator users race-free and lets caches key entries by Key.
 type Calibration struct {
 	factors map[string]float64
 	key     string
@@ -66,19 +65,6 @@ func calibKey(factors map[string]float64) string {
 		fmt.Fprintf(&b, "%d:%s=%.6g;", len(name), name, factors[name])
 	}
 	return b.String()
-}
-
-// With derives a calibration with one call's factor replaced, preserving
-// immutability. The receiver may be nil (the uncalibrated base).
-func (c *Calibration) With(call string, factor float64) *Calibration {
-	merged := map[string]float64{}
-	if c != nil {
-		for name, f := range c.factors {
-			merged[name] = f
-		}
-	}
-	merged[call] = factor
-	return NewCalibration(merged)
 }
 
 // Factor returns the multiplier for a call (1 when uncalibrated). A nil

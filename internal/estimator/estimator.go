@@ -9,7 +9,6 @@ package estimator
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"realhf/internal/core"
@@ -17,6 +16,7 @@ import (
 	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/memory"
+	"realhf/internal/parallel"
 	"realhf/internal/realloc"
 )
 
@@ -372,30 +372,47 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// StaticPerGPU returns each device's resting memory: the static footprint of
-// every model homed on it. Shared by the estimator's MaxMem computation and
-// the runtime engine's worker initialization.
-func StaticPerGPU(p *core.Plan) []int64 {
-	static := make([]int64, p.Cluster.NumGPUs())
-	for role, ms := range p.Models {
-		home, ok := p.HomeOf(role)
+// StaticBytes is the static term of the §5.1 memory ledger: the resting
+// per-GPU bytes of a model held under strategy st — its bf16 weights unless
+// offloaded to host memory, plus, when trainable, gradients and optimizer
+// states, the optimizer sharded over DP.
+func StaticBytes(ms core.ModelSpec, st parallel.Strategy, offloaded bool) int64 {
+	return memory.Static(ms.Params(), st, memory.StaticOpts{
+		Trainable:            ms.Trainable,
+		ShardOptimizerOverDP: true,
+		OffloadParams:        offloaded,
+	})
+}
+
+// addStatic adds each role's StaticBytes at its home assignment to every
+// device of the home mesh. It is the one static accumulation: the session's
+// MaxMem and the runtime's worker initialization (StaticPerGPU) both run it.
+func addStatic(static []int64, p *core.Plan) {
+	for _, h := range p.Graph.Homes() {
+		home, ok := p.Assign[h.Name]
 		if !ok {
 			continue
 		}
-		b := memory.Static(ms.Params(), home.Strategy, memory.StaticOpts{
-			Trainable:            ms.Trainable,
-			ShardOptimizerOverDP: true,
-			OffloadParams:        p.RoleOffloaded(role),
-		})
+		b := StaticBytes(p.Models[h.Role], home.Strategy, p.RoleOffloaded(h.Role))
 		for gpu := home.Mesh.First; gpu < home.Mesh.First+home.Mesh.Count; gpu++ {
 			static[gpu] += b
 		}
 	}
+}
+
+// StaticPerGPU returns each device's resting memory: the static footprint of
+// every model homed on it, what the runtime engine initializes its workers
+// with.
+func StaticPerGPU(p *core.Plan) []int64 {
+	static := make([]int64, p.Cluster.NumGPUs())
+	addStatic(static, p)
 	return static
 }
 
 // CallActiveBytes returns the transient per-GPU bytes of one call,
 // discounting weights already resident in the role's static home allocation.
+// It is the active term of the ledger, read by the session's MaxMem and by
+// the runtime's compiled request allocations.
 func CallActiveBytes(p *core.Plan, node *dfg.Node) int64 {
 	spec, err := CallSpecOf(p, node)
 	if err != nil {
@@ -436,13 +453,4 @@ func Throughput(p *core.Plan, timeCost float64) float64 {
 		flops += gpumodel.CallFLOPs(spec)
 	}
 	return flops / timeCost / 1e15
-}
-
-// Makespan returns the end of the last node, guarding empty timelines.
-func Makespan(timeline []ScheduledNode) float64 {
-	var m float64
-	for _, sn := range timeline {
-		m = math.Max(m, sn.End)
-	}
-	return m
 }

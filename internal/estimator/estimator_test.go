@@ -154,7 +154,11 @@ func TestMeshExclusionInvariant(t *testing.T) {
 			}
 		}
 	}
-	if res.TimeCost != Makespan(res.Timeline) {
+	var makespan float64
+	for _, sn := range res.Timeline {
+		makespan = max(makespan, sn.End)
+	}
+	if res.TimeCost != makespan {
 		t.Error("TimeCost must equal timeline makespan")
 	}
 }

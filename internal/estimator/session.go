@@ -6,7 +6,6 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/memory"
 )
 
 // PlanCost is the scalar slice of a Result that plan search needs to accept
@@ -119,31 +118,13 @@ type slot struct {
 	ok  bool
 }
 
-// staticKey identifies one role's resting-memory inputs. off is the plan's
-// RoleOffloaded verdict: a flip on any of the role's calls — not just the
-// home call — moves the resting bf16 copy in or out of host memory, so the
-// (role, home) pair alone would go stale under single-offload-flip
-// mutations.
-type staticKey struct {
-	role dfg.Role
-	home core.Assignment
-	off  bool
-}
-
 // activeSigEntry caches one call's last active-bytes computation for the
-// maxMem fast path.
+// maxMem fast path. The footprint depends on the call (fixed per graph), its
+// assignment, and its role's home (resident weights are discounted at home).
 type activeSigEntry struct {
 	a, home core.Assignment
 	act     int64
 	ok      bool
-}
-
-// activeKey identifies one call's transient-memory inputs: the footprint
-// depends on the call (name fixes role/type/workload), its assignment, and
-// the role's home (resident weights are discounted at home).
-type activeKey struct {
-	name    string
-	a, home core.Assignment
 }
 
 // EvalSession is the estimator's one evaluator: it expands a plan with a
@@ -158,7 +139,8 @@ type activeKey struct {
 //   - per-slot signatures and a duration memo keyed by NodeSig, so a
 //     proposal that moves one RPC only recosts the mutated call and its
 //     induced realloc/transfer neighbors;
-//   - memoized per-role static and per-call active memory terms;
+//   - each call's last active-memory term, reused while its assignment and
+//     its role's home are unchanged;
 //   - the Algorithm 1 scratch buffers.
 //
 // A session is single-goroutine state (each search chain owns one). Cross-
@@ -177,9 +159,8 @@ type EvalSession struct {
 	fallback DurationFunc
 
 	// Prepared per dataflow graph.
-	b           *core.AugBuilder
-	firstByName []*dfg.Node // the first node of each distinct call name
-	numGPUs     int
+	b       *core.AugBuilder
+	numGPUs int
 
 	durations []float64
 	sim       simScratch
@@ -187,12 +168,10 @@ type EvalSession struct {
 	peak      []int64
 
 	// Incremental state; all nil in a one-shot session, which costs every
-	// node and memory term directly and so allocates no memo maps.
+	// node and memory term directly and so allocates no memo.
 	slots     []slot
 	durMemo   map[NodeSig]float64
-	staticMem map[staticKey]int64
-	activeMem map[activeKey]int64
-	activeSig []activeSigEntry // by firstByName index
+	activeSig []activeSigEntry // by dfg.Graph.Calls index
 
 	stats SessionStats
 }
@@ -205,15 +184,13 @@ func (e *Estimator) NewSession(fallback DurationFunc) *EvalSession {
 	if fallback == nil {
 		fallback = e.NodeDuration
 	}
-	// The memo maps are pre-sized for a search-length solve: growing them
-	// from empty re-hashes thousands of large value-type keys per solve,
-	// which showed up as double-digit percentages of search profiles.
+	// The memo is pre-sized for a search-length solve: growing it from
+	// empty re-hashes thousands of large value-type keys per solve, which
+	// showed up as double-digit percentages of search profiles.
 	return &EvalSession{
-		e:         e,
-		fallback:  fallback,
-		durMemo:   make(map[NodeSig]float64, 2048),
-		staticMem: make(map[staticKey]int64, 256),
-		activeMem: make(map[activeKey]int64, 2048),
+		e:        e,
+		fallback: fallback,
+		durMemo:  make(map[NodeSig]float64, 2048),
 	}
 }
 
@@ -240,7 +217,7 @@ func (s *EvalSession) evaluate(p *core.Plan, timeline *[]ScheduledNode) (PlanCos
 	// mesh past the estimator's cluster must error rather than under-cost.
 	// Every transfer endpoint is some call's assignment, so checking the
 	// calls bounds every node.
-	for _, n := range s.firstByName {
+	for _, n := range p.Graph.Calls() {
 		if m := p.Assign[n.Name].Mesh; m.First < 0 || m.Count < 0 || m.First > s.numGPUs-m.Count {
 			return PlanCost{}, fmt.Errorf("estimator: call %q occupies GPUs [%d,%d) outside the %d-GPU cluster",
 				n.Name, m.First, m.First+m.Count, s.numGPUs)
@@ -272,9 +249,8 @@ func (s *EvalSession) evaluate(p *core.Plan, timeline *[]ScheduledNode) (PlanCos
 	return pc, nil
 }
 
-// prepare (re)binds the session to the plan's dataflow graph: a fresh
-// augmented-graph builder and the first node of each distinct call name
-// (the memory ledger's dedup order).
+// prepare (re)binds the session to the plan's dataflow graph with a fresh
+// augmented-graph builder.
 func (s *EvalSession) prepare(p *core.Plan) error {
 	if s.b != nil && s.b.Graph() == p.Graph {
 		return nil
@@ -285,32 +261,15 @@ func (s *EvalSession) prepare(p *core.Plan) error {
 	}
 	s.b = b
 	s.numGPUs = s.e.HW.NumGPUs()
-	s.firstByName = s.firstByName[:0]
-	for _, n := range p.Graph.Nodes {
-		if s.callIndex(n.Name) < 0 {
-			s.firstByName = append(s.firstByName, n)
-		}
-	}
 	if s.durMemo == nil {
 		return nil
 	}
-	// The memos key on call names and roles, which only mean the same thing
-	// within one graph, so a graph change drops them with the slot cache.
-	s.activeSig = make([]activeSigEntry, len(s.firstByName))
+	// The memos key on call names, which only mean the same thing within
+	// one graph, so a graph change drops them with the slot cache.
+	s.activeSig = make([]activeSigEntry, len(p.Graph.Calls()))
 	clear(s.durMemo)
-	clear(s.staticMem)
-	clear(s.activeMem)
 	clear(s.slots)
 	return nil
-}
-
-func (s *EvalSession) callIndex(name string) int {
-	for i, n := range s.firstByName {
-		if n.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // duration costs arena slot i: from the slot cache when its signature is
@@ -347,26 +306,9 @@ func (s *EvalSession) duration(i int, p *core.Plan, n *core.AugNode) (float64, e
 	return d, nil
 }
 
-// roleOffloaded is core.Plan.RoleOffloaded over the prepared call list:
-// true iff the role has calls and every one offloads.
-func (s *EvalSession) roleOffloaded(p *core.Plan, role dfg.Role) bool {
-	found := false
-	for _, n := range s.firstByName {
-		if n.Role != role {
-			continue
-		}
-		if !p.Assign[n.Name].Offload {
-			return false
-		}
-		found = true
-	}
-	return found
-}
-
-// maxMem computes MaxMem(Gp): per device, the resting (static) memory of
-// every model homed there plus the largest active footprint among the calls
-// scheduled on it. Incremental sessions memoize the per-role static and
-// per-call active footprints.
+// maxMem computes MaxMem(Gp) from the one ledger: per device, the resting
+// memory of every model homed there (addStatic) plus the largest active
+// footprint (CallActiveBytes) among the calls scheduled on it.
 func (s *EvalSession) maxMem(p *core.Plan) int64 {
 	n := s.numGPUs
 	if cap(s.static) < n {
@@ -374,32 +316,10 @@ func (s *EvalSession) maxMem(p *core.Plan) int64 {
 		s.peak = make([]int64, n)
 	}
 	static, peak := s.static[:n], s.peak[:n]
-	for i := range static {
-		static[i], peak[i] = 0, 0
-	}
-
-	for _, h := range s.b.Homes() {
-		ms := p.Models[h.Role]
-		home := p.Assign[h.Name]
-		off := s.roleOffloaded(p, h.Role)
-		k := staticKey{role: h.Role, home: home, off: off}
-		b, ok := s.staticMem[k]
-		if !ok {
-			b = memory.Static(ms.Params(), home.Strategy, memory.StaticOpts{
-				Trainable:            ms.Trainable,
-				ShardOptimizerOverDP: true,
-				OffloadParams:        off,
-			})
-			if s.staticMem != nil {
-				s.staticMem[k] = b
-			}
-		}
-		for gpu := home.Mesh.First; gpu < home.Mesh.First+home.Mesh.Count; gpu++ {
-			static[gpu] += b
-		}
-	}
-
-	for i, node := range s.firstByName {
+	clear(static)
+	clear(peak)
+	addStatic(static, p)
+	for i, node := range p.Graph.Calls() {
 		a := p.Assign[node.Name]
 		act := s.activeBytes(i, p, node, a)
 		for gpu := a.Mesh.First; gpu < a.Mesh.First+a.Mesh.Count; gpu++ {
@@ -418,24 +338,17 @@ func (s *EvalSession) maxMem(p *core.Plan) int64 {
 	return maxMem
 }
 
-// activeBytes is CallActiveBytes for the i-th distinct call, behind the
-// per-call fast path (one struct compare when the call's assignment and its
-// role's home are unchanged) and the active-memory memo.
+// activeBytes is CallActiveBytes of the i-th distinct call; an incremental
+// session reuses the call's last value while its assignment and its role's
+// home are unchanged.
 func (s *EvalSession) activeBytes(i int, p *core.Plan, node *dfg.Node, a core.Assignment) int64 {
-	if s.activeMem == nil {
+	if s.activeSig == nil {
 		return CallActiveBytes(p, node)
 	}
 	home := p.Assign[s.b.Home(node).Name]
 	sg := &s.activeSig[i]
-	if sg.ok && sg.a == a && sg.home == home {
-		return sg.act
+	if !sg.ok || sg.a != a || sg.home != home {
+		*sg = activeSigEntry{a: a, home: home, act: CallActiveBytes(p, node), ok: true}
 	}
-	k := activeKey{name: node.Name, a: a, home: home}
-	act, hit := s.activeMem[k]
-	if !hit {
-		act = CallActiveBytes(p, node)
-		s.activeMem[k] = act
-	}
-	*sg = activeSigEntry{a: a, home: home, act: act, ok: true}
-	return act
+	return sg.act
 }

@@ -37,17 +37,8 @@ func NoReallocSearch(pr *Problem, steps int, seed int64) (*core.Plan, float64, e
 	// space and validating the joint plan (invalid draws are rejected by
 	// the estimator returning an error or by plan validation).
 	roleCalls := map[string][]string{}
-	for _, n := range pr.Graph.Nodes {
-		role := string(n.Role)
-		found := false
-		for _, name := range roleCalls[role] {
-			if name == n.Name {
-				found = true
-			}
-		}
-		if !found {
-			roleCalls[role] = append(roleCalls[role], n.Name)
-		}
+	for _, n := range pr.Graph.Calls() {
+		roleCalls[string(n.Role)] = append(roleCalls[string(n.Role)], n.Name)
 	}
 
 	heur, err := pr.HeuristicPlan()
@@ -124,10 +115,8 @@ func RoleCandidates(pr *Problem, role string) []core.Assignment {
 		return nil
 	}
 	var names []string
-	seen := map[string]bool{}
-	for _, n := range pr.Graph.Nodes {
-		if string(n.Role) == role && !seen[n.Name] {
-			seen[n.Name] = true
+	for _, n := range pr.Graph.Calls() {
+		if string(n.Role) == role {
 			names = append(names, n.Name)
 		}
 	}
@@ -308,10 +297,7 @@ func splitPlan(pr *Problem) (*core.Plan, error) {
 		return nil, err
 	}
 	p := pr.EmptyPlan()
-	for _, n := range pr.Graph.Nodes {
-		if _, ok := p.Assign[n.Name]; ok {
-			continue
-		}
+	for _, n := range pr.Graph.Calls() {
 		m := m1
 		if n.Role == "actor" || n.Role == "ref" {
 			m = m0

@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"realhf/internal/core"
 	"realhf/internal/estimator"
 	"realhf/internal/model"
 )
-
-// estimatorModelState aliases the Fig. 17 metric for readability.
-func estimatorModelState(p *core.Plan) float64 { return estimator.ModelStateUtilization(p) }
 
 // Fig17Row is one point of the strong-scaling study.
 type Fig17Row struct {
@@ -50,7 +46,7 @@ func Fig17(actors []model.Config, nodeCounts []int, steps int) ([]Fig17Row, stri
 				ActorName:  actor.Name,
 				GPUs:       nodes * 8,
 				PFLOPs:     tp,
-				StaticUtil: estimatorModelState(res.Plan),
+				StaticUtil: estimator.ModelStateUtilization(res.Plan),
 			})
 		}
 	}

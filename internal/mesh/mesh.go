@@ -148,33 +148,7 @@ func Enumerate(c hardware.Cluster) []Mesh {
 	return out
 }
 
-// EnumerateSized returns every legal mesh with exactly n GPUs.
-func EnumerateSized(c hardware.Cluster, n int) []Mesh {
-	var out []Mesh
-	for _, m := range Enumerate(c) {
-		if m.Count == n {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Full returns the mesh covering the entire cluster.
 func Full(c hardware.Cluster) Mesh {
 	return Mesh{First: 0, Count: c.NumGPUs(), M: c.GPUsPerNode}
-}
-
-// Sizes returns the distinct legal mesh sizes of the cluster in ascending
-// order (1, 2, ..., M, 2M, ..., N·M for M a power of two).
-func Sizes(c hardware.Cluster) []int {
-	var out []int
-	for size := 1; size < c.GPUsPerNode; size++ {
-		if c.GPUsPerNode%size == 0 {
-			out = append(out, size)
-		}
-	}
-	for span := 1; span <= c.Nodes; span++ {
-		out = append(out, span*c.GPUsPerNode)
-	}
-	return out
 }

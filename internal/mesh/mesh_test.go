@@ -96,17 +96,19 @@ func TestEnumerateCountSmallCluster(t *testing.T) {
 
 func TestEnumerateSized(t *testing.T) {
 	c := hardware.DefaultCluster(4)
+	bySize := map[int]int{}
+	for _, m := range Enumerate(c) {
+		bySize[m.Count]++
+	}
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		for _, m := range EnumerateSized(c, n) {
-			if m.Count != n {
-				t.Errorf("EnumerateSized(%d) returned mesh of %d GPUs", n, m.Count)
-			}
+		if bySize[n] == 0 {
+			t.Errorf("no %d-GPU mesh enumerated", n)
 		}
 	}
-	if len(EnumerateSized(c, 3)) != 0 {
+	if bySize[3] != 0 {
 		t.Error("size-3 meshes must not exist on 8-GPU nodes")
 	}
-	if got := len(EnumerateSized(c, 8)); got != 4 {
+	if got := bySize[8]; got != 4 {
 		t.Errorf("4-node cluster has %d full-node meshes, want 4", got)
 	}
 }
@@ -167,22 +169,25 @@ func TestOverlapMatchesSetIntersection(t *testing.T) {
 // Property: disjoint equal-size siblings tile the cluster exactly.
 func TestSiblingsTileCluster(t *testing.T) {
 	c := hardware.DefaultCluster(2)
-	for _, n := range Sizes(c) {
-		ms := EnumerateSized(c, n)
-		covered := map[int]int{}
-		for _, m := range ms {
-			// Count only the canonical tiling (aligned, non-overlapping
-			// partition): every mesh from EnumerateSized is aligned, so the
-			// partition at stride n is exactly those with First%n == 0.
-			if m.First%n == 0 {
-				for _, g := range m.GPUs() {
-					covered[g]++
-				}
-			}
+	covered := map[int]map[int]int{} // mesh size -> GPU -> covering meshes
+	for _, m := range Enumerate(c) {
+		// Count only the canonical tiling (aligned, non-overlapping
+		// partition): every enumerated mesh is aligned, so the partition at
+		// stride n is exactly the size-n meshes with First%n == 0.
+		if m.First%m.Count != 0 {
+			continue
 		}
+		if covered[m.Count] == nil {
+			covered[m.Count] = map[int]int{}
+		}
+		for _, g := range m.GPUs() {
+			covered[m.Count][g]++
+		}
+	}
+	for n, cov := range covered {
 		for g := 0; g < c.NumGPUs(); g++ {
-			if covered[g] != 1 {
-				t.Fatalf("size-%d tiling covers GPU %d %d times", n, g, covered[g])
+			if cov[g] != 1 {
+				t.Fatalf("size-%d tiling covers GPU %d %d times", n, g, cov[g])
 			}
 		}
 	}

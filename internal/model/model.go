@@ -135,9 +135,6 @@ func (c Config) CriticParams() int64 {
 	return c.ParamsNoOutputEmbedding() + int64(c.HiddenSize)
 }
 
-// ParamBytes returns the bf16 byte footprint of the full parameter set.
-func (c Config) ParamBytes() int64 { return c.Params() * BytesPerParam }
-
 // LayerParamBytes returns the bf16 byte footprint of one transformer layer.
 func (c Config) LayerParamBytes() int64 { return c.LayerParams() * BytesPerParam }
 

@@ -148,18 +148,3 @@ func MicroBatchOptions(perDP int) []int {
 	}
 	return out
 }
-
-// EnumerateWithMicroBatches expands Enumerate with all legal micro-batch
-// counts for the given global batch size.
-func EnumerateWithMicroBatches(n, maxTP, maxPP, batch int) []Strategy {
-	var out []Strategy
-	for _, s := range Enumerate(n, maxTP, maxPP) {
-		if batch%s.DP != 0 {
-			continue
-		}
-		for _, mb := range MicroBatchOptions(batch / s.DP) {
-			out = append(out, s.WithMicroBatches(mb))
-		}
-	}
-	return out
-}

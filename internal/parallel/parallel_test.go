@@ -161,11 +161,16 @@ func TestMicroBatchOptions(t *testing.T) {
 }
 
 func TestEnumerateWithMicroBatchesAllValid(t *testing.T) {
-	c := 16
+	c, batch := 16, 512
 	m := mustMesh(t, 0, c, 8)
-	for _, s := range EnumerateWithMicroBatches(c, 8, 16, 512) {
-		if err := s.Validate(m, model.LLaMA70B, 512); err != nil {
-			t.Errorf("enumerated strategy invalid: %v: %v", s, err)
+	for _, s := range Enumerate(c, 8, 16) {
+		if batch%s.DP != 0 {
+			continue
+		}
+		for _, mb := range MicroBatchOptions(batch / s.DP) {
+			if err := s.WithMicroBatches(mb).Validate(m, model.LLaMA70B, batch); err != nil {
+				t.Errorf("enumerated strategy invalid: %v: %v", s, err)
+			}
 		}
 	}
 }

@@ -61,15 +61,6 @@ func NewCostCache() *CostCache {
 func (c *CostCache) Hits() int64   { return c.hits.Load() }
 func (c *CostCache) Misses() int64 { return c.misses.Load() }
 
-// HitRate is plan-level hits over total lookups (0 when empty).
-func (c *CostCache) HitRate() float64 {
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Len returns the number of cached plan evaluations.
 func (c *CostCache) Len() int {
 	c.mu.RLock()

@@ -20,7 +20,9 @@ import (
 // multi-iteration graph), under both stream semantics and over both
 // transports, runtime.Run reports exactly the oracle-costed, uncalibrated
 // Estimator.Evaluate timeline — span for span (label, start, end), with
-// MakespanV == TimeCost and equal CallTimes, bit for bit.
+// MakespanV == TimeCost and equal CallTimes, bit for bit — and its workers
+// peak at the estimator's memory ledger: PeakBytes == MaxMem and the same
+// OOM verdict, over plans on both sides of device capacity.
 func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	cluster := hardware.DefaultCluster(1)
 	workers := make([]*runtime.ModelWorker, cluster.NumGPUs())
@@ -81,11 +83,16 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	}
 }
 
-// sameSchedule fails unless the runtime report is the estimate's timeline.
+// sameSchedule fails unless the runtime report is the estimate's timeline
+// and its workers' memory peak is the estimate's ledger.
 func sameSchedule(t *testing.T, name string, got *runtime.Report, want *estimator.Result) {
 	t.Helper()
 	if got.MakespanV != want.TimeCost {
 		t.Fatalf("%s: runtime makespan %v != estimated %v", name, got.MakespanV, want.TimeCost)
+	}
+	if got.PeakBytes != want.MaxMem || got.OOM != want.OOM {
+		t.Fatalf("%s: runtime peak %d B (OOM %v) != estimated %d B (OOM %v)",
+			name, got.PeakBytes, got.OOM, want.MaxMem, want.OOM)
 	}
 	if !reflect.DeepEqual(got.CallTimes, want.CallTimes) {
 		t.Fatalf("%s: runtime call times %v != estimated %v", name, got.CallTimes, want.CallTimes)

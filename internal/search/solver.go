@@ -358,10 +358,7 @@ func (m *enumMemo) microBatchOptions(perDP int) []int {
 // keeping default solves byte-identical.
 func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
 	ms := p.Models[call.Role]
-	batch := call.Work.Batch
-	if call.Type == dfg.Train && call.Work.MiniBatches > 1 {
-		batch /= call.Work.MiniBatches
-	}
+	batch := call.UpdateBatch()
 	maxPP := ms.Cfg.NumLayers
 	maxMB := 32
 	if lvl >= PruneAggressive {
@@ -426,10 +423,7 @@ func candidateSets(p *core.Plan, lvl PruneLevel, offloadSearch bool) (map[string
 	var log10 float64
 	meshes := mesh.Enumerate(p.Cluster)
 	memo := newEnumMemo()
-	for _, n := range p.Graph.Nodes {
-		if _, ok := sets[n.Name]; ok {
-			continue
-		}
+	for _, n := range p.Graph.Calls() {
 		c := candidates(p, n, lvl, meshes, memo, offloadSearch)
 		if len(c) == 0 {
 			return nil, 0, fmt.Errorf("search: call %q has no legal assignment", n.Name)
@@ -464,10 +458,7 @@ func callTime(e *estimator.Estimator, p *core.Plan, n *dfg.Node, a core.Assignme
 		// invocation — the time side of the memory it releases.
 		t += e.Comm.OffloadTransfer(memory.ParamShardBytes(ms.Params(), a.Strategy))
 	}
-	static := memory.Static(ms.Params(), a.Strategy, memory.StaticOpts{
-		Trainable: ms.Trainable, ShardOptimizerOverDP: true,
-		OffloadParams: a.Offload && !ms.Trainable,
-	})
+	static := estimator.StaticBytes(ms, a.Strategy, a.Offload && !ms.Trainable)
 	if memory.Active(spec)+static > p.Cluster.GPU.MemoryBytes {
 		t *= estimator.OOMPenalty
 	}
@@ -476,11 +467,10 @@ func callTime(e *estimator.Estimator, p *core.Plan, n *dfg.Node, a core.Assignme
 
 // nodesByName returns a representative dfg node for each distinct call name.
 func nodesByName(p *core.Plan) map[string]*dfg.Node {
-	out := map[string]*dfg.Node{}
-	for _, n := range p.Graph.Nodes {
-		if _, ok := out[n.Name]; !ok {
-			out[n.Name] = n
-		}
+	calls := p.Graph.Calls()
+	out := make(map[string]*dfg.Node, len(calls))
+	for _, n := range calls {
+		out[n.Name] = n
 	}
 	return out
 }

@@ -398,6 +398,16 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 		t.Errorf("unregistered solver: %v, want 400 wrapping ErrInvalidConfig", err)
 	}
 
+	// Two calls sharing one name in an iteration: a second unnamed reward
+	// inference defaults to the first one's "reward/INFERENCE".
+	dup := testConfig(6, 200)
+	second := dup.RPCs[1]
+	second.BatchScale, second.OutputData = 4, []string{"r2"}
+	dup.RPCs = append(dup.RPCs, second)
+	if _, err := client.Plan(ctx, dup, nil); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
+		t.Errorf("repeated call name: %v, want 400 wrapping ErrInvalidConfig", err)
+	}
+
 	// A 70B cast on one node has no memory-feasible plan: 422.
 	oom := realhf.ExperimentConfig{
 		Nodes: 1, BatchSize: 64, PromptLen: 256, GenLen: 256,

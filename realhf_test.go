@@ -2,6 +2,7 @@ package realhf
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -130,6 +131,16 @@ func TestBuildGraphRejectsBadInput(t *testing.T) {
 	cfg.Nodes = 0
 	if _, err := solveFresh(cfg); err == nil {
 		t.Error("zero nodes must fail")
+	}
+	// A second unnamed reward inference takes the first one's default name,
+	// "reward/INFERENCE": keyed by name, the two would be planned and priced
+	// as one call.
+	cfg = quickConfig()
+	second := cfg.RPCs[1]
+	second.BatchScale, second.OutputData = 4, []string{"r2"}
+	cfg.RPCs = append(append([]ModelFunctionCallDef{}, cfg.RPCs...), second)
+	if _, err := solveFresh(cfg); !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), `"reward/INFERENCE"`) {
+		t.Errorf("repeated call name: %v, want ErrInvalidConfig naming the call", err)
 	}
 }
 
