@@ -97,8 +97,12 @@ type stateJSON struct {
 // calibration map's keys). It is the fieldcover-checked canonical method —
 // adding a State field without extending this marshal is a realvet break,
 // not a silently-dropped-on-resume bug.
+//
+// The bytes are json.MarshalIndent's of the whole document, but the plan is
+// scanned once: the other fields are indented around a null placeholder,
+// and the plan is indented into its place.
 func (s *State) MarshalJSON() ([]byte, error) {
-	out := stateJSON{
+	doc, err := json.MarshalIndent(stateJSON{
 		Version:            s.Version,
 		Iteration:          s.Iteration,
 		Replans:            s.Replans,
@@ -110,11 +114,37 @@ func (s *State) MarshalJSON() ([]byte, error) {
 		Drifted:            s.Drifted,
 		Nodes:              s.Nodes,
 		PlannedGenLen:      s.PlannedGenLen,
-		Plan:               s.Plan,
 		PlanFingerprint:    s.PlanFingerprint,
 		Calibration:        s.Calibration,
+	}, "", "  ")
+	if err != nil || s.Plan == nil {
+		return doc, err
 	}
-	return json.MarshalIndent(out, "", "  ")
+	// No string field precedes the plan, so its key occurs first here.
+	at := bytes.Index(doc, []byte(`"plan": null`)) + len(`"plan": `)
+	var b bytes.Buffer
+	b.Grow(len(doc) + 2*len(s.Plan))
+	b.Write(doc[:at])
+	// Marshal compacts a RawMessage, dropping the trailing whitespace that
+	// Indent would keep.
+	if err := json.Indent(&b, bytes.TrimRight(s.Plan, " \t\r\n"), "  ", "  "); err != nil {
+		return nil, fmt.Errorf("checkpoint: plan: %w", err)
+	}
+	// Marshal also HTML-escapes the plan's strings; Indent does not.
+	if htmlUnsafe(s.Plan) {
+		plan := bytes.Clone(b.Bytes()[at:])
+		b.Truncate(at)
+		json.HTMLEscape(&b, plan)
+	}
+	b.Write(doc[at+len("null"):])
+	return b.Bytes(), nil
+}
+
+// htmlUnsafe reports whether b holds a byte json.Marshal escapes: <, > or
+// &, or the lead byte of U+2028 and U+2029.
+func htmlUnsafe(b []byte) bool {
+	return bytes.IndexByte(b, '<') >= 0 || bytes.IndexByte(b, '>') >= 0 ||
+		bytes.IndexByte(b, '&') >= 0 || bytes.IndexByte(b, 0xE2) >= 0
 }
 
 // Write encodes the state to w in the canonical format.

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,5 +173,136 @@ func TestSaveAtomicReplace(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("Save left temp litter: %v", entries)
+	}
+}
+
+// indentReference is the encoding MarshalJSON must reproduce byte for byte:
+// json.MarshalIndent of the whole wire document, plan included.
+func indentReference(s *State) ([]byte, error) {
+	return json.MarshalIndent(stateJSON{
+		Version:            s.Version,
+		Iteration:          s.Iteration,
+		Replans:            s.Replans,
+		Switches:           s.Switches,
+		WorkerFailures:     s.WorkerFailures,
+		SwitchCostV:        s.SwitchCostV,
+		TotalMakespanV:     s.TotalMakespanV,
+		PendingSwitchCostV: s.PendingSwitchCostV,
+		Drifted:            s.Drifted,
+		Nodes:              s.Nodes,
+		PlannedGenLen:      s.PlannedGenLen,
+		Plan:               s.Plan,
+		PlanFingerprint:    s.PlanFingerprint,
+		Calibration:        s.Calibration,
+	}, "", "  ")
+}
+
+// TestMarshalMatchesIndentReference: over randomized states — compact,
+// indented and whitespace-padded plans, plans whose strings hold <, >, &
+// and U+2028, nil and non-empty calibration, Drifted both ways — MarshalJSON
+// returns exactly the reference bytes, and fails exactly when it does.
+func TestMarshalMatchesIndentReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const alphabet = "abcXYZ09 _-<>&\"\\/é\u2028\u2029\t"
+	word := func() string {
+		r := []rune(alphabet)
+		out := make([]rune, rng.Intn(8))
+		for i := range out {
+			out[i] = r[rng.Intn(len(r))]
+		}
+		return string(out)
+	}
+	var value func(depth int) any
+	value = func(depth int) any {
+		switch k := rng.Intn(7); {
+		case depth > 3 || k == 0:
+			return []any{rng.Intn(2000) - 1000, rng.Float64() * 1e6, 1e-9, 1e21, true, false, nil, word()}[rng.Intn(8)]
+		case k < 4:
+			m := map[string]any{}
+			for i := rng.Intn(4); i > 0; i-- {
+				m[word()] = value(depth + 1)
+			}
+			return m
+		default:
+			a := make([]any, rng.Intn(4))
+			for i := range a {
+				a[i] = value(depth + 1)
+			}
+			return a
+		}
+	}
+	plan := func() json.RawMessage {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(rng.Intn(2) == 0) // raw <, > and & half the time
+		switch rng.Intn(3) {
+		case 1:
+			enc.SetIndent("", "  ")
+		case 2:
+			enc.SetIndent("\t", " ")
+		}
+		if err := enc.Encode(map[string]any{"version": 1, "assignments": value(0)}); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes() // Encode ends the document with a newline
+		if rng.Intn(2) == 0 {
+			b = bytes.TrimRight(b, "\n")
+		}
+		if rng.Intn(3) == 0 {
+			b = append([]byte(" \n\t"), b...)
+		}
+		return b
+	}
+	for i := 0; i < 500; i++ {
+		s := &State{
+			Version:            Version,
+			Iteration:          rng.Intn(1 << 20),
+			Replans:            rng.Intn(100),
+			Switches:           rng.Intn(100),
+			WorkerFailures:     rng.Intn(4),
+			SwitchCostV:        rng.Float64() * 100,
+			TotalMakespanV:     rng.ExpFloat64() * 1e5,
+			PendingSwitchCostV: []float64{0, rng.Float64(), 1e-7}[rng.Intn(3)],
+			Drifted:            rng.Intn(2) == 0,
+			Nodes:              1 + rng.Intn(16),
+			PlannedGenLen:      rng.Intn(4096),
+			Plan:               plan(),
+			PlanFingerprint:    word(),
+		}
+		switch rng.Intn(3) {
+		case 1:
+			s.Calibration = map[string]float64{}
+		case 2:
+			s.Calibration = map[string]float64{word(): rng.Float64() * 2, "ActorGen": 1.25}
+		}
+		checkMarshalMatches(t, s)
+	}
+}
+
+// TestMarshalRejectsMalformedPlans: plan bytes the reference encoder
+// rejects are rejected too, including an invalid escape that HTML escaping
+// would turn into a valid one.
+func TestMarshalRejectsMalformedPlans(t *testing.T) {
+	for _, p := range []string{"", "  ", "{", `{"a":1}}`, `{"a":1} {}`, `"\<"`, "<", " ", `{"a":01}`} {
+		s := sampleState()
+		s.Plan = json.RawMessage(p)
+		checkMarshalMatches(t, s)
+	}
+}
+
+// checkMarshalMatches fails unless MarshalJSON agrees with indentReference
+// on s: the same bytes, or an error from both.
+func checkMarshalMatches(t *testing.T, s *State) {
+	t.Helper()
+	want, wantErr := indentReference(s)
+	got, err := s.MarshalJSON()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("plan %q: MarshalJSON err = %v, reference err = %v", s.Plan, err, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("plan %q: MarshalJSON differs from the MarshalIndent reference:\n%s\nvs\n%s", s.Plan, got, want)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	goruntime "runtime"
 	"strings"
 	"sync"
@@ -112,8 +113,8 @@ func TestSendAfterStopPromptError(t *testing.T) {
 }
 
 // TestChanTransportCloseWithBackedUpLane: a fleet whose replies nobody reads
-// backs up, yet Send keeps returning (the shard queues are unbounded) and
-// Close still returns promptly, with no executor goroutine outliving it.
+// backs up, yet Send keeps returning (the backlog is unbounded) and Close
+// still returns promptly, with no pump goroutine outliving it.
 func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	ct := NewChanTransport([]*ModelWorker{NewModelWorker(0, 1<<30)})
@@ -135,6 +136,128 @@ func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Send or Close hung on a backed-up lane")
 	}
+	waitGoroutines(t, before)
+	if err := ct.Send(0, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
+		t.Fatalf("send after Close = %v, want prompt transport-closed error", err)
+	}
+}
+
+// TestChanTransportRepliesInSendOrder: with one worker and with several,
+// replies leave in Send order across the backlog boundary — three buffers'
+// worth sent unread, then two replies read per further Send, so direct
+// sends meet a backlog the pump is still draining — and each carries its
+// own ledger verdict. Close then leaves no goroutine behind, and a later
+// Send fails promptly.
+func TestChanTransportRepliesInSendOrder(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			before := goruntime.NumGoroutine()
+			workers := make([]*ModelWorker, n)
+			for i := range workers {
+				workers[i] = NewModelWorker(i, 1000)
+			}
+			ct := NewChanTransport(workers)
+			unread := 3 * cap(ct.replies)
+			oom := unread / 2
+			send := func(id int) {
+				t.Helper()
+				alloc := int64(10)
+				if id == oom {
+					alloc = 2000
+				}
+				if err := ct.Send(id%n, Request{ID: id, Kind: ReqNode, AllocBytes: alloc}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := 0
+			recv := func() {
+				t.Helper()
+				select {
+				case rep := <-ct.Replies():
+					if rep.ID != read || rep.GPU != read%n {
+						t.Fatalf("reply %d (gpu %d) arrived in position %d: replies must leave in send order",
+							rep.ID, rep.GPU, read)
+					}
+					if rep.OOM != (read == oom) || (rep.Error != "") != rep.OOM {
+						t.Fatalf("reply %d carries OOM=%t %q, want OOM=%t", rep.ID, rep.OOM, rep.Error, read == oom)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("reply %d never arrived", read)
+				}
+				read++
+			}
+			sent := 0
+			for ; sent < unread; sent++ {
+				send(sent)
+			}
+			for ; sent-read >= 2; sent++ {
+				recv()
+				recv()
+				send(sent)
+			}
+			for read < sent {
+				recv()
+			}
+			if err := ct.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, before)
+			if err := ct.Send(0, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
+				t.Fatalf("send after Close = %v, want prompt transport-closed error", err)
+			}
+		})
+	}
+}
+
+// TestChanTransportConcurrentSendClose: senders racing Close past the reply
+// buffer — a reader takes a varying number of replies first, each sender's
+// in its own send order — end with the prompt transport-closed error, and
+// Close leaves no pump behind. Run it under -race.
+func TestChanTransportConcurrentSendClose(t *testing.T) {
+	const senders, perSender = 4, 500
+	before := goruntime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		workers := []*ModelWorker{NewModelWorker(0, 1<<30), NewModelWorker(1, 1<<30)}
+		ct := NewChanTransport(workers)
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					if err := ct.Send(i%2, Request{ID: g*perSender + i, Kind: ReqNode}); err != nil {
+						if !strings.Contains(err.Error(), "transport closed") {
+							t.Errorf("unexpected send error: %v", err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		var next [senders]int // each sender's next unread reply
+		for i := 0; i < round*10; i++ {
+			rep := <-ct.Replies()
+			g, seq := rep.ID/perSender, rep.ID%perSender
+			if seq != next[g] {
+				t.Fatalf("round %d: sender %d's reply %d arrived when its reply %d was due", round, g, seq, next[g])
+			}
+			next[g]++
+		}
+		if err := ct.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if err := ct.Send(1, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
+			t.Fatalf("round %d: send after Close = %v, want prompt transport-closed error", round, err)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for goruntime.NumGoroutine() > before {
 		select {
@@ -142,9 +265,6 @@ func TestChanTransportCloseWithBackedUpLane(t *testing.T) {
 			t.Fatalf("%d goroutines outlived Close (started with %d)", goruntime.NumGoroutine(), before)
 		case <-time.After(time.Millisecond):
 		}
-	}
-	if err := ct.Send(0, Request{Kind: ReqFence}); err == nil || !strings.Contains(err.Error(), "transport closed") {
-		t.Fatalf("send after Close = %v, want prompt transport-closed error", err)
 	}
 }
 

@@ -246,12 +246,13 @@ type nodeRun struct {
 // (WorkerPool.Execute). Of opts, only Context and WorkerTimeout are read.
 //
 // It is a plain dependency-driven dispatcher: a node is sent to its devices
-// once every parent's replies are in. Workers run concurrently and replies
-// arrive in arbitrary physical order, so the dispatch order varies from run
-// to run — but nothing reported depends on it. Virtual spans were fixed by
-// Compile, and the worker ledgers' peaks and OOM verdicts do not depend on
-// request order; the report folds completed nodes in compiled order with
-// sorted error lists.
+// once every parent's replies are in. In-process replies arrive in send
+// order; TCP workers run concurrently and reply in arbitrary physical
+// order, so there the dispatch order varies from run to run — but nothing
+// reported depends on it. Virtual spans were fixed by Compile, and the
+// worker ledgers' peaks and OOM verdicts do not depend on request order;
+// the report folds completed nodes in compiled order with sorted error
+// lists.
 func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker) (*Report, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -413,10 +414,10 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		)
 		// Drain, then block: a reply already queued is taken with a
 		// non-blocking receive, so a step's thousands of replies do not
-		// each enter the three-way select below, whose channel locks the
-		// master and the executors would fight over. Only that select
-		// watches ctx.Done, so a drained reply checks the context itself:
-		// a fleet that always has a reply ready stays cancellable.
+		// each enter the three-way select below and lock every channel in
+		// it. Only that select watches ctx.Done, so a drained reply checks
+		// the context itself: a fleet that always has a reply ready stays
+		// cancellable.
 		select {
 		case rep, ok = <-replies:
 			if ctx.Err() != nil {

@@ -10,9 +10,10 @@
 // start/end from the estimator's Algorithm 1 timeline of the plan under
 // oracle costs, and workers execute against a simulated device that keeps
 // only a memory ledger. Everything else — the event-driven dependency
-// engine, the dispatch protocol, the per-GPU queues, fences, liveness
-// timeouts and fault injection — runs for real, over either in-process
-// channels or TCP sockets with gob encoding.
+// engine, the dispatch protocol, fences, liveness timeouts and fault
+// injection — runs for real, over either the in-process ChanTransport,
+// whose workers answer inside Send and queue their replies in send order,
+// or TCP sockets with gob encoding, one connection (one FIFO) per worker.
 //
 // The compiled timeline gives each worker two streams, mirroring a CUDA
 // device's compute and copy engines: model function calls occupy

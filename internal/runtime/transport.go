@@ -4,140 +4,118 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ChanTransport is the in-process transport used by tests, benchmarks, the
-// default Run path and Trainer sessions. Workers are sharded over
-// min(GOMAXPROCS, workers) executor goroutines: device i belongs to shard
-// i % S, and each shard drains one unbounded FIFO of requests in arrival
-// order. That preserves per-worker FIFO order — all the fence protocol
-// relies on — while the streams' overlap is virtual, fixed in the compiled
-// timeline, so no goroutine per lane is needed. Send never blocks.
+// default Run path and Trainer sessions. An in-process worker's whole job is
+// one memory-ledger check, so Send runs it on the caller's goroutine and
+// queues the reply: replies leave in Send order, which keeps per-worker FIFO
+// order (all the fence protocol relies on), and the streams' overlap is
+// virtual, fixed in the compiled timeline. A reply that finds the reply
+// channel full joins an ordered backlog that one pump goroutine drains; the
+// pump exists only while the backlog is non-empty, so Send never blocks and
+// an idle transport owns no goroutine.
 type ChanTransport struct {
 	workers []*ModelWorker
-	shards  []*shard
 	replies chan Reply
-	// stop is closed by Close; executors blocked on a full reply channel or
-	// on an empty queue observe it and exit.
+	// closed and backlogged are the two flags the no-backlog path reads,
+	// so it takes no lock. Both change only under mu.
+	closed     atomic.Bool
+	backlogged atomic.Bool // the pump is running; replies go through backlog
+	// stop is closed by Close; a pump blocked on a full reply channel
+	// observes it and exits.
 	stop chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
+
+	mu      sync.Mutex
+	backlog []Reply
 }
 
-// shard is one executor's request queue.
-type shard struct {
-	mu     sync.Mutex
-	queue  []routed
-	idle   bool // the executor waits on wake for the next request
-	closed bool
-	// wake has room for exactly the one signal an idle executor awaits:
-	// only the Send that clears idle sends it.
-	wake chan struct{}
-}
-
-// routed is a request bound for one device of a shard.
-type routed struct {
-	gpu int
-	req Request
-}
-
-// NewChanTransport starts the executor goroutines for the fleet.
+// NewChanTransport serves the fleet in-process. It starts no goroutine.
 func NewChanTransport(workers []*ModelWorker) *ChanTransport {
-	t := &ChanTransport{
+	return &ChanTransport{
 		workers: workers,
-		shards:  make([]*shard, min(goruntime.GOMAXPROCS(0), len(workers))),
+		// Four replies per lane of every device: a steady step never fills
+		// it, so the backlog and its pump are the exception.
 		replies: make(chan Reply, 4*NumStreams*len(workers)+16),
 		stop:    make(chan struct{}),
 	}
-	for i := range t.shards {
-		sh := &shard{wake: make(chan struct{}, 1)}
-		t.shards[i] = sh
-		t.wg.Add(1)
-		go t.execute(sh)
-	}
-	return t
 }
 
-// execute is one shard's executor loop: it takes the whole queue at once
-// and handles it in arrival order, replying in the same order.
-func (t *ChanTransport) execute(sh *shard) {
-	defer t.wg.Done()
-	var batch []routed
-	for {
-		sh.mu.Lock()
-		for len(sh.queue) == 0 {
-			if sh.closed {
-				sh.mu.Unlock()
-				return
-			}
-			sh.idle = true
-			sh.mu.Unlock()
-			select {
-			case <-sh.wake:
-			case <-t.stop:
-				return
-			}
-			sh.mu.Lock()
-		}
-		batch, sh.queue = sh.queue, batch[:0]
-		sh.mu.Unlock()
-		for _, r := range batch {
-			rep := t.workers[r.gpu].Handle(r.req)
-			// Try the cheap non-blocking send first; only a full reply
-			// channel pays for the two-way select.
-			select {
-			case t.replies <- rep:
-				continue
-			default:
-			}
-			select {
-			case t.replies <- rep:
-			case <-t.stop:
-				return
-			}
-		}
-	}
-}
-
-// Send implements Transport. It enqueues and returns without waiting, so a
-// backed-up fleet can never wedge the master or Close; sending on a closed
-// transport returns a prompt error.
+// Send implements Transport. The worker handles the request before Send
+// returns; Send never blocks, so a backed-up fleet can never wedge the
+// master or Close, and sending on a closed transport returns a prompt
+// error.
 func (t *ChanTransport) Send(gpu int, req Request) error {
 	if gpu < 0 || gpu >= len(t.workers) {
 		return fmt.Errorf("runtime: no worker for gpu %d", gpu)
 	}
-	sh := t.shards[gpu%len(t.shards)]
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	if t.closed.Load() {
 		return fmt.Errorf("runtime: send to gpu %d: transport closed", gpu)
 	}
-	sh.queue = append(sh.queue, routed{gpu: gpu, req: req})
-	wake := sh.idle
-	sh.idle = false
-	sh.mu.Unlock()
-	if wake {
-		sh.wake <- struct{}{}
+	rep := t.workers[gpu].Handle(req)
+	// A direct send must never overtake a backlogged reply, so it is tried
+	// only while the backlog is empty.
+	if !t.backlogged.Load() {
+		select {
+		case t.replies <- rep:
+			return nil
+		default:
+		}
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed.Load() {
+		return fmt.Errorf("runtime: send to gpu %d: transport closed", gpu)
+	}
+	if !t.backlogged.Load() {
+		t.backlogged.Store(true)
+		t.wg.Add(1)
+		go t.pump()
+	}
+	t.backlog = append(t.backlog, rep)
 	return nil
+}
+
+// pump moves the backlog into the reply channel in order and exits once it
+// is empty (or Close drops it).
+func (t *ChanTransport) pump() {
+	defer t.wg.Done()
+	var batch []Reply
+	for {
+		t.mu.Lock()
+		if len(t.backlog) == 0 {
+			t.backlogged.Store(false)
+			t.mu.Unlock()
+			return
+		}
+		batch, t.backlog = t.backlog, batch[:0]
+		t.mu.Unlock()
+		for _, rep := range batch {
+			select {
+			case t.replies <- rep:
+			case <-t.stop:
+				return
+			}
+		}
+	}
 }
 
 // Replies implements Transport.
 func (t *ChanTransport) Replies() <-chan Reply { return t.replies }
 
-// Close implements Transport: later Sends fail, requests still queued are
-// dropped, and Close returns once every executor goroutine has exited.
+// Close implements Transport: later Sends fail, backlogged replies are
+// dropped, and Close returns once the pump, if any, has exited.
 // Idempotent.
 func (t *ChanTransport) Close() error {
 	t.once.Do(func() {
-		for _, sh := range t.shards {
-			sh.mu.Lock()
-			sh.closed = true
-			sh.queue = nil
-			sh.mu.Unlock()
-		}
+		t.mu.Lock()
+		t.closed.Store(true)
+		t.backlog = nil
+		t.mu.Unlock()
 		close(t.stop)
 		t.wg.Wait()
 	})

@@ -10,8 +10,9 @@ import (
 // the virtual span of every node was fixed when the program was compiled —
 // so the order in which requests reach it changes nothing it reports.
 //
-// Handle is safe for concurrent use: a transport's executor handles requests
-// while the master reads Peak and Reset clears the ledger between runs.
+// Handle is safe for concurrent use: concurrent senders on the in-process
+// transport, or a TCP worker loop, handle requests while the master reads
+// Peak and Reset clears the ledger between runs.
 type ModelWorker struct {
 	GPU int
 	// MemoryBytes is the device capacity.

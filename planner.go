@@ -533,6 +533,14 @@ func (e *Experiment) instantiate(runOpts *RunOptions) *Experiment {
 	return &out
 }
 
+// cluster is the hardware the config plans on: the default cluster at the
+// config's shape.
+func (c ExperimentConfig) cluster() hardware.Cluster {
+	hw := hardware.DefaultCluster(c.Nodes)
+	hw.GPUsPerNode = c.GPUsPerNode
+	return hw
+}
+
 // problemFor resolves the session state for cfg's problem — building the
 // graph and model cast fresh (they are cheap and per-request) while the
 // estimator and cost cache come from the session pool. A non-nil
@@ -541,8 +549,7 @@ func (e *Experiment) instantiate(runOpts *RunOptions) *Experiment {
 // estimator and search.CostCache and can never poison the uncalibrated
 // (or overlap-semantics) entries a default request reads.
 func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration) (*problemState, hardware.Cluster, *dfg.Graph, map[dfg.Role]core.ModelSpec, error) {
-	hw := hardware.DefaultCluster(cfg.Nodes)
-	hw.GPUsPerNode = cfg.GPUsPerNode
+	hw := cfg.cluster()
 	g, models, err := buildGraph(cfg)
 	if err != nil {
 		return nil, hw, nil, nil, err

@@ -463,10 +463,13 @@ type RunOptions struct {
 	// unchanged"; any other value must be positive and finite — Validate
 	// (run by Run, RunWith and every option-accepting entry point) rejects
 	// negative, NaN and infinite overrides with a wrapped
-	// ErrInvalidRunOptions. Planning is unaffected: searched plans and
-	// estimates always describe the unscaled cluster, which is exactly what
-	// makes a scaled run drift from its estimate (and what a Trainer's
-	// profile feedback then calibrates away).
+	// ErrInvalidRunOptions. RunWith, Train and ResumeTrain, which know the
+	// cluster, also reject a scale that leaves device memory outside
+	// 1..math.MaxInt64 bytes or a bandwidth below 1 byte/s. Planning is
+	// unaffected: searched plans and estimates always describe the
+	// unscaled cluster, which is exactly what makes a scaled run drift from
+	// its estimate (and what a Trainer's profile feedback then calibrates
+	// away).
 	BandwidthScale float64
 	LatencyScale   float64
 	MemoryScale    float64
@@ -517,12 +520,20 @@ func (o RunOptions) scalesCluster() bool {
 	return o.BandwidthScale != 0 || o.LatencyScale != 0 || o.MemoryScale != 0
 }
 
-// scaleCluster applies the validated overrides to a copy of the cluster.
-func (o RunOptions) scaleCluster(hw hardware.Cluster) hardware.Cluster {
+// scaleCluster applies the validated overrides to a copy of the cluster. A
+// scale Validate accepts can still break the cluster it scales — device
+// memory rounded down to nothing or past int64, a fabric slower than a
+// byte per second — so the scaled cluster is checked here, and rejected
+// with the same wrapped ErrInvalidRunOptions.
+func (o RunOptions) scaleCluster(hw hardware.Cluster) (hardware.Cluster, error) {
 	if s := o.BandwidthScale; s != 0 {
 		hw.Net.IntraNodeBandwidth *= s
 		hw.Net.InterNodeBandwidth *= s
 		hw.Net.PCIeBandwidth *= s
+		if bw := min(hw.Net.IntraNodeBandwidth, hw.Net.InterNodeBandwidth, hw.Net.PCIeBandwidth); bw < 1 {
+			return hw, fmt.Errorf("realhf: BandwidthScale = %v leaves a %g bytes/s link: %w (every bandwidth must stay at least 1 byte/s)",
+				s, bw, ErrInvalidRunOptions)
+		}
 	}
 	if s := o.LatencyScale; s != 0 {
 		hw.Net.IntraNodeLatency *= s
@@ -531,9 +542,14 @@ func (o RunOptions) scaleCluster(hw hardware.Cluster) hardware.Cluster {
 		hw.Net.PCIeLatency *= s
 	}
 	if s := o.MemoryScale; s != 0 {
-		hw.GPU.MemoryBytes = int64(float64(hw.GPU.MemoryBytes) * s)
+		mem := float64(hw.GPU.MemoryBytes) * s
+		if mem < 1 || mem >= math.MaxInt64 {
+			return hw, fmt.Errorf("realhf: MemoryScale = %v leaves %s with %g bytes: %w (device memory must stay between 1 byte and math.MaxInt64)",
+				s, hw.GPU.Name, mem, ErrInvalidRunOptions)
+		}
+		hw.GPU.MemoryBytes = int64(mem)
 	}
-	return hw
+	return hw, nil
 }
 
 // DefaultRunOptions is the paper's full runtime configuration: CUDA graphs
@@ -579,8 +595,12 @@ func (e *Experiment) RunWith(opts RunOptions) (*RunReport, error) {
 	}
 	plan := e.Plan
 	if opts.scalesCluster() {
+		hw, err := opts.scaleCluster(plan.Cluster)
+		if err != nil {
+			return nil, err
+		}
 		plan = e.Plan.Clone()
-		plan.Cluster = opts.scaleCluster(plan.Cluster)
+		plan.Cluster = hw
 	}
 	rep, err := runtime.Run(plan, runtime.Options{
 		UseCUDAGraph:  opts.UseCUDAGraph,

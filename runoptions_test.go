@@ -1,6 +1,7 @@
 package realhf
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -110,5 +111,70 @@ func TestRunOptionsClusterOverridesApply(t *testing.T) {
 	}
 	if again.IterationTime != base.IterationTime {
 		t.Errorf("default rerun changed after scaled runs: %v vs %v", again.IterationTime, base.IterationTime)
+	}
+}
+
+// TestRunOptionsRejectScalesThatBreakTheCluster: a positive, finite scale
+// passes Validate yet can leave the scaled cluster unusable — device memory
+// rounded down to 0 bytes or past math.MaxInt64, a link below 1 byte/s (an
+// infinite or NaN iteration time). RunWith, Train and ResumeTrain reject
+// such a scale with ErrInvalidRunOptions; scales just inside the limits
+// still run.
+func TestRunOptionsRejectScalesThatBreakTheCluster(t *testing.T) {
+	ctx := context.Background()
+	planner := NewPlanner(ClusterConfig{})
+	exp, err := planner.Plan(ctx, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := planner.Train(ctx, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var ckpt bytes.Buffer
+	if err := tr.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, opts := range []RunOptions{
+		{MemoryScale: 1e-12},     // 80 GB rounds down to 0 bytes
+		{MemoryScale: 1.08e8},    // past math.MaxInt64 bytes
+		{BandwidthScale: 1e-310}, // +Inf iteration time
+		{BandwidthScale: 1e-320}, // NaN iteration time
+	} {
+		if _, err := exp.RunWith(opts); !errors.Is(err, ErrInvalidRunOptions) {
+			t.Errorf("RunWith(%+v) = %v, want ErrInvalidRunOptions", opts, err)
+		}
+		if tr, err := planner.Train(ctx, fastConfig(), WithTrainRunOptions(opts)); !errors.Is(err, ErrInvalidRunOptions) {
+			if err == nil {
+				tr.Close()
+			}
+			t.Errorf("Train(WithTrainRunOptions(%+v)) = %v, want ErrInvalidRunOptions", opts, err)
+		}
+		resumed, err := planner.ResumeTrain(ctx, bytes.NewReader(ckpt.Bytes()), fastConfig(), WithTrainRunOptions(opts))
+		if !errors.Is(err, ErrInvalidRunOptions) {
+			if err == nil {
+				resumed.Close()
+			}
+			t.Errorf("ResumeTrain(WithTrainRunOptions(%+v)) = %v, want ErrInvalidRunOptions", opts, err)
+		}
+	}
+
+	for _, opts := range []RunOptions{
+		{MemoryScale: 1e8},      // 8.6e18 bytes, below math.MaxInt64
+		{BandwidthScale: 1e-10}, // the slowest link keeps 5 bytes/s
+		{BandwidthScale: 1e300}, // infinitely fast links price transfers at their latency
+		{MemoryScale: 1 / 8e10}, // a 1-byte device: every call runs out of memory
+		{LatencyScale: 1e-320},  // latencies vanish
+	} {
+		opts.UseCUDAGraph, opts.OverlapComm = true, true
+		rep, err := exp.RunWith(opts)
+		if err != nil {
+			t.Fatalf("RunWith(%+v): %v", opts, err)
+		}
+		if !rep.OOM && (math.IsInf(rep.IterationTime, 0) || math.IsNaN(rep.IterationTime) || rep.IterationTime <= 0) {
+			t.Errorf("RunWith(%+v) iteration time %v, want positive and finite", opts, rep.IterationTime)
+		}
 	}
 }

@@ -305,6 +305,10 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// Reject a scale that breaks the execution cluster before any search.
+	if _, err := run.scaleCluster(cfg.cluster()); err != nil {
+		return nil, err
+	}
 	// Align the planning objective with the engine the campaign executes on:
 	// with communication overlap enabled (the default), every session plan —
 	// initial, replans, resizes — is searched and estimated under the
@@ -335,7 +339,10 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 // start adopts the session's first plan, last (re)considered at plannedCfg,
 // and opens a worker fleet for the plan's run-option-scaled cluster.
 func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
-	hw := t.run.scaleCluster(plan.Cluster)
+	hw, err := t.run.scaleCluster(plan.Cluster)
+	if err != nil {
+		return err
+	}
 	pool, err := t.opts.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
 	if err != nil {
 		return fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
@@ -744,7 +751,10 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 // (adopted transports, chaos wrappers) resizable the same way the default
 // in-process fleet is.
 func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
-	newHW := t.run.scaleCluster(exp.Cluster)
+	newHW, err := t.run.scaleCluster(exp.Cluster)
+	if err != nil {
+		return err
+	}
 	priceHW := t.hw
 	if newHW.NumGPUs() > priceHW.NumGPUs() {
 		priceHW = newHW
