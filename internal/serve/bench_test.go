@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -84,4 +87,45 @@ func BenchmarkServerCoalescedQPS(b *testing.B) {
 	b.ReportMetric(float64(coalesced)/n, "coalesced-per-solve")
 	b.ReportMetric(float64(cacheHits)/n, "cached-hits-per-burst")
 	b.ReportMetric(float64(requests)/n, "requests-per-burst")
+}
+
+// BenchmarkServerCachedHit measures the served plan-cache hit in the
+// handler alone: one POST /v1/plan for a solved config whose entry already
+// stores its body, through Handler().ServeHTTP with a response recorder (no
+// network). allocs/op and B/op gate the hit path's allocations; the custom
+// metrics are exact: each op is one cache hit, no solve, and the same
+// response size.
+func BenchmarkServerCachedHit(b *testing.B) {
+	srv, err := New(Config{Planner: realhf.NewPlanner(realhf.ClusterConfig{Nodes: 1})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	body, err := json.Marshal(&PlanRequest{Config: testConfig(3, 400)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathPlan, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	post() // the solve
+	post() // the first hit, which stores the body
+	before := srv.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var respBytes int
+	for i := 0; i < b.N; i++ {
+		respBytes = post().Body.Len()
+	}
+	b.StopTimer()
+	st := srv.Stats()
+	n := float64(b.N)
+	b.ReportMetric(float64(st.CacheHits-before.CacheHits)/n, "cache-hits-per-op")
+	b.ReportMetric(float64(st.Solves-before.Solves)/n, "solves-per-op")
+	b.ReportMetric(float64(respBytes), "response-bytes")
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -202,9 +203,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, &ErrorResponse{
-			Code: CodeDraining, Error: "server is draining",
-			RetryAfterSeconds: 1})
+		s.writeError(w, http.StatusServiceUnavailable, drainingResponse())
 		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -223,12 +222,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Code: CodeInvalidConfig, Error: "decode plan request: " + err.Error()})
 		return
 	}
-	resp, status, errResp := s.plan(r.Context(), &req)
+	body, status, errResp := s.plan(r.Context(), &req)
 	if errResp != nil {
 		s.writeError(w, status, errResp)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -257,8 +256,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // --- request flow ---
 
 // plan answers one decoded request: preset expansion, canonicalization,
-// cache fast path, then singleflight solve with admission control.
-func (s *Server) plan(ctx context.Context, req *PlanRequest) (*PlanResponse, int, *ErrorResponse) {
+// cache fast path, then singleflight solve with admission control. A 200
+// answer is the encoded PlanResponse body.
+func (s *Server) plan(ctx context.Context, req *PlanRequest) ([]byte, int, *ErrorResponse) {
 	cfg := req.Config
 	if len(cfg.RPCs) == 0 && req.Algo != "" {
 		rpcs, err := realhf.AlgoRPCs(req.Algo, req.ActorType, req.CriticType)
@@ -282,29 +282,40 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest) (*PlanResponse, int
 	s.requests.Add(1)
 
 	// Per-request deadline: joins the request context, so a disconnect and
-	// a timeout travel the same cancellation path into the solve.
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMillis > 0 {
-		deadline = time.Duration(req.DeadlineMillis) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
+	// a timeout travel the same cancellation path into the solve. The cap
+	// applies in milliseconds: converting a huge deadline_ms to a Duration
+	// first would overflow into an already-expired deadline.
+	deadline := min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+	if ms := req.DeadlineMillis; ms > 0 {
 		deadline = s.cfg.MaxDeadline
+		if ms <= s.cfg.MaxDeadline.Milliseconds() {
+			deadline = time.Duration(ms) * time.Millisecond
+		}
 	}
 	ctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 
 	// Fast path: an equivalent deterministic request solved before is
 	// answered from the planner's plan cache without touching admission —
-	// cached traffic never queues behind running solves.
-	if exp, ok := s.planner.PlanCached(cfg, opts...); ok {
+	// cached traffic never queues behind running solves. A hit's body
+	// depends only on its cache entry (cached, never coalesced), so the
+	// planner stores it on the entry and later hits write those bytes.
+	if body, ok, err := s.planner.PlanCachedAnswer(cfg, s.encodeHit, opts...); ok {
 		s.cacheHits.Add(1)
-		return s.respond(exp, false)
+		if err != nil {
+			var ea *errorAnswer
+			if !errors.As(err, &ea) {
+				return nil, http.StatusInternalServerError, &ErrorResponse{Code: CodeInternal, Error: err.Error()}
+			}
+			return nil, ea.status, ea.resp
+		}
+		return body, http.StatusOK, nil
 	}
 
 	key := cfg.Fingerprint() + calibrationToken(req.Calibration)
-	f, joined, errResp := s.joinFlight(key, cfg, opts)
+	f, joined, status, errResp := s.joinFlight(key, cfg, opts)
 	if errResp != nil {
-		return nil, http.StatusTooManyRequests, errResp
+		return nil, status, errResp
 	}
 	select {
 	case <-f.done:
@@ -324,9 +335,10 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest) (*PlanResponse, int
 }
 
 // joinFlight coalesces onto an existing flight for key or opens a new one,
-// applying admission control to new flights. joined reports coalescing;
-// a non-nil ErrorResponse is a 429 rejection.
-func (s *Server) joinFlight(key string, cfg realhf.ExperimentConfig, opts []realhf.AutoOption) (*flight, bool, *ErrorResponse) {
+// applying admission control to new flights. joined reports coalescing; a
+// non-nil ErrorResponse is a rejection with its HTTP status: 503 once the
+// server drains, 429 when the admission queue is full.
+func (s *Server) joinFlight(key string, cfg realhf.ExperimentConfig, opts []realhf.AutoOption) (*flight, bool, int, *ErrorResponse) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.flights[key]; ok {
@@ -335,12 +347,18 @@ func (s *Server) joinFlight(key string, cfg realhf.ExperimentConfig, opts []real
 		if s.hookWaiterJoined != nil {
 			s.hookWaiterJoined(f.waiters - 1)
 		}
-		return f, true, nil
+		return f, true, 0, nil
+	}
+	// Checked again under the mutex Shutdown sets it under: a request that
+	// passed handlePlan's check before Shutdown began must not open a flight
+	// whose solve the drain would not wait for.
+	if s.draining {
+		return nil, false, http.StatusServiceUnavailable, drainingResponse()
 	}
 	if s.queued >= int64(s.cfg.QueueDepth) {
 		s.rejected.Add(1)
 		retry := s.retryAfterLocked()
-		return nil, false, &ErrorResponse{
+		return nil, false, http.StatusTooManyRequests, &ErrorResponse{
 			Code:              CodeOverloaded,
 			Error:             fmt.Sprintf("admission queue full (%d solves waiting)", s.queued),
 			RetryAfterSeconds: retry,
@@ -355,7 +373,7 @@ func (s *Server) joinFlight(key string, cfg realhf.ExperimentConfig, opts []real
 	}
 	s.inflight.Add(1)
 	go s.runFlight(f, key, cfg, opts)
-	return f, false, nil
+	return f, false, 0, nil
 }
 
 // abandonFlight deregisters one waiter; the last waiter out cancels the
@@ -414,9 +432,9 @@ func (s *Server) runFlight(f *flight, key string, cfg realhf.ExperimentConfig, o
 	f.cancel()
 }
 
-// respond converts a planned experiment into the wire response, mapping a
-// memory-infeasible optimum to 422.
-func (s *Server) respond(exp *realhf.Experiment, coalesced bool) (*PlanResponse, int, *ErrorResponse) {
+// respond encodes a planned experiment as the 200 PlanResponse body,
+// mapping a memory-infeasible optimum to 422.
+func (s *Server) respond(exp *realhf.Experiment, coalesced bool) ([]byte, int, *ErrorResponse) {
 	if err := exp.FeasibleMemory(); err != nil {
 		s.infeasible.Add(1)
 		return nil, http.StatusUnprocessableEntity, &ErrorResponse{
@@ -443,11 +461,39 @@ func (s *Server) respond(exp *realhf.Experiment, coalesced bool) (*PlanResponse,
 			CallTimes:       est.CallTimes,
 		}
 	}
-	return resp, http.StatusOK, nil
+	body, err := encodeJSON(resp)
+	if err != nil {
+		s.solveErrors.Add(1)
+		return nil, http.StatusInternalServerError, &ErrorResponse{
+			Code: CodeInternal, Error: "encode plan response: " + err.Error()}
+	}
+	return body, http.StatusOK, nil
+}
+
+// errorAnswer carries a non-200 answer out of encodeHit through
+// Planner.PlanCachedAnswer's error result.
+type errorAnswer struct {
+	status int
+	resp   *ErrorResponse
+}
+
+func (e *errorAnswer) Error() string { return e.resp.Error }
+
+// encodeHit is the fast path's encoder: respond for a plan-cache hit, which
+// is never coalesced, so its body depends on the cache entry alone. A
+// non-200 answer (infeasible memory, a marshal failure) is returned as an
+// *errorAnswer; the planner stores nothing for it, so it recurs, and is
+// counted, on every repeat.
+func (s *Server) encodeHit(exp *realhf.Experiment) ([]byte, error) {
+	body, status, errResp := s.respond(exp, false)
+	if errResp != nil {
+		return nil, &errorAnswer{status: status, resp: errResp}
+	}
+	return body, nil
 }
 
 // flightError maps a failed shared solve onto a per-waiter HTTP error.
-func (s *Server) flightError(ctx context.Context, err error) (*PlanResponse, int, *ErrorResponse) {
+func (s *Server) flightError(ctx context.Context, err error) ([]byte, int, *ErrorResponse) {
 	switch {
 	case errors.Is(err, realhf.ErrInvalidConfig):
 		s.invalid.Add(1)
@@ -511,12 +557,30 @@ func (s *Server) retryAfterLocked() int64 {
 	return secs
 }
 
+// encodeJSON is the one response encoding: compact JSON with the
+// json.Encoder's trailing newline. No SetIndent: re-indenting would rewrite
+// the embedded raw plan bytes, breaking the byte-identity contract with
+// Experiment.MarshalPlan.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := encodeJSON(v) // stats and error bodies hold no unencodable value
+	writeBody(w, status, body)
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// No SetIndent: re-indenting would rewrite the embedded raw plan bytes,
-	// breaking the byte-identity contract with Experiment.MarshalPlan.
-	_ = json.NewEncoder(w).Encode(v) // a failed write means the client is gone
+	_, _ = w.Write(body) // a failed write means the client is gone
+}
+
+// drainingResponse is the 503 a plan request gets once Shutdown has begun.
+func drainingResponse() *ErrorResponse {
+	return &ErrorResponse{Code: CodeDraining, Error: "server is draining", RetryAfterSeconds: 1}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, e *ErrorResponse) {

@@ -128,7 +128,10 @@ type ServerStats struct {
 	// Invalid only).
 	Requests int64 `json:"requests"`
 	// CacheHits counts requests answered inline from the planner's plan
-	// cache — the admission-free fast path.
+	// cache — the admission-free fast path. After an entry's first 200
+	// answer, its later hits write the body stored on that entry. A hit on a
+	// memory-infeasible plan answers 422 and counts here and under
+	// Infeasible.
 	CacheHits int64 `json:"cache_hits"`
 	// Solves counts singleflight flights opened (each runs at most one
 	// planner solve); SolveErrors the flights that failed; SolvesCanceled

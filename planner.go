@@ -56,9 +56,18 @@ type Planner struct {
 
 	mu       sync.Mutex
 	problems *lruCache // problemKey -> *problemState
-	plans    *lruCache // request fingerprint -> canonical *Experiment
+	plans    *lruCache // request fingerprint -> *planEntry
 
 	planRequests, planHits, planMisses atomic.Int64
+}
+
+// planEntry is one plan-cache entry: the canonical experiment of a solved
+// request and, once PlanCachedAnswer has served it, the encoded answer. The
+// answer lives and dies with its entry, so eviction or replacement drops
+// both together.
+type planEntry struct {
+	exp    *Experiment
+	answer atomic.Pointer[[]byte]
 }
 
 // problemState is what the planner keeps per distinct problem: the
@@ -260,9 +269,9 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	key := o.requestKey(cfg)
 	p.planRequests.Add(1)
 	if cacheable {
-		if exp, ok := p.cachedPlan(key); ok {
+		if ent, ok := p.cachedPlan(key); ok {
 			p.planHits.Add(1)
-			return exp.instantiate(o.runOpts), nil
+			return ent.exp.instantiate(o.runOpts), nil
 		}
 	}
 
@@ -317,20 +326,65 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 // malformed configs and time-bounded searches, which Plan will then reject
 // or solve respectively. A probe hit counts as a request and a cache hit in
 // PlannerStats; a miss counts as nothing (the Plan call that follows it
-// does the counting). This is the admission-free fast path network
-// frontends use so cached requests never queue behind running solves.
+// does the counting). It is the admission-free fast path that lets cached
+// requests skip the queue behind running solves; the plan service takes it
+// through PlanCachedAnswer.
 func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experiment, bool) {
-	cfg, o, err := p.prepare(cfg, opts)
-	if err != nil || cfg.SearchSteps <= 0 {
-		return nil, false
-	}
-	exp, ok := p.cachedPlan(o.requestKey(cfg))
+	ent, o, ok := p.cachedEntry(cfg, opts)
 	if !ok {
 		return nil, false
 	}
+	return ent.exp.instantiate(o.runOpts), true
+}
+
+// PlanCachedAnswer is PlanCached for a frontend that answers a hit with
+// bytes derived from the cached experiment alone. On a hit it returns
+// encode's result and true. The first successful encode is stored on the
+// plan-cache entry, and later hits on that entry return the stored bytes
+// without cloning the plan or calling encode again. The result is nil and
+// false when PlanCached would miss; a hit counts in PlannerStats exactly as
+// a PlanCached hit does.
+//
+// encode receives a read-only view of the canonical experiment (Cached set,
+// no run options, its Plan shared with the cache), so it must neither
+// mutate nor retain it, and its bytes must depend on the experiment alone:
+// the stored answer is replayed to every later request for the entry. A
+// failed encode stores nothing and its error is returned with the hit, so
+// a failure recurs on every repeat. Concurrent first hits may each encode;
+// all of them return the bytes stored first. The plan service
+// (internal/serve) is the caller this exists for.
+func (p *Planner) PlanCachedAnswer(cfg ExperimentConfig, encode func(*Experiment) ([]byte, error), opts ...AutoOption) ([]byte, bool, error) {
+	ent, _, ok := p.cachedEntry(cfg, opts)
+	if !ok {
+		return nil, false, nil
+	}
+	if answer := ent.answer.Load(); answer != nil {
+		return *answer, true, nil
+	}
+	view := *ent.exp
+	view.Cached = true
+	answer, err := encode(&view)
+	if err != nil {
+		return nil, true, err
+	}
+	ent.answer.CompareAndSwap(nil, &answer)
+	return *ent.answer.Load(), true, nil
+}
+
+// cachedEntry is the shared prologue of PlanCached and PlanCachedAnswer:
+// prepare the request, look its key up in the plan cache, and count a hit.
+func (p *Planner) cachedEntry(cfg ExperimentConfig, opts []AutoOption) (*planEntry, *autoOptions, bool) {
+	cfg, o, err := p.prepare(cfg, opts)
+	if err != nil || cfg.SearchSteps <= 0 {
+		return nil, nil, false
+	}
+	ent, ok := p.cachedPlan(o.requestKey(cfg))
+	if !ok {
+		return nil, nil, false
+	}
 	p.planRequests.Add(1)
 	p.planHits.Add(1)
-	return exp.instantiate(o.runOpts), true
+	return ent, o, true
 }
 
 // Heuristic builds cfg's experiment with the pre-training-style symmetric
@@ -466,7 +520,7 @@ func (p *Planner) attach(cfg ExperimentConfig, calib *estimator.Calibration, ass
 // server's own counters.
 type PlannerStats struct {
 	// PlanRequests counts Plan calls that passed validation (including
-	// PlanCached probe hits).
+	// PlanCached and PlanCachedAnswer probe hits).
 	PlanRequests int64 `json:"plan_requests"`
 	// PlanCacheHits counts requests answered from the plan cache without
 	// running a solver; PlanCacheMisses counts completed solves. Requests
@@ -501,26 +555,28 @@ func (p *Planner) Stats() PlannerStats {
 	return st
 }
 
-// cachedPlan looks up the canonical experiment for a request key.
-func (p *Planner) cachedPlan(key string) (*Experiment, bool) {
+// cachedPlan looks up the plan-cache entry for a request key.
+func (p *Planner) cachedPlan(key string) (*planEntry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v, ok := p.plans.get(key)
 	if !ok {
 		return nil, false
 	}
-	return v.(*Experiment), true
+	return v.(*planEntry), true
 }
 
-// storePlan caches a canonical copy of a solved experiment. The plan is
-// cloned on the way in and again on the way out (instantiate), so neither
-// the original caller nor later ones can mutate the cached assignments.
+// storePlan caches a canonical copy of a solved experiment in a new entry,
+// which replaces any entry (and stored answer) under the same key. The plan
+// is cloned on the way in and again on the way out (instantiate), so
+// neither the original caller nor later ones can mutate the cached
+// assignments.
 func (p *Planner) storePlan(key string, exp *Experiment) {
 	canon := *exp
 	canon.Plan = exp.Plan.Clone()
 	canon.runOpts = nil
 	p.mu.Lock()
-	p.plans.add(key, &canon)
+	p.plans.add(key, &planEntry{exp: &canon})
 	p.mu.Unlock()
 }
 

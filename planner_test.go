@@ -569,6 +569,51 @@ func TestCachedPlanIsolation(t *testing.T) {
 	}
 }
 
+// TestPlanCachedAnswer: PlanCachedAnswer misses exactly when PlanCached
+// does, counts a hit as PlanCached does, hands encode the cached experiment
+// with Cached set, stores nothing for a failed encode, and after the first
+// successful encode returns the stored bytes without calling encode again.
+func TestPlanCachedAnswer(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
+	cfg := plannerConfig(8, 120)
+	calls := 0
+	encode := func(exp *Experiment) ([]byte, error) {
+		calls++
+		if !exp.Cached {
+			t.Error("encode got an experiment without Cached set")
+		}
+		return []byte(exp.Plan.Fingerprint()), nil
+	}
+	if b, ok, err := p.PlanCachedAnswer(cfg, encode); ok || b != nil || err != nil || calls != 0 {
+		t.Fatalf("before any solve: (%q, %v, %v) after %d encodes, want a miss", b, ok, err, calls)
+	}
+	if st := p.Stats(); st.PlanRequests != 0 || st.PlanCacheHits != 0 {
+		t.Fatalf("a miss counted: %+v", st)
+	}
+	exp, err := p.Plan(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := exp.Plan.Fingerprint()
+
+	failure := errors.New("encode failed")
+	if _, ok, err := p.PlanCachedAnswer(cfg, func(*Experiment) ([]byte, error) { return nil, failure }); !ok || !errors.Is(err, failure) {
+		t.Fatalf("failed encode: ok=%v err=%v, want a hit carrying encode's error", ok, err)
+	}
+	for i := 0; i < 3; i++ {
+		b, ok, err := p.PlanCachedAnswer(cfg, encode)
+		if !ok || err != nil || string(b) != want {
+			t.Fatalf("hit %d: (%q, %v, %v), want (%q, true, nil)", i, b, ok, err, want)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("encode ran %d times, want once: the failure stores nothing, later hits reuse the answer", calls)
+	}
+	if st := p.Stats(); st.PlanRequests != 5 || st.PlanCacheHits != 4 {
+		t.Errorf("stats = %+v, want 5 requests (1 solve + 4 hits) and 4 cache hits", st)
+	}
+}
+
 func TestPlannerTimeBoundedBypassesCache(t *testing.T) {
 	p := NewPlanner(ClusterConfig{})
 	cfg := plannerConfig(11, 0)
