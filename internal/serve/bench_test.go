@@ -129,3 +129,41 @@ func BenchmarkServerCachedHit(b *testing.B) {
 	b.ReportMetric(float64(st.Solves-before.Solves)/n, "solves-per-op")
 	b.ReportMetric(float64(respBytes), "response-bytes")
 }
+
+// BenchmarkPlanResponseDecode measures the client's end of a served hit:
+// per op, decodePlanResponse decodes one stored hit body (the config in the
+// response decoder's own strict pass, then the plan re-indented to its
+// SavePlan bytes). allocs/op and B/op gate the decode's allocations;
+// response-bytes is the decoded body's exact size.
+func BenchmarkPlanResponseDecode(b *testing.B) {
+	srv, err := New(Config{Planner: realhf.NewPlanner(realhf.ClusterConfig{Nodes: 1})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req, err := json.Marshal(&PlanRequest{Config: testConfig(3, 400)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	for i := 0; i < 2; i++ { // the solve, then the hit whose body is stored
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathPlan, bytes.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+		body = rec.Body.Bytes()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := decodePlanResponse(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Cached {
+			b.Fatal("decoded a response that is not a cache hit")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(body)), "response-bytes")
+}

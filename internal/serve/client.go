@@ -148,19 +148,11 @@ func (c *Client) Do(ctx context.Context, req *PlanRequest) (*PlanResponse, error
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	var out PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	out, err := decodePlanResponse(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("serve: decode plan response: %w", err)
 	}
-	// Embedding compacted the plan in transit; re-indenting restores the
-	// exact Experiment.MarshalPlan / SavePlan bytes (MarshalIndent is
-	// Marshal followed by Indent), keeping served plans byte-identical to
-	// a direct Planner.Plan of the same request.
-	var plan bytes.Buffer
-	if err := json.Indent(&plan, out.Plan, "", "  "); err == nil {
-		out.Plan = plan.Bytes()
-	}
-	return &out, nil
+	return out, nil
 }
 
 // Stats fetches the server and planner counters.

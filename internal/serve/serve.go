@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -206,23 +205,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, drainingResponse())
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var req PlanRequest
-	err := dec.Decode(&req)
-	if err == nil {
-		// Token, not More: More reports a stray ']' as the end of the body.
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("trailing data after the request")
-		}
-	}
+	req, err := decodePlanRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.invalid.Add(1)
 		s.writeError(w, http.StatusBadRequest, &ErrorResponse{
 			Code: CodeInvalidConfig, Error: "decode plan request: " + err.Error()})
 		return
 	}
-	body, status, errResp := s.plan(r.Context(), &req)
+	body, status, errResp := s.plan(r.Context(), req)
 	if errResp != nil {
 		s.writeError(w, status, errResp)
 		return
@@ -299,7 +289,10 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest) ([]byte, int, *Erro
 	// answered from the planner's plan cache without touching admission —
 	// cached traffic never queues behind running solves. A hit's body
 	// depends only on its cache entry (cached, never coalesced), so the
-	// planner stores it on the entry and later hits write those bytes.
+	// planner stores it on the entry and later hits write those bytes. A
+	// config the planner rejects before any lookup is answered here too:
+	// it can never succeed, so it must neither queue (nor be told to retry
+	// on a full queue) nor count as a solve.
 	if body, ok, err := s.planner.PlanCachedAnswer(cfg, s.encodeHit, opts...); ok {
 		s.cacheHits.Add(1)
 		if err != nil {
@@ -310,6 +303,8 @@ func (s *Server) plan(ctx context.Context, req *PlanRequest) ([]byte, int, *Erro
 			return nil, ea.status, ea.resp
 		}
 		return body, http.StatusOK, nil
+	} else if err != nil {
+		return s.flightError(ctx, err)
 	}
 
 	key := cfg.Fingerprint() + calibrationToken(req.Calibration)
@@ -492,7 +487,8 @@ func (s *Server) encodeHit(exp *realhf.Experiment) ([]byte, error) {
 	return body, nil
 }
 
-// flightError maps a failed shared solve onto a per-waiter HTTP error.
+// flightError maps a planner error — a failed shared solve, or a config
+// the fast path rejected before admission — onto a per-waiter HTTP error.
 func (s *Server) flightError(ctx context.Context, err error) ([]byte, int, *ErrorResponse) {
 	switch {
 	case errors.Is(err, realhf.ErrInvalidConfig):

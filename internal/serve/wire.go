@@ -10,7 +10,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 
 	"realhf"
 )
@@ -95,6 +98,72 @@ type PlanResponse struct {
 	// solve. Both false means this request's solve ran for it alone.
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
+}
+
+// configWire is realhf.ExperimentConfig's fields without its methods. As
+// the config field of a decode view it is decoded by the enclosing strict
+// decoder itself, in that decoder's one pass, with DisallowUnknownFields
+// reaching every config field. ExperimentConfig.UnmarshalJSON would instead
+// start a second strict decoder over the bytes the first one had already
+// scanned.
+type configWire realhf.ExperimentConfig
+
+// planRequestView is what decodePlanRequest fills: the request itself,
+// except that the view's own config field shadows PlanRequest.Config
+// (encoding/json prefers the shallower of two fields with one name).
+type planRequestView struct {
+	Config configWire `json:"config"`
+	*PlanRequest
+}
+
+// planResponseView is planRequestView for a PlanResponse.
+type planResponseView struct {
+	Config configWire `json:"config"`
+	*PlanResponse
+}
+
+// decodePlanRequest is the handler's decode of a plan request body: exactly
+// one JSON value, followed by nothing but whitespace, decoded in one strict
+// pass. The config is a plain struct field of that pass, so an unknown
+// field anywhere in the request is an error, and a repeated config key
+// merges into the first field by field, as every other repeated key does.
+func decodePlanRequest(body io.Reader) (*PlanRequest, error) {
+	req := new(PlanRequest)
+	view := planRequestView{PlanRequest: req}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&view); err != nil {
+		return nil, err
+	}
+	// Token, not More: More reports a stray ']' as the end of the body.
+	if _, tail := dec.Token(); tail != io.EOF {
+		return nil, errors.New("trailing data after the request")
+	}
+	req.Config = realhf.ExperimentConfig(view.Config)
+	return req, nil
+}
+
+// decodePlanResponse is the client's decode of a 200 plan answer, in one
+// strict pass like decodePlanRequest's: an unknown field anywhere in the
+// response, the config's included, is an error.
+func decodePlanResponse(body io.Reader) (*PlanResponse, error) {
+	resp := new(PlanResponse)
+	view := planResponseView{PlanResponse: resp}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&view); err != nil {
+		return nil, err
+	}
+	resp.Config = realhf.ExperimentConfig(view.Config)
+	// Embedding compacted the plan in transit; re-indenting restores the
+	// exact Experiment.MarshalPlan / SavePlan bytes (MarshalIndent is
+	// Marshal followed by Indent), keeping served plans byte-identical to
+	// a direct Planner.Plan of the same request.
+	var plan bytes.Buffer
+	if err := json.Indent(&plan, resp.Plan, "", "  "); err == nil {
+		resp.Plan = plan.Bytes()
+	}
+	return resp, nil
 }
 
 // Error codes carried by ErrorResponse.Code.

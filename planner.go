@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,9 +150,12 @@ func (o *autoOptions) finish() {
 
 // requestKey is the plan-cache (and coalescing) key for one prepared
 // request: the canonical config fingerprint extended with the calibration
-// and warm-start tokens.
+// and warm-start tokens, appended into one buffer.
 func (o *autoOptions) requestKey(cfg ExperimentConfig) string {
-	return cfg.fingerprint() + calibToken(o.calib) + warmStartKey(o.warmStarts)
+	b := cfg.appendFingerprint(make([]byte, 0, keyBufSize))
+	b = append(b, calibToken(o.calib)...)
+	b = append(b, warmStartKey(o.warmStarts)...)
+	return string(b)
 }
 
 // withCalibration routes a Trainer's profile feedback into a plan request.
@@ -330,8 +334,8 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 // requests skip the queue behind running solves; the plan service takes it
 // through PlanCachedAnswer.
 func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experiment, bool) {
-	ent, o, ok := p.cachedEntry(cfg, opts)
-	if !ok {
+	ent, o, _ := p.cachedEntry(cfg, opts)
+	if ent == nil {
 		return nil, false
 	}
 	return ent.exp.instantiate(o.runOpts), true
@@ -345,6 +349,14 @@ func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experim
 // false when PlanCached would miss; a hit counts in PlannerStats exactly as
 // a PlanCached hit does.
 //
+// A config (or option) that fails validation returns nil, false and the
+// error Plan would return for it, wrapping ErrInvalidConfig, so a frontend
+// can answer it without admitting a solve; it counts as nothing. Only the
+// checks that need no dataflow graph run here, because a hit must not pay
+// for building one: a config whose error only the graph reveals (an
+// unknown model type, a repeated call name) misses with a nil error, and
+// Plan rejects it.
+//
 // encode receives a read-only view of the canonical experiment (Cached set,
 // no run options, its Plan shared with the cache), so it must neither
 // mutate nor retain it, and its bytes must depend on the experiment alone:
@@ -354,9 +366,9 @@ func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experim
 // all of them return the bytes stored first. The plan service
 // (internal/serve) is the caller this exists for.
 func (p *Planner) PlanCachedAnswer(cfg ExperimentConfig, encode func(*Experiment) ([]byte, error), opts ...AutoOption) ([]byte, bool, error) {
-	ent, _, ok := p.cachedEntry(cfg, opts)
-	if !ok {
-		return nil, false, nil
+	ent, _, err := p.cachedEntry(cfg, opts)
+	if ent == nil {
+		return nil, false, err
 	}
 	if answer := ent.answer.Load(); answer != nil {
 		return *answer, true, nil
@@ -373,18 +385,19 @@ func (p *Planner) PlanCachedAnswer(cfg ExperimentConfig, encode func(*Experiment
 
 // cachedEntry is the shared prologue of PlanCached and PlanCachedAnswer:
 // prepare the request, look its key up in the plan cache, and count a hit.
-func (p *Planner) cachedEntry(cfg ExperimentConfig, opts []AutoOption) (*planEntry, *autoOptions, bool) {
+// A nil entry is a miss; the error is prepare's validation failure, if any.
+func (p *Planner) cachedEntry(cfg ExperimentConfig, opts []AutoOption) (*planEntry, *autoOptions, error) {
 	cfg, o, err := p.prepare(cfg, opts)
 	if err != nil || cfg.SearchSteps <= 0 {
-		return nil, nil, false
+		return nil, nil, err
 	}
 	ent, ok := p.cachedPlan(o.requestKey(cfg))
 	if !ok {
-		return nil, nil, false
+		return nil, nil, nil
 	}
 	p.planRequests.Add(1)
 	p.planHits.Add(1)
-	return ent, o, true
+	return ent, o, nil
 }
 
 // Heuristic builds cfg's experiment with the pre-training-style symmetric
@@ -639,10 +652,26 @@ func calibToken(c *estimator.Calibration) string {
 
 // --- canonical request keys ---
 
-// appendToken writes a length-prefixed string, so user-chosen names can
+// keyBufSize is the starting capacity of a key buffer: room for the key of
+// a six-call PPO workflow, so the common key is appended without growing.
+const keyBufSize = 512
+
+// appendToken appends a length-prefixed string, so user-chosen names can
 // never alias two different configs onto one cache key.
-func appendToken(b *strings.Builder, s string) {
-	fmt.Fprintf(b, "%d:%s,", len(s), s)
+func appendToken(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	b = append(b, s...)
+	return append(b, ',')
+}
+
+// appendInts appends each value in decimal, sep-terminated.
+func appendInts(b []byte, sep byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, sep)
+	}
+	return b
 }
 
 // problemKey canonically encodes everything that defines the problem —
@@ -653,9 +682,23 @@ func appendToken(b *strings.Builder, s string) {
 // one workload must never share a cost cache, or each would poison the
 // other's plan-level makespans. withDefaults must have been applied.
 func (c ExperimentConfig) problemKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster=%d.%d;work=%d.%d.%d.%d.%d;overlap=%t;offload=%t;rpcs=",
-		c.Nodes, c.GPUsPerNode, c.BatchSize, c.PromptLen, c.GenLen, c.MiniBatches, c.Iterations, c.PlanForOverlap, c.OffloadSearch)
+	return string(c.appendProblemKey(make([]byte, 0, keyBufSize)))
+}
+
+// appendProblemKey appends problemKey's bytes to b.
+func (c ExperimentConfig) appendProblemKey(b []byte) []byte {
+	b = append(b, "cluster="...)
+	b = strconv.AppendInt(b, int64(c.Nodes), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(c.GPUsPerNode), 10)
+	b = append(b, ";work="...)
+	b = appendInts(b, '.', c.BatchSize, c.PromptLen, c.GenLen, c.MiniBatches)
+	b = strconv.AppendInt(b, int64(c.Iterations), 10)
+	b = append(b, ";overlap="...)
+	b = strconv.AppendBool(b, c.PlanForOverlap)
+	b = append(b, ";offload="...)
+	b = strconv.AppendBool(b, c.OffloadSearch)
+	b = append(b, ";rpcs="...)
 	for _, r := range c.RPCs {
 		// Canonicalize per-call fields the graph builder treats as
 		// equivalent, so e.g. BatchScale 0 and 1 (both "unscaled"), a
@@ -673,21 +716,24 @@ func (c ExperimentConfig) problemKey() string {
 				mini = r.MiniBatches
 			}
 		}
-		fmt.Fprintf(&b, "[%d.%d.%d;", int(r.InterfaceType), scale, mini)
-		appendToken(&b, r.Name)
-		appendToken(&b, r.ModelName)
-		appendToken(&b, r.ModelType)
-		b.WriteString("in;")
+		b = append(b, '[')
+		b = appendInts(b, '.', int(r.InterfaceType), scale)
+		b = strconv.AppendInt(b, int64(mini), 10)
+		b = append(b, ';')
+		b = appendToken(b, r.Name)
+		b = appendToken(b, r.ModelName)
+		b = appendToken(b, r.ModelType)
+		b = append(b, "in;"...)
 		for _, s := range r.InputData {
-			appendToken(&b, s)
+			b = appendToken(b, s)
 		}
-		b.WriteString("out;")
+		b = append(b, "out;"...)
 		for _, s := range r.OutputData {
-			appendToken(&b, s)
+			b = appendToken(b, s)
 		}
-		b.WriteString("]")
+		b = append(b, ']')
 	}
-	return b.String()
+	return b
 }
 
 // fingerprint extends problemKey with the search knobs: two configs with
@@ -696,8 +742,23 @@ func (c ExperimentConfig) problemKey() string {
 // problemKey, so a serialized and an overlap-aware request never alias in
 // the plan cache either. withDefaults must have been applied.
 func (c ExperimentConfig) fingerprint() string {
-	return c.problemKey() + fmt.Sprintf(";solver=%s;steps=%d;time=%d;seed=%d;chains=%d",
-		c.Solver, c.SearchSteps, int64(c.SearchTime), c.Seed, c.SearchParallelism)
+	return string(c.appendFingerprint(make([]byte, 0, keyBufSize)))
+}
+
+// appendFingerprint appends fingerprint's bytes to b: the problem key,
+// extended in the same buffer.
+func (c ExperimentConfig) appendFingerprint(b []byte) []byte {
+	b = c.appendProblemKey(b)
+	b = append(b, ";solver="...)
+	b = append(b, c.Solver...)
+	b = append(b, ";steps="...)
+	b = strconv.AppendInt(b, int64(c.SearchSteps), 10)
+	b = append(b, ";time="...)
+	b = strconv.AppendInt(b, int64(c.SearchTime), 10)
+	b = append(b, ";seed="...)
+	b = strconv.AppendInt(b, c.Seed, 10)
+	b = append(b, ";chains="...)
+	return strconv.AppendInt(b, int64(c.SearchParallelism), 10)
 }
 
 // warmStartKey folds WithWarmStart plans into the request key.

@@ -231,6 +231,46 @@ func TestHeuristicValidatesLikeAuto(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsNegativeFields pins the bugfix: validate checked only
+// Nodes, so a negative size or search knob reached the planner. A negative
+// GPUsPerNode panicked in the heuristic seed, a negative SearchSteps with no
+// SearchTime searched until the context ended, and a negative BatchSize was
+// planned. Each is now rejected before any work with a wrapped
+// ErrInvalidConfig naming the field; the deadline bounds the test should a
+// search run forever.
+func TestPlanRejectsNegativeFields(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
+	for _, tc := range []struct {
+		field string
+		set   func(*ExperimentConfig)
+	}{
+		{"GPUsPerNode", func(c *ExperimentConfig) { c.GPUsPerNode = -8 }},
+		{"BatchSize", func(c *ExperimentConfig) { c.BatchSize = -64 }},
+		{"PromptLen", func(c *ExperimentConfig) { c.PromptLen = -1 }},
+		{"GenLen", func(c *ExperimentConfig) { c.GenLen = -1 }},
+		{"MiniBatches", func(c *ExperimentConfig) { c.MiniBatches = -1 }},
+		{"Iterations", func(c *ExperimentConfig) { c.Iterations = -1 }},
+		{"SearchSteps", func(c *ExperimentConfig) { c.SearchSteps = -5 }},
+		{"SearchTime", func(c *ExperimentConfig) { c.SearchTime = -time.Second }},
+		{"SearchParallelism", func(c *ExperimentConfig) { c.SearchParallelism = -2 }},
+	} {
+		cfg := plannerConfig(1, 100)
+		tc.set(&cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := p.Plan(ctx, cfg)
+		cancel()
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(fmt.Sprint(err), tc.field) {
+			t.Errorf("negative %s: Plan = %v, want a wrapped ErrInvalidConfig naming the field", tc.field, err)
+		}
+		if _, err := p.Heuristic(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("negative %s: Heuristic = %v, want wrapped ErrInvalidConfig", tc.field, err)
+		}
+	}
+	if st := p.Stats(); st.PlanRequests != 0 || st.PlanCacheMisses != 0 {
+		t.Errorf("rejected configs counted: %+v", st)
+	}
+}
+
 func TestPlannerSessionDefaults(t *testing.T) {
 	p := NewPlanner(ClusterConfig{Nodes: 1})
 	cfg := plannerConfig(2, 100)
@@ -611,6 +651,25 @@ func TestPlanCachedAnswer(t *testing.T) {
 	}
 	if st := p.Stats(); st.PlanRequests != 5 || st.PlanCacheHits != 4 {
 		t.Errorf("stats = %+v, want 5 requests (1 solve + 4 hits) and 4 cache hits", st)
+	}
+
+	// A config that fails validation returns the error Plan returns for it,
+	// so a frontend can answer it before admitting a solve, and counts as
+	// nothing. An error only the dataflow graph reveals stays a plain miss.
+	bad := cfg
+	bad.BatchSize = -64
+	_, planErr := p.Plan(context.Background(), bad)
+	b, ok, err := p.PlanCachedAnswer(bad, encode)
+	if ok || b != nil || !errors.Is(err, ErrInvalidConfig) || planErr == nil || err.Error() != planErr.Error() {
+		t.Errorf("invalid config: (%q, %v, %v), want (nil, false, Plan's error %v)", b, ok, err, planErr)
+	}
+	unknown := cfg
+	unknown.RPCs = PPORPCs("llama9b", "llama7b-critic")
+	if b, ok, err := p.PlanCachedAnswer(unknown, encode); ok || b != nil || err != nil {
+		t.Errorf("unknown model type: (%q, %v, %v), want a plain miss", b, ok, err)
+	}
+	if st := p.Stats(); st.PlanRequests != 5 || st.PlanCacheHits != 4 || calls != 1 {
+		t.Errorf("after invalid configs: stats = %+v and %d encodes, want them unchanged", st, calls)
 	}
 }
 

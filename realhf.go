@@ -41,6 +41,9 @@ import (
 )
 
 // InterfaceType is the kind of computation a model function call performs.
+// It travels as text (MarshalText/UnmarshalText in wire.go): JSON carries it
+// as the string "GENERATE", "INFERENCE" or "TRAIN_STEP", decoded
+// case-insensitively.
 type InterfaceType int
 
 // The three interface types of §2.1.
@@ -178,10 +181,32 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 // validate reports configuration errors. It is the single checker shared by
 // every planning entry point — Planner.Plan, Heuristic, LoadExperiment and
 // Train — so all of them reject a bad config with the same error, wrapping
-// ErrInvalidConfig.
+// ErrInvalidConfig. Only checks that need no dataflow graph live here (a
+// plan-cache hit runs them); an unknown model type or a repeated call name
+// is found by buildGraph. Zero keeps its meaning for every field (a default,
+// or no time bound); a negative size or search knob is rejected, since it
+// would size slices, loops and stop tests with it.
 func (c ExperimentConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("realhf: Nodes must be positive: %w", ErrInvalidConfig)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"GPUsPerNode", int64(c.GPUsPerNode)},
+		{"BatchSize", int64(c.BatchSize)},
+		{"PromptLen", int64(c.PromptLen)},
+		{"GenLen", int64(c.GenLen)},
+		{"MiniBatches", int64(c.MiniBatches)},
+		{"Iterations", int64(c.Iterations)},
+		{"SearchSteps", int64(c.SearchSteps)},
+		{"SearchTime", int64(c.SearchTime)},
+		{"SearchParallelism", int64(c.SearchParallelism)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("realhf: %s must not be negative, got %d: %w", f.name, f.v, ErrInvalidConfig)
+		}
 	}
 	return nil
 }

@@ -28,26 +28,31 @@ var interfaceTypeNames = map[string]InterfaceType{
 	"TRAIN_STEP": TrainStep,
 }
 
-// MarshalJSON encodes the interface type by name ("GENERATE", "INFERENCE",
-// "TRAIN_STEP").
-func (t InterfaceType) MarshalJSON() ([]byte, error) {
+// MarshalText encodes the interface type by name ("GENERATE", "INFERENCE",
+// "TRAIN_STEP"), which JSON carries as a string. An out-of-range value wraps
+// ErrInvalidConfig.
+func (t InterfaceType) MarshalText() ([]byte, error) {
 	switch t {
 	case Generate, Inference, TrainStep:
-		return json.Marshal(t.String())
+		return []byte(t.String()), nil
 	}
 	return nil, fmt.Errorf("realhf: cannot marshal %v: %w", t, ErrInvalidConfig)
 }
 
-// UnmarshalJSON decodes an interface type name, case-insensitively.
-func (t *InterfaceType) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("realhf: interface type must be a string: %w", ErrInvalidConfig)
+// UnmarshalText decodes an interface type name, case-insensitively; an
+// unknown name wraps ErrInvalidConfig. Being a text codec, it is reached
+// only for JSON strings: encoding/json answers any other value with its own
+// *json.UnmarshalTypeError (which ExperimentConfig.UnmarshalJSON wraps in
+// ErrInvalidConfig) and leaves the field unchanged for null, as it does for
+// every other scalar config field.
+func (t *InterfaceType) UnmarshalText(text []byte) error {
+	v, ok := interfaceTypeNames[string(text)]
+	if !ok {
+		v, ok = interfaceTypeNames[strings.ToUpper(string(text))]
 	}
-	v, ok := interfaceTypeNames[strings.ToUpper(s)]
 	if !ok {
 		return fmt.Errorf("realhf: unknown interface type %q (have GENERATE, INFERENCE, TRAIN_STEP): %w",
-			s, ErrInvalidConfig)
+			text, ErrInvalidConfig)
 	}
 	*t = v
 	return nil
@@ -73,6 +78,13 @@ func (c ExperimentConfig) MarshalJSON() ([]byte, error) {
 // and fingerprint match the original's bit for bit — but does not itself
 // apply defaults, so sparse hand-written JSON behaves like the equivalent
 // Go literal.
+//
+// It serves every decoder that meets a bare config, and it runs a second,
+// nested decoder over bytes the enclosing one has already scanned. The plan
+// service's request and response decoders avoid that pass: they decode the
+// config as a method-free copy of this struct inside their own strict
+// decoder, which checks it for unknown fields in the same pass
+// (internal/serve's configWire).
 func (c *ExperimentConfig) UnmarshalJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -88,7 +88,9 @@ func TestExperimentConfigStrictDecode(t *testing.T) {
 }
 
 // TestInterfaceTypeJSON: interface types travel by paper name, decode
-// case-insensitively, and reject unknown names with ErrInvalidConfig.
+// case-insensitively, and reject unknown names with ErrInvalidConfig. A
+// non-string is json's own type error for a bare InterfaceType, and wraps
+// ErrInvalidConfig inside a config.
 func TestInterfaceTypeJSON(t *testing.T) {
 	for typ, name := range map[InterfaceType]string{
 		Generate: `"GENERATE"`, Inference: `"INFERENCE"`, TrainStep: `"TRAIN_STEP"`,
@@ -97,17 +99,69 @@ func TestInterfaceTypeJSON(t *testing.T) {
 		if err != nil || string(b) != name {
 			t.Errorf("marshal %v = %s, %v; want %s", typ, b, err, name)
 		}
-		var back InterfaceType
-		if err := json.Unmarshal([]byte(strings.ToLower(name)), &back); err != nil || back != typ {
-			t.Errorf("unmarshal %s = %v, %v; want %v", strings.ToLower(name), back, err, typ)
+		for _, spelled := range []string{name, strings.ToLower(name), name[:2] + strings.ToLower(name[2:])} {
+			var back InterfaceType
+			if err := json.Unmarshal([]byte(spelled), &back); err != nil || back != typ {
+				t.Errorf("unmarshal %s = %v, %v; want %v", spelled, back, err, typ)
+			}
 		}
 	}
 	var it InterfaceType
 	if err := json.Unmarshal([]byte(`"TRAIN"`), &it); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("unknown interface type decoded with err = %v, want wrapped ErrInvalidConfig", err)
 	}
+	var typeErr *json.UnmarshalTypeError
+	if err := json.Unmarshal([]byte(`3`), &it); !errors.As(err, &typeErr) {
+		t.Errorf("bare non-string interface type decoded with err = %v, want *json.UnmarshalTypeError", err)
+	}
+	var cfg ExperimentConfig
+	if err := json.Unmarshal([]byte(`{"rpcs":[{"interface_type":3}]}`), &cfg); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("non-string interface type in a config decoded with err = %v, want wrapped ErrInvalidConfig", err)
+	}
+	// A null is a no-op, as for every scalar field: the call keeps the zero
+	// type, exactly as when interface_type is omitted.
+	cfg = ExperimentConfig{}
+	if err := json.Unmarshal([]byte(`{"rpcs":[{"interface_type":null}]}`), &cfg); err != nil || cfg.RPCs[0].InterfaceType != Generate {
+		t.Errorf("null interface type decoded to %+v, %v; want GENERATE and no error", cfg.RPCs, err)
+	}
 	if _, err := json.Marshal(InterfaceType(99)); err == nil {
 		t.Error("out-of-range interface type marshaled without error")
+	}
+}
+
+// TestPresetConfigWireBytes pins the canonical bytes of the four preset
+// configs, interface-type names included: the plan service's request and
+// response bodies, and every stored config, carry exactly these.
+func TestPresetConfigWireBytes(t *testing.T) {
+	const tail = `"search_steps":100,"search_time_ns":0,"seed":1,"solver":"mcmc","search_parallelism":0,"plan_for_overlap":false,"offload_search":false}`
+	const head = `{"nodes":1,"gpus_per_node":8,"batch_size":64,"prompt_len":256,"gen_len":256,"mini_batches":8,"iterations":1,"rpcs":`
+	want := map[string]string{
+		"ppo": head + `[{"model_name":"actor","model_type":"llama7b","interface_type":"GENERATE","input_data":["prompts"],"output_data":["seq","logp"]},` +
+			`{"model_name":"reward","model_type":"llama7b-critic","interface_type":"INFERENCE","input_data":["seq"],"output_data":["r"]},` +
+			`{"model_name":"ref","model_type":"llama7b","interface_type":"INFERENCE","input_data":["seq"],"output_data":["ref_logp"]},` +
+			`{"model_name":"critic","model_type":"llama7b-critic","interface_type":"INFERENCE","input_data":["seq"],"output_data":["v"]},` +
+			`{"model_name":"actor","model_type":"llama7b","interface_type":"TRAIN_STEP","input_data":["seq","logp","ref_logp","r","v"]},` +
+			`{"model_name":"critic","model_type":"llama7b-critic","interface_type":"TRAIN_STEP","input_data":["seq","r","v","ref_logp","logp"]}],` + tail,
+		"dpo": head + `[{"name":"RefInf","model_name":"ref","model_type":"llama7b","interface_type":"INFERENCE","input_data":["pairs"],"output_data":["ref_logp"],"batch_scale":2},` +
+			`{"name":"ActorTrain","model_name":"actor","model_type":"llama7b","interface_type":"TRAIN_STEP","input_data":["pairs","ref_logp"],"batch_scale":2,"mini_batches":1}],` + tail,
+		"grpo": head + `[{"name":"ActorGen","model_name":"actor","model_type":"llama7b","interface_type":"GENERATE","input_data":["prompts"],"output_data":["seq"],"batch_scale":8},` +
+			`{"name":"RewInf","model_name":"reward","model_type":"llama7b-critic","interface_type":"INFERENCE","input_data":["seq"],"output_data":["r"],"batch_scale":8},` +
+			`{"name":"RefInf","model_name":"ref","model_type":"llama7b","interface_type":"INFERENCE","input_data":["seq"],"output_data":["ref_logp"],"batch_scale":8},` +
+			`{"name":"ActorTrain","model_name":"actor","model_type":"llama7b","interface_type":"TRAIN_STEP","input_data":["seq","r","ref_logp"],"batch_scale":8}],` + tail,
+		"remax": head + `[{"name":"SampleGen","model_name":"actor","model_type":"llama7b","interface_type":"GENERATE","input_data":["prompts"],"output_data":["sample_seq"]},` +
+			`{"name":"GreedyGen","model_name":"actor","model_type":"llama7b","interface_type":"GENERATE","input_data":["prompts"],"output_data":["greedy_seq"]},` +
+			`{"name":"SampleRew","model_name":"reward","model_type":"llama7b-critic","interface_type":"INFERENCE","input_data":["sample_seq"],"output_data":["sample_r"]},` +
+			`{"name":"GreedyRew","model_name":"reward","model_type":"llama7b-critic","interface_type":"INFERENCE","input_data":["greedy_seq"],"output_data":["greedy_r"]},` +
+			`{"name":"ActorTrain","model_name":"actor","model_type":"llama7b","interface_type":"TRAIN_STEP","input_data":["sample_seq","sample_r","greedy_r"],"mini_batches":1}],` + tail,
+	}
+	for i, preset := range fuzzPresets {
+		got, err := json.Marshal(fuzzPlanConfig(uint8(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want[preset] {
+			t.Errorf("%s config marshals to\n%s\nwant\n%s", preset, got, want[preset])
+		}
 	}
 }
 
