@@ -1,7 +1,7 @@
 // Command realsearch searches for an execution plan for one RLHF experiment
 // and prints it in the format of paper Tables 2–5, together with the
-// estimator's prediction and the solver's efficiency counters (cache
-// hit-rate, per-chain accepted/proposed steps).
+// estimator's prediction and the solver's efficiency counters (search-space
+// size, per-chain accepted/proposed steps).
 //
 // It is a thin shell over the public realhf.Planner session — the same code
 // path as library callers, with no command-only planning logic.
@@ -139,8 +139,6 @@ func run() int {
 	st := exp.SearchStats
 	fmt.Printf("Search space: ~1e%.0f plans, accepted %d/%d moves\n",
 		st.SpaceLog10, st.Accepted, st.Steps)
-	fmt.Printf("Cost cache: %d hits / %d misses (%.1f%% hit rate)\n",
-		st.CacheHits, st.CacheMisses, 100*st.CacheHitRate())
 	if len(st.Chains) > 1 {
 		fmt.Printf("\n%-6s %-22s %10s %10s %12s\n", "Chain", "Seed", "Proposed", "Accepted", "BestCost")
 		for _, c := range st.Chains {

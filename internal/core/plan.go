@@ -222,7 +222,10 @@ func (a Assignment) appendFingerprint(b []byte) []byte {
 
 // AppendFingerprint appends the assignment's canonical encoding to b and
 // returns the extended slice — the allocation-free form of Fingerprint for
-// callers that assemble composite cache keys in reusable buffers.
+// callers that assemble composite cache keys in reusable buffers. realvet's
+// fieldcover check anchors the mesh and strategy key components on it
+// (analysis.FieldCoverExtras), so it stays exported without an in-module
+// caller.
 func (a Assignment) AppendFingerprint(b []byte) []byte {
 	return a.appendFingerprint(b)
 }

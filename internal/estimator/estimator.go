@@ -105,8 +105,8 @@ type DurationFunc func(p *core.Plan, n *core.AugNode) (float64, error)
 // NodeDuration estimates one augmented-graph node. It is the estimator's
 // default DurationFunc: a pure function of the plan and node that touches
 // only immutable estimator state (cost tables, hardware model), so it is
-// safe to call from concurrent search chains. The search layer wraps it
-// with a memoizing cache keyed by (call, mesh, strategy).
+// safe to call from concurrent search chains. Each chain's incremental
+// EvalSession memoizes it for itself, keyed by NodeSig.
 func (e *Estimator) NodeDuration(p *core.Plan, n *core.AugNode) (float64, error) {
 	switch n.Kind {
 	case core.KindCall:

@@ -36,7 +36,7 @@ type SessionStats struct {
 	// NodeLookups counts augmented-graph node costings across all evals.
 	NodeLookups int64
 	// NodeRecosts counts lookups that missed the session-local duration memo
-	// and had to be recomputed (or fetched from the shared fallback). After a
+	// and had to be recomputed through the session's fallback. After a
 	// single-call mutation only the nodes whose inputs changed recost.
 	NodeRecosts int64
 }
@@ -46,8 +46,7 @@ type SessionStats struct {
 // carry their call name and assignment; transfer-style nodes carry their
 // kind, role, payload bytes and canonical endpoints. Within one problem,
 // equal signatures imply equal uncalibrated durations, so the session's slot
-// cache and duration memo and search.CostCache's shared node memo all key
-// on it.
+// cache and duration memo key on it.
 type NodeSig struct {
 	// name is the call name of a call node and the payload's role (empty
 	// for data transfers) of a transfer-style node.
@@ -58,9 +57,10 @@ type NodeSig struct {
 }
 
 // sigEnd packs an assignment's cost inputs into 16-bit fields, keeping
-// NodeSig to 64 bytes: the shared node memo holds one per distinct node of
-// a problem and dominates a long-lived planner's memory. The mesh row size
-// is cluster geometry, fixed within a problem, and Offload never changes a
+// NodeSig to 64 bytes: the slot cache compares one per node per evaluation
+// and the session memo hashes one on every slot miss, and each session's
+// memo holds one per distinct node it has costed. The mesh row size is
+// cluster geometry, fixed within a problem, and Offload never changes a
 // node's duration: it decides which nodes exist, not what they cost.
 type sigEnd struct {
 	first, count, dp, tp, pp, mb uint16
@@ -143,10 +143,8 @@ type activeSigEntry struct {
 //     its role's home are unchanged;
 //   - the Algorithm 1 scratch buffers.
 //
-// A session is single-goroutine state (each search chain owns one). Cross-
-// chain sharing happens through the fallback DurationFunc, typically
-// search.CostCache's memoized node coster, which the session consults on
-// local misses.
+// A session is single-goroutine state: each search chain owns one, and
+// concurrent chains share only their read-only Estimator, never a memo.
 //
 // Contract: evaluated plans must assign every call an individually legal
 // (mesh, strategy) — the solver candidate sets guarantee this — because the
@@ -177,9 +175,11 @@ type EvalSession struct {
 }
 
 // NewSession builds an incremental evaluation session over the estimator.
-// fallback, when non-nil, is consulted on session-local duration misses —
-// pass search.CostCache's node coster to share durations across chains; nil
-// uses the estimator's NodeDuration directly.
+// fallback, when non-nil, costs the nodes that miss the session's own memo
+// in place of the estimator's NodeDuration (nil). No in-tree caller passes
+// one: every search chain holds NewSession(nil). The parameter stays
+// because the benchmark harness (bench/realperf) calls NewSession(nil) and
+// compiles against this signature.
 func (e *Estimator) NewSession(fallback DurationFunc) *EvalSession {
 	if fallback == nil {
 		fallback = e.NodeDuration

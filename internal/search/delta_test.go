@@ -95,8 +95,7 @@ func TestDeltaCostingMatchesFullEvaluate(t *testing.T) {
 	}
 	for name, ev := range deltaVariants(t, e) {
 		t.Run(name, func(t *testing.T) {
-			cache := NewCostCache()
-			sess := ev.NewSession(cache.DurationFunc(ev))
+			sess := ev.NewSession(nil)
 			mutatePlans(t, ev, sess, p, sets, 11, 6, 20)
 			if st := sess.Stats(); st.NodeRecosts >= st.NodeLookups {
 				t.Errorf("session never reused a node duration: %+v", st)
@@ -129,16 +128,15 @@ func TestDeltaCostingOffloadFlips(t *testing.T) {
 	}
 	for name, ev := range deltaVariants(t, e) {
 		t.Run(name, func(t *testing.T) {
-			cache := NewCostCache()
-			sess := ev.NewSession(cache.DurationFunc(ev))
-			mutatePlans(t, ev, sess, p, sets, 23, 6, 20)
+			mutatePlans(t, ev, ev.NewSession(nil), p, sets, 23, 6, 20)
 		})
 	}
 }
 
-// TestDeltaCostingDirectFallback covers the cache-free configuration: a
-// session with a nil fallback (estimator.NodeDuration directly) must agree
-// with full evaluation just the same.
+// TestDeltaCostingDirectFallback covers a session whose fallback is the
+// estimator's own NodeDuration (a nil fallback) on a two-node problem over
+// aggressively pruned candidate sets: it must agree with full evaluation
+// just the same.
 func TestDeltaCostingDirectFallback(t *testing.T) {
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 128, 256, 256)
 	sets, _, err := candidateSets(p, PruneAggressive, false)
@@ -149,14 +147,14 @@ func TestDeltaCostingDirectFallback(t *testing.T) {
 	mutatePlans(t, e, sess, p, sets, 5, 4, 15)
 }
 
-// TestDeltaCostingConcurrentSharedCache runs several sessions on concurrent
-// goroutines against one shared CostCache — the multi-chain mcmc topology —
-// each verifying the differential property on its own mutation walk. Run
-// under -race this checks the session/cache concurrency contract: sessions
-// are chain-local, the cache underneath is shared. Each session runs under
-// a different cost semantics, so calibrated and uncalibrated sessions read
-// node durations the others wrote.
-func TestDeltaCostingConcurrentSharedCache(t *testing.T) {
+// TestDeltaCostingConcurrentSessions runs sessions on concurrent goroutines
+// over one Estimator's cost tables — the multi-chain mcmc topology — each
+// verifying the differential property on its own mutation walk. Every cost
+// semantics, calibrated and uncalibrated, runs two sessions on the same
+// *Estimator. Run under -race this checks the session concurrency
+// contract: sessions are single-goroutine state, and the estimator they
+// share is read-only.
+func TestDeltaCostingConcurrentSessions(t *testing.T) {
 	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
 	sets, _, err := candidateSets(p, PruneModerate, false)
 	if err != nil {
@@ -168,15 +166,15 @@ func TestDeltaCostingConcurrentSharedCache(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	cache := NewCostCache()
 	var wg sync.WaitGroup
 	for g, name := range names {
-		wg.Add(1)
-		go func(ev *estimator.Estimator, seed int64) {
-			defer wg.Done()
-			sess := ev.NewSession(cache.DurationFunc(ev))
-			mutatePlans(t, ev, sess, p, sets, seed, 3, 15)
-		}(variants[name], int64(g+1))
+		for k := int64(0); k < 2; k++ {
+			wg.Add(1)
+			go func(ev *estimator.Estimator, seed int64) {
+				defer wg.Done()
+				mutatePlans(t, ev, ev.NewSession(nil), p, sets, seed, 3, 15)
+			}(variants[name], int64(2*g)+k+1)
+		}
 	}
 	wg.Wait()
 }

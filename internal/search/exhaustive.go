@@ -40,12 +40,7 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 		short[i] = listed[name]
 	}
 
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
-	hits0, misses0 := cache.Hits(), cache.Misses()
-	ev := newPlanEvaluator(e, cache, p)
+	sess := e.NewSession(nil)
 
 	start := time.Now() //lint:realvet wallclock -- TimeLimit budget and Elapsed trace are wall-clock features; plan bytes never depend on them
 	best := math.Inf(1)
@@ -65,7 +60,7 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 		for i, name := range names {
 			trial.Assign[name] = short[i][idx[i]]
 		}
-		if pc, err := ev.cost(trial); err == nil {
+		if pc, err := sess.Evaluate(trial); err == nil {
 			steps++
 			better := pc.Cost < best
 			if opt.OffloadSearch {
@@ -97,19 +92,18 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 	if bestPlan == nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: brute force found no feasible plan")
 	}
-	bestRes, err := cache.Evaluate(e, bestPlan)
+	bestRes, hit, err := opt.Cache.lookup(e, bestPlan)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
 	st := Stats{
 		Steps: steps, SpaceLog10: spaceLog10,
-		CacheHits:   cache.Hits() - hits0,
-		CacheMisses: cache.Misses() - misses0,
 		Trace: []ProgressPoint{
 			{Step: 0, BestCost: best},
 			//lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 			{Elapsed: time.Since(start), Step: steps, BestCost: best},
 		},
 	}
+	st.countLookup(hit)
 	return Solution{Plan: bestPlan, Cost: best, Estimate: bestRes}, st, nil
 }

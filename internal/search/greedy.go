@@ -57,21 +57,15 @@ func (greedySolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
-	hits0, misses0 := cache.Hits(), cache.Misses()
-	res, err := cache.Evaluate(e, plan)
+	res, hit, err := opt.Cache.lookup(e, plan)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
 	st := Stats{
-		SpaceLog10:  spaceLog10,
-		CacheHits:   cache.Hits() - hits0,
-		CacheMisses: cache.Misses() - misses0,
-		Trace:       []ProgressPoint{{Step: 0, BestCost: res.Cost}},
+		SpaceLog10: spaceLog10,
+		Trace:      []ProgressPoint{{Step: 0, BestCost: res.Cost}},
 	}
+	st.countLookup(hit)
 	if opt.Progress != nil {
 		opt.Progress(st.Trace[0])
 	}

@@ -54,7 +54,7 @@ type chainState struct {
 	bestOOM bool
 	hardMem bool
 
-	ev *planEvaluator
+	sess *estimator.EvalSession
 
 	beta float64
 
@@ -141,7 +141,7 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 		} else {
 			c.cur.Assign[name] = cands[c.rng.Intn(len(cands))]
 		}
-		pc, err := c.ev.cost(c.cur)
+		pc, err := c.sess.Evaluate(c.cur)
 		if err != nil {
 			c.cur.Assign[name] = prev
 			continue
@@ -182,14 +182,12 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 // startState resolves the shared initial plan: the caller-provided
 // InitialPlan or the greedy seed (minimizing over the full pre-shortlist
 // candidate sets, reusing the solver's enumeration), improved by any
-// cheaper SeedCandidates. All seed evaluations route through the shared
-// cost cache's compact index — a warm-started chain whose seed was already
-// scored (by a previous solve or another solver) pays no re-evaluation.
-// Seeds are Plan.Validated first: the compact path assumes individually
-// legal assignments, and an illegal caller-provided plan must fail (for
-// InitialPlan) or be skipped (for SeedCandidates) exactly as it did when
-// the full evaluator re-validated every plan.
-func startState(ev *planEvaluator, e *estimator.Estimator,
+// cheaper SeedCandidates. Seeds are scored through sess, chain 0's session.
+// They are Plan.Validated first: the session assumes individually legal
+// assignments, and an illegal caller-provided plan must fail (for
+// InitialPlan) or be skipped (for SeedCandidates) exactly as it would
+// under Estimator.Evaluate.
+func startState(sess *estimator.EvalSession, e *estimator.Estimator,
 	p *core.Plan, sp *space, opt Options) (*core.Plan, estimator.PlanCost, error) {
 	var cur *core.Plan
 	var err error
@@ -204,7 +202,7 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 			return nil, estimator.PlanCost{}, err
 		}
 	}
-	curPC, err := ev.cost(cur)
+	curPC, err := sess.Evaluate(cur)
 	if err != nil {
 		return nil, estimator.PlanCost{}, err
 	}
@@ -217,7 +215,7 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 		if err := seed.Validate(); err != nil {
 			continue
 		}
-		sr, err := ev.cost(seed)
+		sr, err := sess.Evaluate(seed)
 		if err != nil {
 			continue
 		}
@@ -230,8 +228,9 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 
 // mcmcSolver is the Metropolis–Hastings walker of §5.2. It runs
 // max(1, Options.Chains) chains, concurrently when there are several, with
-// periodic best-plan exchange at deterministic step boundaries, all sharing
-// one memoized cost cache. Chain 0 walks from Options.Seed, so a one-chain
+// periodic best-plan exchange at deterministic step boundaries. Each chain
+// scores proposals through its own EvalSession, so chains share no mutable
+// state between barriers. Chain 0 walks from Options.Seed, so a one-chain
 // run is the sequential walk. The reduction is deterministic: lowest best
 // cost wins, ties broken by chain index.
 type mcmcSolver struct{}
@@ -254,19 +253,13 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 	if err := ctx.Err(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: mcmc solve cancelled before the first proposal: %w", err)
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
-	hits0, misses0 := cache.Hits(), cache.Misses()
-	// One incremental evaluator per chain: sessions are single-goroutine,
-	// and all cross-chain reuse flows through the shared cache.
-	evs := make([]*planEvaluator, chains)
-	for i := range evs {
-		evs[i] = newPlanEvaluator(e, cache, p)
+	// One incremental session per chain: sessions are single-goroutine.
+	sessions := make([]*estimator.EvalSession, chains)
+	for i := range sessions {
+		sessions[i] = e.NewSession(nil)
 	}
 
-	cur, curPC, err := startState(evs[0], e, p, sp, opt)
+	cur, curPC, err := startState(sessions[0], e, p, sp, opt)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
@@ -294,7 +287,7 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 			cur: cur.Clone(), curCost: curCost, curOOM: curPC.OOM,
 			best: cur.Clone(), bestCost: curCost, bestOOM: curPC.OOM,
 			hardMem:  opt.OffloadSearch,
-			ev:       evs[i],
+			sess:     sessions[i],
 			beta:     adaptiveBeta(curCost),
 			progress: progress,
 		}
@@ -339,15 +332,13 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 	// The chains only ever tracked compact costs; materialize the winner's
 	// full Result (timeline, call times) once. Its Cost is bit-identical to
 	// the compact score the chain accepted on.
-	winRes, err := cache.Evaluate(e, winner.best)
+	winRes, hit, err := opt.Cache.lookup(e, winner.best)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
 
-	st := Stats{SpaceLog10: sp.spaceLog10,
-		CacheHits:   cache.Hits() - hits0,
-		CacheMisses: cache.Misses() - misses0,
-	}
+	st := Stats{SpaceLog10: sp.spaceLog10}
+	st.countLookup(hit)
 	for _, c := range cs {
 		st.Steps += c.step
 		st.Accepted += c.accepted

@@ -50,9 +50,7 @@ func TestExchangeRescalesAdaptiveBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCostCache()
-	ev := newPlanEvaluator(prob.Est, cache, prob.Plan)
-	good, goodPC, err := startState(ev, prob.Est, prob.Plan, sp, opt)
+	good, goodPC, err := startState(prob.Est.NewSession(nil), prob.Est, prob.Plan, sp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

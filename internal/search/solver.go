@@ -2,9 +2,9 @@
 // a pluggable Solver interface: a greedy per-call seeder, a
 // Metropolis–Hastings MCMC walker (one chain, or several with periodic
 // best-plan exchange), and a bounded exhaustive search used as the
-// optimality reference of Fig. 15. All solvers share a concurrency-safe
-// memoized cost cache keyed by canonical plan fingerprints, so no
-// (mesh, strategy, call) cost is estimated twice across chains.
+// optimality reference of Fig. 15. Every MCMC chain and the exhaustive
+// sweep score plans through their own incremental estimator.EvalSession;
+// a solve consults the plan-level CostCache once, for its final estimate.
 package search
 
 import (
@@ -69,8 +69,8 @@ type ChainStats struct {
 }
 
 // Stats aggregates solver-side counters: step/acceptance totals, the
-// convergence trace, the pruned-space size, cache effectiveness, and
-// per-chain MCMC breakdowns.
+// convergence trace, the pruned-space size, the final-estimate cache
+// lookup, and per-chain MCMC breakdowns.
 type Stats struct {
 	// Steps counts solver steps. For MCMC it is the number of
 	// proposals attempted, summed over chains — including proposals whose
@@ -84,21 +84,23 @@ type Stats struct {
 	Trace []ProgressPoint
 	// SpaceLog10 is the log₁₀ size of the pruned joint candidate space.
 	SpaceLog10 float64
-	// CacheHits and CacheMisses count plan-level cost-cache lookups made
-	// during this solve.
+	// CacheHits and CacheMisses record the solve's one cost-cache lookup,
+	// for its final estimate: exactly one of them is 1. They show whether
+	// the winning plan was already in a shared Options.Cache; the
+	// benchmark harness (bench/realperf) sums them across solves.
 	CacheHits, CacheMisses int64
 	// Chains carries per-chain MCMC counters (one entry for a single
 	// chain; empty for the other solvers).
 	Chains []ChainStats
 }
 
-// CacheHitRate is hits over total lookups (0 when no lookups happened).
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
+// countLookup records the solve's final-estimate lookup.
+func (s *Stats) countLookup(hit bool) {
+	if hit {
+		s.CacheHits++
+	} else {
+		s.CacheMisses++
 	}
-	return float64(s.CacheHits) / float64(total)
 }
 
 // Solver finds an execution plan for a problem. Implementations must be
@@ -173,11 +175,13 @@ type Options struct {
 	// at deterministic step boundaries so multi-chain runs stay
 	// reproducible.
 	ExchangeEvery int
-	// Cache optionally shares a cost cache across solver invocations (e.g.
-	// re-planning the same problem with different solvers). When nil each
-	// solve allocates its own. Plan-level entries are keyed by the cost
-	// semantics in use, so one cache may safely serve both serialized and
-	// overlap-aware (Problem.Overlap) solves of the same problem.
+	// Cache is the plan-level memo the solve's final estimate goes through
+	// (nil evaluates it directly). The walk never reads it. A caller that
+	// re-estimates plans of one problem, as the Planner's problem pool does,
+	// passes its cache so the winning plan's estimate is stored there.
+	// Entries are keyed by the cost semantics in use, so one cache may
+	// safely serve both serialized and overlap-aware (Problem.Overlap)
+	// solves of the same problem.
 	Cache *CostCache
 	// OffloadSearch makes host offload a searched plan dimension: candidate
 	// enumeration emits an offloaded variant of every frozen-role assignment,

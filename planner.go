@@ -33,18 +33,18 @@ type ClusterConfig struct {
 	PlanCacheEntries int `json:"plan_cache_entries"`
 	// ProblemCacheEntries bounds the LRU pool of per-problem cost caches
 	// and estimators (default 8). A "problem" is a distinct (cluster,
-	// workload, RPCs) combination; each owns one search.CostCache shared
-	// by every request that plans it.
+	// workload, RPCs) combination; each owns one search.CostCache, the
+	// plan-level estimate memo every request, re-attachment and Trainer
+	// replan of that problem goes through.
 	ProblemCacheEntries int `json:"problem_cache_entries"`
 }
 
 // Planner is a long-lived, concurrency-safe planning service — the one way
 // to plan (the paper's @auto decorator is Plan). It owns an LRU pool of
-// per-problem estimators and memoized search.CostCache instances (one per
-// distinct problem, shared across requests and search chains), and an LRU
-// plan cache keyed by a canonical ExperimentConfig fingerprint, so a
-// repeated or equivalent request is answered without re-running MCMC at
-// all.
+// per-problem estimators and plan-level estimate memos (search.CostCache,
+// one per distinct problem, shared across requests), and an LRU plan cache
+// keyed by a canonical ExperimentConfig fingerprint, so a repeated or
+// equivalent request is answered without re-running MCMC at all.
 //
 // Any number of goroutines may call Plan, Heuristic and LoadExperiment
 // concurrently. Identical concurrent requests may each run a solve (the
@@ -72,9 +72,12 @@ type planEntry struct {
 }
 
 // problemState is what the planner keeps per distinct problem: the
-// estimator over the problem's role→coster mapping and the memoized cost
-// cache every request for this problem shares. (A CostCache is scoped to
-// one problem/estimator pair — see its contract — which is exactly the
+// estimator over the problem's role→coster mapping and the plan-level
+// estimate memo every request for this problem shares. Solves store their
+// winner's estimate in it; the traffic it answers is re-attachment (attach,
+// which a Trainer runs twice per replan on the same incumbent) and repeated
+// Heuristic or stored-plan estimates. (A CostCache is scoped to one
+// problem/estimator pair — see its contract — which is exactly the
 // granularity of this pool.)
 type problemState struct {
 	est   *estimator.Estimator
@@ -402,8 +405,8 @@ func (p *Planner) cachedEntry(cfg ExperimentConfig, opts []AutoOption) (*planEnt
 
 // Heuristic builds cfg's experiment with the pre-training-style symmetric
 // 3D plan instead of a searched one (the paper's REAL-Heuristic baseline),
-// sharing the session's estimators and cost caches — its evaluation also
-// pre-warms the cost cache a later Plan call for the same problem draws on.
+// estimated through the session's per-problem estimator and cost cache, so
+// a repeated Heuristic for the same problem is answered from the cache.
 // No search runs, so the config's search knobs (Solver, SearchSteps,
 // SearchParallelism, OffloadSearch, ...) are ignored, and the only
 // applicable option is WithRunOptions: WithProgress, WithWarmStart and
@@ -545,7 +548,9 @@ type PlannerStats struct {
 	Problems int `json:"problems"`
 	// CostCacheHits and CostCacheMisses aggregate the plan-level
 	// cost-cache counters across the live problem caches (entries evicted
-	// from the problem pool drop out of the totals).
+	// from the problem pool drop out of the totals). They count each
+	// solve's final-estimate lookup and every re-estimate of a known plan:
+	// re-attachment (a Trainer's replans, LoadExperiment) and Heuristic.
 	CostCacheHits   int64 `json:"cost_cache_hits"`
 	CostCacheMisses int64 `json:"cost_cache_misses"`
 }

@@ -762,24 +762,46 @@ func TestPlanForOverlapIsolatesCaches(t *testing.T) {
 	}
 }
 
+// TestPlannerStatsCostCacheReuse: the per-problem cost cache answers the
+// re-estimates the problem pool is kept for. A solve stores its winner's
+// estimate, so loading the solved plan back hits, and a repeated Heuristic
+// hits the entry the first one stored.
 func TestPlannerStatsCostCacheReuse(t *testing.T) {
+	ctx := context.Background()
 	p := NewPlanner(ClusterConfig{})
 	cfg := plannerConfig(1, 150)
-	if _, err := p.Plan(context.Background(), cfg); err != nil {
+	exp, err := p.Plan(ctx, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st1 := p.Stats()
-	// A different seed re-searches the same problem over the warm cache.
-	cfg.Seed = 2
-	if _, err := p.Plan(context.Background(), cfg); err != nil {
+	data, err := exp.MarshalPlan()
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := p.Stats()
-	if st2.Problems != 1 {
-		t.Errorf("one problem, %d cost caches", st2.Problems)
+	hits := p.Stats().CostCacheHits
+	loaded, err := p.LoadExperimentBytes(data, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st2.CostCacheHits <= st1.CostCacheHits {
-		t.Error("re-searching a known problem must reuse its cost cache")
+	if got := p.Stats().CostCacheHits; got != hits+1 {
+		t.Errorf("loading the solved plan: %d cost-cache hits, want %d", got-hits, 1)
+	}
+	if loaded.Estimate != exp.Estimate {
+		t.Error("loading the solved plan re-estimated it instead of reading the stored estimate")
+	}
+	if _, err := p.Heuristic(cfg); err != nil {
+		t.Fatal(err)
+	}
+	hits = p.Stats().CostCacheHits
+	if _, err := p.Heuristic(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.CostCacheHits != hits+1 {
+		t.Errorf("repeated Heuristic: %d cost-cache hits, want 1", st.CostCacheHits-hits)
+	}
+	if st.Problems != 1 {
+		t.Errorf("one problem, %d cost caches", st.Problems)
 	}
 }
 

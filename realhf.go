@@ -133,9 +133,10 @@ type ExperimentConfig struct {
 	// of Fig. 15; small problems only).
 	Solver string `json:"solver"`
 	// SearchParallelism is the number of concurrent MCMC chains, which
-	// exchange their best plan periodically and share one memoized cost
-	// cache. 0 and 1 both run the single sequential chain; the other
-	// solvers ignore it.
+	// exchange their best plan periodically and otherwise share nothing:
+	// each scores plans through its own incremental estimator session.
+	// 0 and 1 both run the single sequential chain; the other solvers
+	// ignore it.
 	SearchParallelism int `json:"search_parallelism"`
 	// PlanForOverlap makes the search score candidate plans under the
 	// overlapped-engine cost semantics (estimator.Estimator.OverlapComm) —

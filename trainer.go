@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -454,7 +455,9 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	report.MakespanV = rep.MakespanV
 	report.EstMakespanV = st.est.TimeCost
 	report.CallTimes = rep.CallTimes
-	report.EstCallTimes = st.est.CallTimes
+	// st.est is the shared estimate the Planner's cost cache and later steps
+	// read, so the report gets its own copy for the caller to keep or edit.
+	report.EstCallTimes = maps.Clone(st.est.CallTimes)
 	report.OOM = rep.OOM
 	report.Errors = rep.Errors
 	report.PlanFingerprint = st.fingerprint

@@ -145,6 +145,57 @@ func TestTrainerStepsExecuteTheirEstimate(t *testing.T) {
 	}
 }
 
+// TestTrainerReportEstCallTimesOwned: an IterationReport's EstCallTimes is
+// the caller's own map. The prediction behind it is a shared estimate, held
+// by the step state and by the Planner's cost cache, so a caller editing a
+// report must reach neither this session's drift detection nor a Trainer
+// opened afterwards on the same Planner.
+func TestTrainerReportEstCallTimesOwned(t *testing.T) {
+	ctx := context.Background()
+	planner := NewPlanner(ClusterConfig{})
+	tr, err := planner.Train(ctx, trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	first, err := tr.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.EstCallTimes) == 0 {
+		t.Fatal("step reported no estimated call times (precondition)")
+	}
+	for name := range first.EstCallTimes {
+		first.EstCallTimes[name] *= 2
+	}
+	for i := 1; i <= 2; i++ {
+		rep, err := tr.Step(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Drift != 0 || rep.Replanned {
+			t.Errorf("step %d after editing step 0's report: drift %.3f, replanned %v; want 0, false",
+				i, rep.Drift, rep.Replanned)
+		}
+	}
+	if f := tr.Stats().CalibrationFactors; f != nil {
+		t.Errorf("editing a report calibrated the session: %v", f)
+	}
+
+	second, err := planner.Train(ctx, trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	rep, err := second.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Drift != 0 {
+		t.Errorf("a later Trainer on the same Planner read drift %.3f, want 0", rep.Drift)
+	}
+}
+
 // TestTrainerProfileFeedbackCalibration: executing under run options the
 // estimator does not model (CUDA graphs disabled) produces real
 // estimate-vs-observed drift at a fixed workload; the session folds it into
