@@ -137,8 +137,8 @@ func run() int {
 	fmt.Print(exp.PlanTable())
 	printEstimate(exp)
 	st := exp.SearchStats
-	fmt.Printf("Search space: ~1e%.0f plans, accepted %d/%d moves\n",
-		st.SpaceLog10, st.Accepted, st.Steps)
+	fmt.Printf("Search space: ~1e%.0f plans, accepted %d/%d moves (%d rejected on the bound)\n",
+		st.SpaceLog10, st.Accepted, st.Steps, st.BoundRejected)
 	if len(st.Chains) > 1 {
 		fmt.Printf("\n%-6s %-22s %10s %10s %12s\n", "Chain", "Seed", "Proposed", "Accepted", "BestCost")
 		for _, c := range st.Chains {

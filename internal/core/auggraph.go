@@ -150,6 +150,15 @@ func NewAugBuilder(g *dfg.Graph) (*AugBuilder, error) {
 // Graph returns the dataflow graph the builder was prepared for.
 func (b *AugBuilder) Graph() *dfg.Graph { return b.graph }
 
+// Topo returns the dataflow calls in build order: arena slot i of every
+// Build holds the call node of Topo()[i], ahead of any transfer-style node.
+// The slice is shared; callers must not modify it.
+func (b *AugBuilder) Topo() []*dfg.Node { return b.topo }
+
+// Parents returns n's dataflow parents. The slice is shared; callers must
+// not modify it.
+func (b *AugBuilder) Parents(n *dfg.Node) []*dfg.Node { return b.parents[n.ID] }
+
 // Home returns the home call of n's role: where its parameters rest.
 func (b *AugBuilder) Home(n *dfg.Node) *dfg.Node { return b.home[n.ID] }
 
@@ -191,12 +200,9 @@ func edge(parent, child *AugNode) {
 func (b *AugBuilder) Build(p *Plan) (*AugGraph, error) {
 	b.g.Nodes = b.arena[:0]
 	for _, d := range b.topo {
-		a, ok := p.Assign[d.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: call %q has no assignment", d.Name)
-		}
-		if _, ok := p.Models[d.Role]; !ok {
-			return nil, fmt.Errorf("core: no model spec for role %q", d.Role)
+		a, err := p.CallAssignment(d)
+		if err != nil {
+			return nil, err
 		}
 		b.callIdx[d.ID] = b.node(KindCall, d, a.Mesh).ID
 	}
@@ -253,6 +259,20 @@ func (b *AugBuilder) Build(p *Plan) (*AugGraph, error) {
 		}
 	}
 	return &b.g, nil
+}
+
+// CallAssignment returns call d's assignment, checking what expanding d
+// into the augmented graph needs: d is assigned and its role has a model
+// spec. Build fails with this error at the first call lacking either.
+func (p *Plan) CallAssignment(d *dfg.Node) (Assignment, error) {
+	a, ok := p.Assign[d.Name]
+	if !ok {
+		return Assignment{}, fmt.Errorf("core: call %q has no assignment", d.Name)
+	}
+	if _, ok := p.Models[d.Role]; !ok {
+		return Assignment{}, fmt.Errorf("core: no model spec for role %q", d.Role)
+	}
+	return a, nil
 }
 
 // Validate checks the augmented graph is a DAG.

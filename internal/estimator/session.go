@@ -6,6 +6,7 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
+	"realhf/internal/mesh"
 )
 
 // PlanCost is the scalar slice of a Result that plan search needs to accept
@@ -33,7 +34,8 @@ func CostOf(r *Result) PlanCost {
 type SessionStats struct {
 	// Evals counts Evaluate calls answered.
 	Evals int64
-	// NodeLookups counts augmented-graph node costings across all evals.
+	// NodeLookups counts augmented-graph node costings across all evals,
+	// and the call costings of Bound.
 	NodeLookups int64
 	// NodeRecosts counts lookups that missed the session-local duration memo
 	// and had to be recomputed through the session's fallback. After a
@@ -143,6 +145,9 @@ type activeSigEntry struct {
 //     its role's home are unchanged;
 //   - the Algorithm 1 scratch buffers.
 //
+// Bound is the session's cheap pre-test: a lower bound on a plan's cost
+// from its call nodes alone, through the same slot cache and memo.
+//
 // A session is single-goroutine state: each search chain owns one, and
 // concurrent chains share only their read-only Estimator, never a memo.
 //
@@ -170,6 +175,14 @@ type EvalSession struct {
 	slots     []slot
 	durMemo   map[NodeSig]float64
 	activeSig []activeSigEntry // by dfg.Graph.Calls index
+
+	// Bound scratch: each call's duration and mesh by topological position,
+	// the longest call-only path ending at each call by dfg node ID, and the
+	// call node costed through the slot cache.
+	boundDur  []float64
+	boundMesh []mesh.Mesh
+	boundEnd  []float64
+	callNode  core.AugNode
 
 	stats SessionStats
 }
@@ -213,15 +226,8 @@ func (s *EvalSession) evaluate(p *core.Plan, timeline *[]ScheduledNode) (PlanCos
 	if err != nil {
 		return PlanCost{}, err
 	}
-	// Algorithm 1 and the ledger index per-device lanes by global GPU, so a
-	// mesh past the estimator's cluster must error rather than under-cost.
-	// Every transfer endpoint is some call's assignment, so checking the
-	// calls bounds every node.
-	for _, n := range p.Graph.Calls() {
-		if m := p.Assign[n.Name].Mesh; m.First < 0 || m.Count < 0 || m.First > s.numGPUs-m.Count {
-			return PlanCost{}, fmt.Errorf("estimator: call %q occupies GPUs [%d,%d) outside the %d-GPU cluster",
-				n.Name, m.First, m.First+m.Count, s.numGPUs)
-		}
+	if err := s.checkMeshes(p); err != nil {
+		return PlanCost{}, err
 	}
 	nodes := g.Nodes
 	s.durations = growFloats(s.durations, len(nodes))
@@ -247,6 +253,105 @@ func (s *EvalSession) evaluate(p *core.Plan, timeline *[]ScheduledNode) (PlanCos
 	}
 	s.stats.Evals++
 	return pc, nil
+}
+
+// checkMeshes fails when a call's mesh leaves the cluster: Algorithm 1 and
+// the ledger index per-device lanes by global GPU, so such a plan must error
+// rather than under-cost. Every transfer endpoint is some call's assignment,
+// so checking the calls bounds every node.
+func (s *EvalSession) checkMeshes(p *core.Plan) error {
+	for _, n := range p.Graph.Calls() {
+		if m := p.Assign[n.Name].Mesh; m.First < 0 || m.Count < 0 || m.First > s.numGPUs-m.Count {
+			return fmt.Errorf("estimator: call %q occupies GPUs [%d,%d) outside the %d-GPU cluster",
+				n.Name, m.First, m.First+m.Count, s.numGPUs)
+		}
+	}
+	return nil
+}
+
+// Bound returns a lower bound on Evaluate(p).TimeCost, and so on its Cost,
+// from the plan's call nodes alone: it builds no augmented graph, prices no
+// realloc, transfer or offload node, runs no simulation and no memory
+// ledger. The bound is the larger of two terms, each a bound on any
+// schedule Algorithm 1 produces:
+//
+//   - the longest dependency path through call nodes, since a transfer-style
+//     node between two calls can only delay the later one;
+//   - the busiest device's summed call time, since the calls on one device
+//     run one after another (on its compute lane under OverlapComm).
+//
+// The path term adds along the path exactly as the simulation does, so it
+// needs no margin. The device term sums in topological order while the
+// simulation accumulates in schedule order, so it is shrunk by the
+// worst-case rounding error of either sum. Cost is TimeCost or a penalty
+// multiple of it, so the bound holds for Cost too.
+//
+// Call durations come from the slot cache and memo Evaluate uses: arena
+// slot i holds topological call i in every Build, so an Evaluate that
+// follows finds them cached. Bound fails wherever Evaluate fails, with the
+// same error: an unassigned call, a role without a model or coster, or a
+// mesh outside the cluster.
+func (s *EvalSession) Bound(p *core.Plan) (float64, error) {
+	if err := s.prepare(p); err != nil {
+		return 0, err
+	}
+	topo := s.b.Topo()
+	n := len(topo)
+	s.boundDur = growFloats(s.boundDur, n)
+	s.boundEnd = growFloats(s.boundEnd, n)
+	if cap(s.boundMesh) < n {
+		s.boundMesh = make([]mesh.Mesh, n)
+	}
+	s.boundMesh = s.boundMesh[:n]
+	for i, d := range topo {
+		a, err := p.CallAssignment(d)
+		if err != nil {
+			return 0, err
+		}
+		s.boundMesh[i] = a.Mesh
+	}
+	if err := s.checkMeshes(p); err != nil {
+		return 0, err
+	}
+
+	var path float64
+	cn := &s.callNode
+	cn.Kind = core.KindCall
+	for i, d := range topo {
+		cn.ID, cn.Call, cn.Role = i, d, d.Role
+		cn.Meshes = append(cn.Meshes[:0], s.boundMesh[i])
+		dur, err := s.duration(i, p, cn)
+		if err != nil {
+			return 0, err
+		}
+		s.boundDur[i] = dur
+		var start float64
+		for _, par := range s.b.Parents(d) {
+			start = max(start, s.boundEnd[par.ID])
+		}
+		end := start + dur
+		s.boundEnd[d.ID] = end
+		path = max(path, end)
+	}
+
+	// A device's load is a sum of interval indicators over the call meshes,
+	// so it peaks at some call's first GPU: O(calls²), no per-GPU pass.
+	var busiest float64
+	for _, m := range s.boundMesh {
+		var load float64
+		for j, o := range s.boundMesh {
+			if o.First <= m.First && m.First < o.First+o.Count {
+				load += s.boundDur[j]
+			}
+		}
+		busiest = max(busiest, load)
+	}
+	// A recursive sum of at most n nonnegative terms lies within about
+	// (n-1)·2⁻⁵³ relative of the exact sum in any order, so shrinking by
+	// (2n+4)·2⁻⁵³ covers this sum's error, the schedule-order sum's error
+	// and the product's own rounding.
+	busiest *= 1 - float64(2*n+4)*0x1p-53
+	return max(path, busiest), nil
 }
 
 // prepare (re)binds the session to the plan's dataflow graph with a fresh

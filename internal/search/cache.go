@@ -21,6 +21,10 @@ import (
 // incumbent plan through it twice per replan, and a reloaded stored plan
 // or a repeated heuristic is answered without re-simulating.
 //
+// The cache holds at most costCacheEntries Results: inserting into a full
+// cache clears it first, so a problem that stays in the Planner's pool
+// across many solves keeps a bounded memo.
+//
 // Cached Results are shared pointers and must be treated as immutable.
 // A cache is scoped to one (problem, estimator) pair: never share one
 // across different problems or estimators.
@@ -30,6 +34,11 @@ type CostCache struct {
 
 	hits, misses atomic.Int64
 }
+
+// costCacheEntries caps a CostCache. The measured uses stay below it (a
+// Trainer campaign's solves plus its re-attached plans; a served problem
+// re-solved at up to 40 seeds), so for them the clear never happens.
+const costCacheEntries = 64
 
 // NewCostCache allocates an empty cache.
 func NewCostCache() *CostCache {
@@ -91,6 +100,9 @@ func (c *CostCache) lookup(e *estimator.Estimator, p *core.Plan) (*estimator.Res
 		return nil, false, err
 	}
 	c.mu.Lock()
+	if _, ok := c.plans[key]; !ok && len(c.plans) >= costCacheEntries {
+		clear(c.plans)
+	}
 	c.plans[key] = r
 	c.mu.Unlock()
 	return r, false, nil

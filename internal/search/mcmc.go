@@ -27,6 +27,11 @@ const progressEvery = 64
 // matter uniformly across problem sizes.
 func adaptiveBeta(cost float64) float64 { return 10 / math.Max(cost, 1e-9) }
 
+// boundMargin widens the bound-first Metropolis test (DESIGN.md) so it
+// never rejects a proposal the full test would accept: math.Exp, in
+// assembly on amd64, is not documented as monotone.
+const boundMargin = 1e-12
+
 func chainSeed(base int64, chain int) int64 {
 	return base + int64(uint64(chain)*seedStride)
 }
@@ -58,12 +63,13 @@ type chainState struct {
 
 	beta float64
 
-	step      int // proposals attempted (including failed evaluations)
-	accepted  int
-	trace     []ProgressPoint
-	progress  func(ProgressPoint)
-	done      bool
-	cancelled bool
+	step          int // proposals attempted (including failed evaluations)
+	accepted      int
+	boundRejected int // proposals rejected on EvalSession.Bound, unscored
+	trace         []ProgressPoint
+	progress      func(ProgressPoint)
+	done          bool
+	cancelled     bool
 }
 
 // betterUnderHardMem orders (OOM, cost) pairs with the memory ledger as a
@@ -97,12 +103,7 @@ func (c *chainState) record(pt ProgressPoint) {
 
 // run advances the chain until its per-chain budget (opt.MaxSteps or
 // opt.TimeLimit), the round boundary `until` (0 = none), or ctx
-// cancellation. The proposal loop
-// and RNG consumption order replicate the pre-Solver engine exactly — one
-// Intn per call pick, one per candidate pick, one Float64 only when the
-// Metropolis test is reached — so a fixed seed reproduces its plan bit for
-// bit. Proposals mutate cur in place and undo on reject/error instead of
-// cloning the plan per step.
+// cancellation.
 func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time.Time, until int) {
 	for {
 		step := c.step + 1
@@ -123,60 +124,91 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 			return
 		}
 		c.step = step
-		// Propose: re-draw one call's assignment uniformly. With the offload
-		// axis enabled, a quarter of the proposals on frozen-role calls are
-		// dedicated single-offload-flip moves: they keep the layout and toggle
-		// only the host-offload bit, the mutation the incremental evaluator
-		// re-costs at a single augmented-graph node. (The gate draws RNG only
-		// under OffloadSearch, so default solves keep their historical
-		// streams.)
-		ni := c.rng.Intn(len(sp.names))
-		name := sp.names[ni]
-		cands := sp.cands[ni]
-		prev := c.cur.Assign[name]
-		if opt.OffloadSearch && sp.frozen[ni] && c.rng.Intn(4) == 0 {
-			next := prev
-			next.Offload = !prev.Offload
-			c.cur.Assign[name] = next
-		} else {
-			c.cur.Assign[name] = cands[c.rng.Intn(len(cands))]
-		}
-		pc, err := c.sess.Evaluate(c.cur)
-		if err != nil {
-			c.cur.Assign[name] = prev
-			continue
-		}
-		accept := pc.Cost <= c.curCost ||
-			c.rng.Float64() < math.Exp(-c.beta*(pc.Cost-c.curCost))
-		if accept {
-			c.curCost = pc.Cost
-			c.curOOM = pc.OOM
-			c.accepted++
-			better := pc.Cost < c.bestCost
-			if c.hardMem {
-				better = betterUnderHardMem(pc.OOM, pc.Cost, c.bestOOM, c.bestCost)
-			}
-			if better {
-				c.bestCost = pc.Cost
-				c.bestOOM = pc.OOM
-				copyAssign(c.best, c.cur)
-				// Keep the temperature matched to the current cost scale: an
-				// OOM-penalized seed would otherwise leave β so small that
-				// the chain random-walks forever.
-				c.beta = adaptiveBeta(c.bestCost)
-				c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
-					Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
-				})
-			}
-		} else {
-			c.cur.Assign[name] = prev
-		}
-		if step%progressEvery == 0 {
+		if c.propose(sp, opt, start) && step%progressEvery == 0 {
 			c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 				Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
 			})
 		}
 	}
+}
+
+// propose makes step c.step: it draws one move, applies the Metropolis test
+// and undoes the move on reject. It reports false when the moved plan fails
+// to evaluate; the move is then undone with no Metropolis draw. The RNG
+// consumption order replicates the pre-Solver engine exactly — one Intn per
+// call pick, one per candidate pick, one Float64 only when the Metropolis
+// test is reached — so a fixed seed reproduces its plan bit for bit.
+// Proposals mutate cur in place instead of cloning the plan per step.
+func (c *chainState) propose(sp *space, opt Options, start time.Time) bool {
+	// Propose: re-draw one call's assignment uniformly. With the offload
+	// axis enabled, a quarter of the proposals on frozen-role calls are
+	// dedicated single-offload-flip moves: they keep the layout and toggle
+	// only the host-offload bit, the mutation the incremental evaluator
+	// re-costs at a single augmented-graph node. (The gate draws RNG only
+	// under OffloadSearch, so default solves keep their historical streams.)
+	ni := c.rng.Intn(len(sp.names))
+	name := sp.names[ni]
+	cands := sp.cands[ni]
+	prev := c.cur.Assign[name]
+	if opt.OffloadSearch && sp.frozen[ni] && c.rng.Intn(4) == 0 {
+		next := prev
+		next.Offload = !prev.Offload
+		c.cur.Assign[name] = next
+	} else {
+		c.cur.Assign[name] = cands[c.rng.Intn(len(cands))]
+	}
+
+	// Bound-first Metropolis test (DESIGN.md). The full cost is at least
+	// the call-only bound, so once the bound exceeds curCost the full test
+	// is certain to draw u: draw it now. If u fails the test at the bound it
+	// fails at the full cost, and the move is rejected unscored; otherwise
+	// the full test below reuses u. Bound fails wherever Evaluate does, so
+	// no draw is taken ahead of an evaluation error.
+	u := -1.0
+	if lb, err := c.sess.Bound(c.cur); err == nil && lb > c.curCost {
+		u = c.rng.Float64()
+		if u >= math.Exp(-c.beta*(lb-c.curCost))*(1+boundMargin) {
+			c.cur.Assign[name] = prev
+			c.boundRejected++
+			return true
+		}
+	}
+	pc, err := c.sess.Evaluate(c.cur)
+	if err != nil {
+		c.cur.Assign[name] = prev
+		return false
+	}
+	accept := pc.Cost <= c.curCost
+	if !accept {
+		if u < 0 {
+			u = c.rng.Float64()
+		}
+		accept = u < math.Exp(-c.beta*(pc.Cost-c.curCost))
+	}
+	if !accept {
+		c.cur.Assign[name] = prev
+		return true
+	}
+	c.curCost = pc.Cost
+	c.curOOM = pc.OOM
+	c.accepted++
+	better := pc.Cost < c.bestCost
+	if c.hardMem {
+		better = betterUnderHardMem(pc.OOM, pc.Cost, c.bestOOM, c.bestCost)
+	}
+	if better {
+		c.bestCost = pc.Cost
+		c.bestOOM = pc.OOM
+		copyAssign(c.best, c.cur)
+		// Keep the temperature matched to the current cost scale: an
+		// OOM-penalized seed would otherwise leave β so small that the
+		// chain random-walks forever.
+		c.beta = adaptiveBeta(c.bestCost)
+		c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
+			Elapsed: time.Since(start), Step: c.step, BestCost: c.bestCost,
+		})
+	}
+	return true
 }
 
 // startState resolves the shared initial plan: the caller-provided
@@ -233,11 +265,22 @@ func startState(sess *estimator.EvalSession, e *estimator.Estimator,
 // state between barriers. Chain 0 walks from Options.Seed, so a one-chain
 // run is the sequential walk. The reduction is deterministic: lowest best
 // cost wins, ties broken by chain index.
-type mcmcSolver struct{}
+type mcmcSolver struct {
+	// walk advances one chain to its round boundary; nil is
+	// (*chainState).run. Tests substitute a reference walk.
+	walk walkFunc
+}
+
+// walkFunc has the signature of (*chainState).run.
+type walkFunc func(c *chainState, ctx context.Context, sp *space, opt Options, start time.Time, until int)
 
 func (mcmcSolver) Name() string { return "mcmc" }
 
-func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
+func (m mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
+	walk := m.walk
+	if walk == nil {
+		walk = (*chainState).run
+	}
 	chains := max(1, opt.Chains)
 	opt = opt.withDefaults()
 	start := time.Now() //lint:realvet wallclock -- anchors the TimeLimit budget and Elapsed trace, never plan content
@@ -297,9 +340,9 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 	cs[0].record(initial)
 
 	if chains == 1 {
-		cs[0].run(ctx, sp, opt, start, 0)
+		walk(cs[0], ctx, sp, opt, start, 0)
 	} else {
-		runExchanging(ctx, cs, sp, opt, start)
+		runExchanging(ctx, cs, sp, opt, start, walk)
 	}
 
 	// Cancellation is an error, not a truncated Solution: a caller that set
@@ -342,9 +385,10 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 	for _, c := range cs {
 		st.Steps += c.step
 		st.Accepted += c.accepted
+		st.BoundRejected += c.boundRejected
 		st.Chains = append(st.Chains, ChainStats{
 			Chain: c.idx, Seed: c.seed, Proposed: c.step,
-			Accepted: c.accepted, BestCost: c.bestCost,
+			Accepted: c.accepted, BoundRejected: c.boundRejected, BestCost: c.bestCost,
 		})
 	}
 	if chains == 1 {
@@ -362,7 +406,7 @@ func (mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solutio
 // Exchanges happen at deterministic step boundaries, so step-bounded runs
 // remain reproducible regardless of goroutine scheduling.
 func runExchanging(ctx context.Context, cs []*chainState,
-	sp *space, opt Options, start time.Time) {
+	sp *space, opt Options, start time.Time, walk walkFunc) {
 	for target := 0; ; {
 		target += opt.ExchangeEvery
 		var wg sync.WaitGroup
@@ -375,7 +419,7 @@ func runExchanging(ctx context.Context, cs []*chainState,
 			wg.Add(1)
 			go func(c *chainState) {
 				defer wg.Done()
-				c.run(ctx, sp, opt, start, target)
+				walk(c, ctx, sp, opt, start, target)
 			}(c)
 		}
 		wg.Wait()

@@ -134,9 +134,9 @@ func TestCandidatesRespectPruning(t *testing.T) {
 		}
 	}
 	meshes := mesh.Enumerate(p.Cluster)
-	none := candidates(p, genNode, PruneNone, meshes, nil, false)
-	moderate := candidates(p, genNode, PruneModerate, meshes, nil, false)
-	aggressive := candidates(p, genNode, PruneAggressive, meshes, nil, false)
+	none := appendCandidates(nil, p, genNode, PruneNone, meshes, nil, false)
+	moderate := appendCandidates(nil, p, genNode, PruneModerate, meshes, nil, false)
+	aggressive := appendCandidates(nil, p, genNode, PruneAggressive, meshes, nil, false)
 	if len(moderate) >= len(none) {
 		t.Errorf("moderate pruning did not shrink the space: %d vs %d", len(moderate), len(none))
 	}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -65,7 +66,10 @@ type ChainStats struct {
 	Seed     int64
 	Proposed int
 	Accepted int
-	BestCost float64
+	// BoundRejected counts proposals rejected on the call-only lower bound
+	// (estimator.EvalSession.Bound) without a full estimate.
+	BoundRejected int
+	BestCost      float64
 }
 
 // Stats aggregates solver-side counters: step/acceptance totals, the
@@ -79,6 +83,10 @@ type Stats struct {
 	Steps int
 	// Accepted counts accepted Metropolis moves (summed over chains).
 	Accepted int
+	// BoundRejected counts MCMC proposals rejected on the call-only lower
+	// bound without a full estimate, summed over chains. They are among
+	// Steps, never among Accepted.
+	BoundRejected int
 	// Trace samples best-cost-so-far over search time. For a multi-chain
 	// solve it is the merged global-best curve.
 	Trace []ProgressPoint
@@ -349,18 +357,18 @@ func (m *enumMemo) microBatchOptions(perDP int) []int {
 	return mbs
 }
 
-// candidates enumerates the legal assignments of one call under the pruning
-// level. meshes is the cluster's mesh enumeration and memo caches the inner
-// strategy/micro-batch enumerations; both are hoisted by the caller because
-// they are identical (or heavily shared) across calls, and recomputing them
-// per call dominated candidate-set construction.
+// appendCandidates appends the legal assignments of one call under the
+// pruning level to dst. meshes is the cluster's mesh enumeration and memo
+// caches the inner strategy/micro-batch enumerations; both are hoisted by
+// the caller because they are identical (or heavily shared) across calls,
+// and recomputing them per call dominated candidate-set construction.
 //
 // The offload axis: with offloadSearch set, every layout of a frozen role is
 // emitted twice — device-resident and host-offloaded — so every solver
 // (greedy seeding, MCMC redraws, the exhaustive cross product) explores the
 // offload decision. Without it every call emits only the resident variant,
 // keeping default solves byte-identical.
-func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
+func appendCandidates(dst []core.Assignment, p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
 	ms := p.Models[call.Role]
 	batch := call.UpdateBatch()
 	maxPP := ms.Cfg.NumLayers
@@ -371,7 +379,7 @@ func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh
 		}
 		maxMB = 8
 	}
-	var out []core.Assignment
+	out := dst
 	for _, m := range meshes {
 		if lvl >= PruneModerate && m.Count > p.Cluster.GPUsPerNode {
 			span := m.Count / p.Cluster.GPUsPerNode
@@ -421,19 +429,22 @@ func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh
 }
 
 // candidateSets precomputes per-call candidate lists and the joint space
-// size.
+// size. Every call enumerates into one reused scratch buffer and keeps an
+// exact-size copy: growing each call's list by append allocated several
+// times the list's final size.
 func candidateSets(p *core.Plan, lvl PruneLevel, offloadSearch bool) (map[string][]core.Assignment, float64, error) {
 	sets := map[string][]core.Assignment{}
 	var log10 float64
 	meshes := mesh.Enumerate(p.Cluster)
 	memo := newEnumMemo()
+	var buf []core.Assignment
 	for _, n := range p.Graph.Calls() {
-		c := candidates(p, n, lvl, meshes, memo, offloadSearch)
-		if len(c) == 0 {
+		buf = appendCandidates(buf[:0], p, n, lvl, meshes, memo, offloadSearch)
+		if len(buf) == 0 {
 			return nil, 0, fmt.Errorf("search: call %q has no legal assignment", n.Name)
 		}
-		sets[n.Name] = c
-		log10 += math.Log10(float64(len(c)))
+		sets[n.Name] = slices.Clone(buf)
+		log10 += math.Log10(float64(len(buf)))
 	}
 	return sets, log10, nil
 }

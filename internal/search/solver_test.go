@@ -401,3 +401,56 @@ func TestSolveCancellation(t *testing.T) {
 		t.Error("cancelled exhaustive sweep must return an error")
 	}
 }
+
+// TestCostCacheCapped: a cache fed more distinct plans than its cap, from
+// one goroutine and then from several at once, never holds more than the
+// cap, and the entry just inserted answers the next lookup.
+func TestCostCacheCapped(t *testing.T) {
+	prob := testProblem(t, 1, 64)
+	sp, err := buildSpace(prob.Est, prob.Plan, Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := greedySeed(t, prob.Est, prob.Plan)
+	var variants []*core.Plan
+	for i := 0; len(variants) <= costCacheEntries; i++ {
+		for _, name := range sp.names {
+			if i < len(sp.sets[name]) && sp.sets[name][i] != seed.Assign[name] {
+				v := seed.Clone()
+				v.Assign[name] = sp.sets[name][i]
+				variants = append(variants, v)
+			}
+		}
+	}
+	cache := NewCostCache()
+	for _, v := range variants {
+		r, err := cache.Evaluate(prob.Est, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := cache.Len(); n > costCacheEntries {
+			t.Fatalf("cache holds %d entries, cap %d", n, costCacheEntries)
+		}
+		hits := cache.Hits()
+		if again, _ := cache.Evaluate(prob.Est, v); again != r || cache.Hits() != hits+1 {
+			t.Fatal("the entry just inserted did not answer the next lookup")
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range variants {
+				if _, err := cache.Evaluate(prob.Est, v); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := cache.Len(); n > costCacheEntries {
+		t.Errorf("after concurrent inserts the cache holds %d entries, cap %d", n, costCacheEntries)
+	}
+}

@@ -805,6 +805,73 @@ func TestPlannerStatsCostCacheReuse(t *testing.T) {
 	}
 }
 
+// TestPlannerCostCacheBounded: a problem that stays in the pool across many
+// solves keeps a bounded plan-level memo, and the latest entries still
+// answer what the memo is kept for: a Trainer's replan re-attaches its
+// incumbent twice.
+func TestPlannerCostCacheBounded(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlanner(ClusterConfig{})
+	cfg, err := PaperExperiment("ppo", "llama13b", "llama7b-critic", 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SearchSteps = 1000
+	var last *Experiment
+	for seed := int64(1); seed <= 80; seed++ {
+		cfg.Seed = seed
+		exp, err := p.Plan(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, _, _, _, err := p.problemFor(exp.Config, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ps.cache.Len(); n > 64 {
+			t.Fatalf("after %d solves the problem's cost cache holds %d estimates, want at most 64", seed, n)
+		}
+		last = exp
+	}
+	st := p.Stats()
+	if st.Problems != 1 || st.CostCacheMisses <= 64 {
+		t.Fatalf("%d problems, %d cost-cache misses: the 80 solves must store more than 64 winners in one problem's cache",
+			st.Problems, st.CostCacheMisses)
+	}
+	for i := 0; i < 2; i++ {
+		hits := p.Stats().CostCacheHits
+		_, res, err := p.attach(last.Config, nil, last.Plan.Assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats().CostCacheHits != hits+1 || res != last.Estimate {
+			t.Errorf("re-attach %d of the latest winner missed the cost cache", i+1)
+		}
+	}
+}
+
+// TestSearchBoundDecidesColdSolve: on the paper's 4-node 13B PPO problem a
+// 4,000-step walk rejects at least 40% of its proposals on the call-only
+// bound, without a full estimate.
+func TestSearchBoundDecidesColdSolve(t *testing.T) {
+	cfg, err := PaperExperiment("ppo", "llama13b", "llama7b-critic", 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SearchSteps, cfg.Seed = 4000, 1
+	exp, err := NewPlanner(ClusterConfig{}).Plan(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := exp.SearchStats
+	if st.Steps != 4000 || st.BoundRejected*10 < st.Steps*4 {
+		t.Errorf("the bound decided %d of %d proposals, want at least 40%%", st.BoundRejected, st.Steps)
+	}
+	if len(st.Chains) != 1 || st.Chains[0].BoundRejected != st.BoundRejected {
+		t.Errorf("per-chain bound rejections %+v do not sum to %d", st.Chains, st.BoundRejected)
+	}
+}
+
 func ExamplePlanner() {
 	planner := NewPlanner(ClusterConfig{Nodes: 1})
 	cfg := ExperimentConfig{
