@@ -97,14 +97,18 @@ func NewFaultyTransport(inner Transport) *FaultyTransport {
 
 // pump forwards inner replies to the outer channel, filtering by the fault
 // state of the answering device: killed devices' replies are discarded,
-// delayed devices' replies are parked until Heal.
+// delayed devices' replies are parked until Heal. It returns when the inner
+// reply channel closes (a closed TCP fleet), since nothing more can come.
 func (f *FaultyTransport) pump() {
 	defer f.wg.Done()
 	for {
 		select {
 		case <-f.stop:
 			return
-		case rep := <-f.inner.Replies():
+		case rep, ok := <-f.inner.Replies():
+			if !ok {
+				return
+			}
 			f.mu.Lock()
 			kind, faulted := f.faults[rep.GPU]
 			if faulted && kind == FaultDelay {

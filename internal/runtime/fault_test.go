@@ -2,9 +2,12 @@ package runtime
 
 import (
 	"errors"
+	"reflect"
+	goruntime "runtime"
 	"testing"
 	"time"
 
+	"realhf/internal/core"
 	"realhf/internal/estimator"
 )
 
@@ -161,26 +164,79 @@ func TestRunWorkerTimeoutDroppedWorker(t *testing.T) {
 	}
 }
 
-// TestFaultFreePassThroughIsBitIdentical: with no fault armed the wrapper
-// is invisible — the pooled run over a FaultyTransport reproduces the
-// one-shot timeline byte for byte (determinism survives the extra hop).
+// TestFaultFreePassThroughIsBitIdentical: the in-call path and the channel
+// path report the same run. Each program executes on a bare ChanTransport
+// pool, whose workers answer inside the dispatch call; on the same workers
+// behind a fault-free FaultyTransport, whose replies take the channel; and
+// on a TCP fleet of them. The three Reports — timeline, call times, comm
+// time, iteration counts, peak, OOM verdict and errors — must be equal, and
+// equal to the one-shot Run, for the serialized and overlapped schedules of
+// a 2-iteration plan and of a plan that runs out of memory.
 func TestFaultFreePassThroughIsBitIdentical(t *testing.T) {
-	plan := reallocHeavyPlan(t, 1)
-	oneShot, err := Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		plan *core.Plan
+	}{
+		{"2-iterations", reallocHeavyPlan(t, 2)},
+		{"oom", oomPlan(t)},
+	} {
+		n, mem := tc.plan.Cluster.NumGPUs(), tc.plan.Cluster.GPU.MemoryBytes
+		workers := make([]*ModelWorker, n)
+		for i := range workers {
+			workers[i] = NewModelWorker(i, mem)
+		}
+		addr, stop, err := ServeWorkersTCP(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		tcp, err := NewTCPTransport(addr, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleets := []struct {
+			name string
+			pool *WorkerPool
+		}{
+			{"in-call", NewWorkerPoolWith(workers, NewChanTransport(workers))},
+			{"channel", NewWorkerPoolWith(workers, NewFaultyTransport(NewChanTransport(workers)))},
+			{"tcp", NewWorkerPoolWith(workers, tcp)},
+		}
+		for _, f := range fleets {
+			t.Cleanup(func() { f.pool.Close() })
+		}
+		for _, overlap := range []bool{false, true} {
+			opts := Options{UseCUDAGraph: true, OverlapComm: overlap}
+			want, err := Run(tc.plan, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.OOM != (tc.name == "oom") {
+				t.Fatalf("%s: one-shot OOM = %t", tc.name, want.OOM)
+			}
+			for _, f := range fleets {
+				if got := runPool(t, f.pool, tc.plan, opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s overlap=%t: %s report differs from the one-shot run:\n got %+v\nwant %+v",
+						tc.name, overlap, f.name, got, want)
+				}
+			}
+		}
 	}
-	wp, _, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
-	defer wp.Close()
-	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := wp.Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MakespanV != oneShot.MakespanV || rep.PeakBytes != oneShot.PeakBytes {
-		t.Fatalf("faulty-transport run (%v, %d) != one-shot (%v, %d)",
-			rep.MakespanV, rep.PeakBytes, oneShot.MakespanV, oneShot.PeakBytes)
+}
+
+// TestFaultyPumpStopsOnInnerClose: when the inner transport's reply channel
+// closes, the wrapper's pump exits without forwarding anything — a closed
+// channel's zero Reply would read as node 0's reply from gpu 0.
+func TestFaultyPumpStopsOnInnerClose(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	inner := &closedTransport{replies: make(chan Reply)}
+	close(inner.replies)
+	ft := NewFaultyTransport(inner)
+	defer ft.Close()
+	waitGoroutines(t, before)
+	select {
+	case rep := <-ft.Replies():
+		t.Fatalf("pump forwarded %+v from a closed inner transport", rep)
+	default:
 	}
 }

@@ -257,6 +257,62 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
+// cancelAfterChecks cancels its context at its (k+1)-th Err check. The
+// in-call path checks the context once per dispatched node, so a run under
+// it dispatches exactly k nodes.
+type cancelAfterChecks struct {
+	context.Context
+	cancel context.CancelFunc
+	left   int
+}
+
+func (c *cancelAfterChecks) Err() error {
+	if c.left--; c.left < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRunCancelledInCall: on a bare ChanTransport pool, whose workers answer
+// inside the dispatch call so the master never blocks, a context cancelled
+// after the k-th dispatched node stops the run right there: a wrapped
+// context.Canceled and a partial report of exactly k nodes. No reply is left
+// behind, so the next Reset and run reproduce the one-shot report.
+func TestRunCancelledInCall(t *testing.T) {
+	p := ppoPlan(t, 1, 4, model.LLaMA7B, model.LLaMA7B)
+	opts := Options{UseCUDAGraph: true}
+	full, err := Run(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := NewWorkerPool(p.Cluster.NumGPUs(), p.Cluster.GPU.MemoryBytes)
+	defer wp.Close()
+	static := estimator.StaticPerGPU(p)
+	for _, k := range []int{0, 1, 7} {
+		parent, cancel := context.WithCancel(context.Background())
+		cancelled := opts
+		cancelled.Context = &cancelAfterChecks{Context: parent, cancel: cancel, left: k}
+		if err := wp.Reset(static); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := wp.Run(p, cancelled)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: cancelled in-call run returned %v, want a wrapped context.Canceled", k, err)
+		}
+		if rep == nil || len(rep.Timeline) != k {
+			t.Fatalf("k=%d: cancelled run reported %v, want a partial report of %d nodes", k, rep, k)
+		}
+		if rep.CompletedIterations >= rep.Iterations {
+			t.Fatalf("k=%d: CompletedIterations = %d of %d after cancellation, want a partial report",
+				k, rep.CompletedIterations, rep.Iterations)
+		}
+		if got := runPool(t, wp, p, opts); !reflect.DeepEqual(got, full) {
+			t.Fatalf("k=%d: the run after a cancelled one differs from the one-shot run", k)
+		}
+	}
+}
+
 // inlineTransport handles each request inside Send and buffers the reply,
 // so the master finds a reply queued at every step of the run and never
 // blocks. Its cancelAt-th Send cancels the run's context.
@@ -362,14 +418,7 @@ func TestTransportClosedMidRun(t *testing.T) {
 // TestOOMErrorsPropagateSorted: every worker OOM message lands in
 // Report.Errors, deterministically ordered, in both overlap modes.
 func TestOOMErrorsPropagateSorted(t *testing.T) {
-	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
-	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA70B, model.LLaMA7B))
-	full := mesh.Full(cluster)
-	st := parallel.Strategy{DP: 16, TP: 1, PP: 1, MicroBatches: 1}
-	for _, name := range p.CallNames() {
-		p.Assign[name] = core.Assignment{Mesh: full, Strategy: st}
-	}
+	p := oomPlan(t)
 	for _, overlap := range []bool{false, true} {
 		rep, err := Run(p, Options{UseCUDAGraph: true, OverlapComm: overlap})
 		if err != nil {

@@ -73,6 +73,11 @@ func fenceGPU(id int) int { return -id - 1 }
 //  2. each worker's peak-memory ledger is zeroed and its resting memory
 //     replaced by static[i].
 //
+// On the in-process ChanTransport every fence is answered inside its send
+// and no straggler can exist (the master folded each reply where its
+// dispatch returned), so Reset neither reads the reply channel nor arms its
+// fence timer. Every other transport runs the full protocol.
+//
 // static must have one entry per worker (estimator.StaticPerGPU of the next
 // plan, or Program.StaticPerGPU of its compiled form).
 func (wp *WorkerPool) Reset(static []int64) error {
@@ -105,10 +110,32 @@ func (wp *WorkerPool) drainLocked() error {
 	}
 	fenced := wp.fenced[:n]
 	clear(fenced)
+	outstanding := n
+	// fold takes one reply in; node IDs (>= 0) are stragglers of an
+	// earlier run and are discarded.
+	fold := func(rep Reply) {
+		if gpu := fenceGPU(rep.ID); rep.ID < 0 && gpu < n && !fenced[gpu] {
+			fenced[gpu] = true
+			outstanding--
+		}
+	}
+	inCall, _ := wp.transport.(*ChanTransport)
 	for gpu := range wp.workers {
-		if err := wp.transport.Send(gpu, Request{ID: fenceID(gpu), Kind: ReqFence}); err != nil {
+		req := Request{ID: fenceID(gpu), Kind: ReqFence}
+		if inCall != nil {
+			rep, err := inCall.call(gpu, req)
+			if err != nil {
+				return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
+			}
+			fold(rep)
+			continue
+		}
+		if err := wp.transport.Send(gpu, req); err != nil {
 			return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
 		}
+	}
+	if outstanding == 0 {
+		return nil
 	}
 	var timeout <-chan time.Time
 	if wp.fenceTimeout > 0 {
@@ -117,7 +144,7 @@ func (wp *WorkerPool) drainLocked() error {
 		timeout = timer.C
 	}
 	replies := wp.transport.Replies()
-	for outstanding := n; outstanding > 0; {
+	for outstanding > 0 {
 		var (
 			rep Reply
 			ok  bool
@@ -146,11 +173,7 @@ func (wp *WorkerPool) drainLocked() error {
 		if !ok {
 			return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
 		}
-		// Node IDs (>= 0) are stragglers of an earlier run; discard.
-		if gpu := fenceGPU(rep.ID); rep.ID < 0 && gpu < n && !fenced[gpu] {
-			fenced[gpu] = true
-			outstanding--
-		}
+		fold(rep)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
+	"net"
 	goruntime "runtime"
 	"strings"
 	"sync"
@@ -289,6 +291,87 @@ func TestTCPCloseMidIteration(t *testing.T) {
 	}
 }
 
+// TestTCPCloseWhileWaiting: a TCP fleet whose workers read requests and
+// never reply, closed while the master waits with no WorkerTimeout, ends the
+// run with a transport-closed error instead of hanging it. Close takes the
+// replies the master waits for, so only the reply channel's closing can wake
+// it.
+func TestTCPCloseWhileWaiting(t *testing.T) {
+	plan := reallocHeavyPlan(t, 1)
+	n := plan.Cluster.NumGPUs()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := make(chan struct{}, 1)
+	var served sync.WaitGroup
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				defer conn.Close()
+				dec := gob.NewDecoder(conn)
+				var gpu int
+				if dec.Decode(&gpu) != nil {
+					return
+				}
+				for {
+					var req Request
+					if dec.Decode(&req) != nil {
+						return
+					}
+					if req.Kind == ReqNode {
+						select {
+						case received <- struct{}{}:
+						default:
+						}
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		served.Wait()
+	})
+	tr, err := NewTCPTransport(ln.Addr().String(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]*ModelWorker, n)
+	for i := range workers {
+		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := NewWorkerPoolWith(workers, tr).Run(plan, Options{UseCUDAGraph: true})
+		errc <- err
+	}()
+	select {
+	case <-received:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no request reached the silent fleet")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "transport closed") {
+			t.Fatalf("run over a fleet closed while it waited returned %v, want a transport-closed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still waiting 5s after its transport closed")
+	}
+}
+
 // limitedTransport executes requests against real workers but stops
 // replying after `limit` requests, cancelling the run's context instead —
 // a way to produce a partial report mid-iteration.
@@ -329,7 +412,7 @@ func TestIterTimePartialReportClamps(t *testing.T) {
 	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
 	for i := range workers {
 		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = static[i]
+		workers[i].Reset(static[i])
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -221,7 +221,7 @@ func Run(p *core.Plan, opts Options) (*Report, error) {
 	workers := make([]*ModelWorker, len(prog.static))
 	for i := range workers {
 		workers[i] = NewModelWorker(i, p.Cluster.GPU.MemoryBytes)
-		workers[i].StaticBytes = prog.static[i]
+		workers[i].Reset(prog.static[i])
 	}
 	ct := NewChanTransport(workers)
 	defer ct.Close()
@@ -243,16 +243,20 @@ type nodeRun struct {
 // execute is the master's event-driven dispatch loop — the one path every
 // execution takes, whether the program was just compiled (Run,
 // WorkerPool.Run) or is re-executed by a long-lived session
-// (WorkerPool.Execute). Of opts, only Context and WorkerTimeout are read.
+// (WorkerPool.Execute), and whatever the transport. Of opts, only Context
+// and WorkerTimeout are read.
 //
-// It is a plain dependency-driven dispatcher: a node is sent to its devices
-// once every parent's replies are in. In-process replies arrive in send
-// order; TCP workers run concurrently and reply in arbitrary physical
-// order, so there the dispatch order varies from run to run — but nothing
-// reported depends on it. Virtual spans were fixed by Compile, and the
-// worker ledgers' peaks and OOM verdicts do not depend on request order;
-// the report folds completed nodes in compiled order with sorted error
-// lists.
+// It is a plain dependency-driven dispatcher: a node whose parents' replies
+// are all in goes on a ready list, and the loop dispatches every ready node
+// before it reads a reply channel. A reply is folded in where it is
+// returned: a ChanTransport fleet answers inside the dispatch call, so it
+// never touches the channel; any other transport's replies are received
+// from Replies. TCP workers run
+// concurrently and reply in arbitrary physical order, so there the
+// dispatch order varies from run to run — but nothing reported depends on
+// it. Virtual spans were fixed by Compile, and the worker ledgers' peaks
+// and OOM verdicts do not depend on request order; the report folds
+// completed nodes in compiled order with sorted error lists.
 func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker) (*Report, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -265,54 +269,75 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		CallTimes:   map[string]float64{},
 	}
 	state := make([]nodeRun, total)
+	// ready queues the nodes whose parents are all complete, in the order
+	// they became ready; next is the first not yet dispatched. Each node is
+	// queued once, so the queue never outgrows total.
+	ready := make([]int, 0, total)
 	for id := range works {
-		state[id].pending = len(works[id].node.Parents)
-	}
-	inflight := 0                              // dispatched, incomplete nodes
-	owedByGPU := make([]int, len(prog.static)) // replies each device still owes
-	replies := transport.Replies()
-
-	dispatch := func(id int) error {
-		w := &works[id]
-		for _, gpu := range w.gpus {
-			if err := transport.Send(gpu, Request{ID: id, Kind: ReqNode, AllocBytes: w.alloc}); err != nil {
-				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
-			}
-			owedByGPU[gpu]++
+		if state[id].pending = len(works[id].node.Parents); state[id].pending == 0 {
+			ready = append(ready, id)
 		}
-		state[id].outstanding = len(w.gpus)
-		inflight++
-		return nil
+	}
+	next := 0
+	inCall, _ := transport.(*ChanTransport)
+	inflight := 0 // dispatched, incomplete nodes
+	completed := 0
+	// owedByGPU counts each device's replies still due on Replies, which
+	// names the lost device when a wait times out. An in-call reply is
+	// never owed, so an in-call execution keeps no count.
+	var owedByGPU []int
+	if inCall == nil {
+		owedByGPU = make([]int, len(prog.static))
 	}
 
-	completed := 0
-	// handleReply folds one reply in; completing a node dispatches every
-	// child it unblocks.
-	handleReply := func(rep Reply) error {
+	// fold takes one reply in. A node's last reply completes it and queues
+	// every child it unblocks.
+	fold := func(rep Reply) {
 		if rep.OOM {
 			report.OOM = true
 			report.Errors = append(report.Errors, rep.Error)
 		}
 		if rep.ID < 0 || rep.ID >= total {
-			return nil // a straggler fence: no node of this program
+			return // a straggler fence: no node of this program
 		}
 		if rep.GPU >= 0 && rep.GPU < len(owedByGPU) {
 			owedByGPU[rep.GPU]--
 		}
 		st := &state[rep.ID]
-		st.outstanding--
-		if st.outstanding > 0 {
-			return nil
+		if st.outstanding--; st.outstanding > 0 {
+			return
 		}
 		st.done = true
 		completed++
 		inflight--
 		for _, c := range works[rep.ID].node.Children {
 			if state[c].pending--; state[c].pending == 0 {
-				if err := dispatch(c); err != nil {
-					return err
-				}
+				ready = append(ready, c)
 			}
+		}
+	}
+
+	// dispatch sends a node to each of its devices. In-call replies are
+	// folded as the calls return, so there the node completes, and its
+	// unblocked children are queued, before dispatch returns.
+	dispatch := func(id int) error {
+		w := &works[id]
+		state[id].outstanding = len(w.gpus)
+		inflight++
+		req := Request{ID: id, Kind: ReqNode, AllocBytes: w.alloc}
+		for _, gpu := range w.gpus {
+			if inCall != nil {
+				rep, err := inCall.call(gpu, req)
+				if err != nil {
+					return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
+				}
+				fold(rep)
+				continue
+			}
+			if err := transport.Send(gpu, req); err != nil {
+				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
+			}
+			owedByGPU[gpu]++
 		}
 		return nil
 	}
@@ -371,15 +396,6 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		sort.Strings(report.Errors)
 	}
 
-	for id := range works {
-		if len(works[id].node.Parents) == 0 {
-			if err := dispatch(id); err != nil {
-				finish()
-				return report, err
-			}
-		}
-	}
-
 	// A run that dies mid-flight — lost worker, closed transport, stalled
 	// scheduler — still returns the partial report assembled from every
 	// node that did complete, exactly like a context cancellation: the
@@ -393,17 +409,34 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 		// tick landed in, and quietTicks counts the ticks since then.
 		waits, tickedWait, quietTicks int
 	)
-	if opts.WorkerTimeout > 0 {
-		timer = time.NewTimer(tick)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	cancelled := func() (*Report, error) {
 		finish()
 		return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
 			completed, total, ctx.Err())
 	}
+	replies := transport.Replies()
 	for completed < total {
+		if next < len(ready) {
+			// A dispatch never blocks, and on an in-call fleet it is all
+			// the loop does, so the context is checked once per dispatched
+			// node here.
+			if ctx.Err() != nil {
+				return cancelled()
+			}
+			id := ready[next]
+			next++
+			if err := dispatch(id); err != nil {
+				finish()
+				return report, err
+			}
+			continue
+		}
+		// Nothing is ready, so only a node in flight can make progress.
 		if inflight == 0 {
 			finish()
 			return report, fmt.Errorf("runtime: scheduler stalled with %d/%d nodes complete", completed, total)
@@ -424,7 +457,9 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 				return cancelled()
 			}
 		default:
-			// Block for the next reply. The liveness timer ticks every
+			// Block for the next reply. The liveness timer is armed at the
+			// first blocking wait (a run that never blocks, such as every
+			// in-call execution, takes no timer), then ticks every
 			// WorkerTimeout/livenessTicks and is never re-armed per wait
 			// (that would cost a clock read per reply): a blocking wait
 			// that spans livenessTicks+1 ticks has lasted at least
@@ -432,6 +467,10 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			// tick of that. Only blocking waits count; a tick that lands
 			// while the master drains is discounted by the next one.
 			waits++
+			if timer == nil && opts.WorkerTimeout > 0 {
+				timer = time.NewTimer(tick)
+				timeoutC = timer.C
+			}
 		wait:
 			for {
 				select {
@@ -466,10 +505,7 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			finish()
 			return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
 		}
-		if err := handleReply(rep); err != nil {
-			finish()
-			return report, err
-		}
+		fold(rep)
 	}
 	finish()
 	return report, nil

@@ -11,9 +11,18 @@
 // oracle costs, and workers execute against a simulated device that keeps
 // only a memory ledger. Everything else — the event-driven dependency
 // engine, the dispatch protocol, fences, liveness timeouts and fault
-// injection — runs for real, over either the in-process ChanTransport,
-// whose workers answer inside Send and queue their replies in send order,
-// or TCP sockets with gob encoding, one connection (one FIFO) per worker.
+// injection — runs for real, over either the in-process ChanTransport or
+// TCP sockets with gob encoding, one connection (one FIFO) per worker.
+//
+// The master runs one dispatch loop for every transport. A node whose
+// parents are all complete goes on a ready list, and the loop empties that
+// list before it reads any reply channel. On the in-process ChanTransport
+// each worker answers inside the dispatch call, so its reply is folded in
+// where the call returns, and a node it completes puts its unblocked
+// children on the ready list: a steady step takes no channel operation,
+// no worker lock and no timer. TCP, FaultyTransport and any other
+// Transport reply asynchronously through Replies, which the same loop
+// drains.
 //
 // The compiled timeline gives each worker two streams, mirroring a CUDA
 // device's compute and copy engines: model function calls occupy
@@ -101,6 +110,13 @@ type Reply struct {
 }
 
 // Transport moves requests and replies between the master and workers.
+//
+// Its method set is the contract every fleet and every wrapper implements
+// (TCPTransport, FaultyTransport, instrumenting wrappers outside this
+// package), so it stays as it is. The in-process ChanTransport additionally
+// answers inside the dispatch call through an unexported method that only
+// this package's master uses; everything that implements just these three
+// methods keeps the Send/Replies path.
 type Transport interface {
 	// Send enqueues a request on the given worker's FIFO queue.
 	Send(gpu int, req Request) error

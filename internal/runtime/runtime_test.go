@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"realhf/internal/core"
@@ -95,7 +96,85 @@ func TestMultiIterationAmortization(t *testing.T) {
 	}
 }
 
-func TestRunReportsOOM(t *testing.T) {
+// TestWorkerLedgerConcurrent: the lock-free ledger under concurrent Handle
+// calls with different allocations while another goroutine reads Peak (run
+// it under -race). Every OOM verdict is static+alloc > MemoryBytes, fences
+// leave the ledger alone, the peak a reader sees never falls, and the final
+// peak is the largest static+alloc handled. Reset then clears the peak and
+// replaces the resting memory.
+func TestWorkerLedgerConcurrent(t *testing.T) {
+	const static, capacity, senders, perSender = 100, 5000, 4, 2000
+	w := NewModelWorker(0, capacity)
+	w.Reset(static)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for last := int64(0); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := w.Peak()
+			if p < last {
+				t.Errorf("peak fell from %d to %d", last, p)
+				return
+			}
+			last = p
+		}
+	}()
+	maxNeed := make([]int64, senders)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				id := g*perSender + i
+				req := Request{ID: id, Kind: ReqNode, AllocBytes: int64(id*7919) % 6000}
+				if i%10 == 0 {
+					req.Kind, req.AllocBytes = ReqFence, 1<<40
+				}
+				rep := w.Handle(req)
+				if req.Kind == ReqFence {
+					if rep.OOM || rep.ID != id {
+						t.Errorf("fence %d answered %+v", id, rep)
+					}
+					continue
+				}
+				need := static + req.AllocBytes
+				if rep.OOM != (need > capacity) || (rep.Error != "") != rep.OOM {
+					t.Errorf("request %d needing %d of %d: OOM=%t %q", id, need, int64(capacity), rep.OOM, rep.Error)
+				}
+				maxNeed[g] = max(maxNeed[g], need)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	want := int64(0)
+	for _, need := range maxNeed {
+		want = max(want, need)
+	}
+	if w.Peak() != want {
+		t.Fatalf("peak = %d, want the largest static+alloc %d", w.Peak(), want)
+	}
+	w.Reset(0)
+	if w.Peak() != 0 {
+		t.Fatalf("peak = %d after Reset, want 0", w.Peak())
+	}
+	if rep := w.Handle(Request{Kind: ReqNode, AllocBytes: capacity}); rep.OOM || w.Peak() != capacity {
+		t.Fatalf("after Reset(0) a full-device request answered %+v with peak %d", rep, w.Peak())
+	}
+}
+
+// oomPlan places a 70B actor pure-DP across two nodes: every device runs out
+// of memory.
+func oomPlan(t testing.TB) *core.Plan {
+	t.Helper()
 	cluster := hardware.DefaultCluster(2)
 	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA70B, model.LLaMA7B))
@@ -104,7 +183,11 @@ func TestRunReportsOOM(t *testing.T) {
 	for _, name := range p.CallNames() {
 		p.Assign[name] = core.Assignment{Mesh: full, Strategy: st}
 	}
-	rep, err := Run(p, Options{UseCUDAGraph: true})
+	return p
+}
+
+func TestRunReportsOOM(t *testing.T) {
+	rep, err := Run(oomPlan(t), Options{UseCUDAGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +299,7 @@ func checkCompiledClock(t *testing.T, prog *Program) {
 
 func TestWorkerOOM(t *testing.T) {
 	w := NewModelWorker(3, 1000)
-	w.StaticBytes = 900
+	w.Reset(900)
 	rep := w.Handle(Request{ID: 1, AllocBytes: 200})
 	if !rep.OOM {
 		t.Error("allocation beyond capacity must OOM")

@@ -10,13 +10,20 @@ import (
 
 // ChanTransport is the in-process transport used by tests, benchmarks, the
 // default Run path and Trainer sessions. An in-process worker's whole job is
-// one memory-ledger check, so Send runs it on the caller's goroutine and
-// queues the reply: replies leave in Send order, which keeps per-worker FIFO
-// order (all the fence protocol relies on), and the streams' overlap is
-// virtual, fixed in the compiled timeline. A reply that finds the reply
-// channel full joins an ordered backlog that one pump goroutine drains; the
-// pump exists only while the backlog is non-empty, so Send never blocks and
-// an idle transport owns no goroutine.
+// one memory-ledger check, so the worker answers on the caller's goroutine.
+//
+// The master's own dispatch loop (and WorkerPool.Reset's fences) take that
+// answer as the result of the call: a request sent through the unexported
+// in-call method returns its Reply directly, with no reply channel, no
+// backlog and no goroutine handoff. Send is the Transport path every other
+// caller takes — a wrapper such as FaultyTransport, a test driving the
+// fleet by hand: it handles the request the same way and queues the reply.
+// Queued replies leave in Send order, which keeps per-worker FIFO order
+// (all the fence protocol relies on), and the streams' overlap is virtual,
+// fixed in the compiled timeline. A reply that finds the reply channel full
+// joins an ordered backlog that one pump goroutine drains; the pump exists
+// only while the backlog is non-empty, so Send never blocks and an idle
+// transport owns no goroutine.
 type ChanTransport struct {
 	workers []*ModelWorker
 	replies chan Reply
@@ -45,18 +52,31 @@ func NewChanTransport(workers []*ModelWorker) *ChanTransport {
 	}
 }
 
-// Send implements Transport. The worker handles the request before Send
-// returns; Send never blocks, so a backed-up fleet can never wedge the
-// master or Close, and sending on a closed transport returns a prompt
-// error.
-func (t *ChanTransport) Send(gpu int, req Request) error {
+// call is the in-call path the master's dispatch loop and fence drain take:
+// the worker handles req on the caller's goroutine and its reply is
+// returned, never queued on Replies. It is unexported, so no other
+// transport can opt in, and a wrapper around a ChanTransport keeps the
+// channel path. Like Send it fails promptly on an unknown device or a
+// closed transport.
+func (t *ChanTransport) call(gpu int, req Request) (Reply, error) {
 	if gpu < 0 || gpu >= len(t.workers) {
-		return fmt.Errorf("runtime: no worker for gpu %d", gpu)
+		return Reply{}, fmt.Errorf("runtime: no worker for gpu %d", gpu)
 	}
 	if t.closed.Load() {
-		return fmt.Errorf("runtime: send to gpu %d: transport closed", gpu)
+		return Reply{}, fmt.Errorf("runtime: send to gpu %d: transport closed", gpu)
 	}
-	rep := t.workers[gpu].Handle(req)
+	return t.workers[gpu].Handle(req), nil
+}
+
+// Send implements Transport. The worker handles the request before Send
+// returns and the reply is queued for Replies; Send never blocks, so a
+// backed-up fleet can never wedge the master or Close, and sending on a
+// closed transport returns a prompt error.
+func (t *ChanTransport) Send(gpu int, req Request) error {
+	rep, err := t.call(gpu, req)
+	if err != nil {
+		return err
+	}
 	// A direct send must never overtake a backlogged reply, so it is tried
 	// only while the backlog is empty.
 	if !t.backlogged.Load() {
@@ -252,8 +272,11 @@ func (t *TCPTransport) Send(gpu int, req Request) error {
 // Replies implements Transport.
 func (t *TCPTransport) Replies() <-chan Reply { return t.replies }
 
-// Close implements Transport. Like ChanTransport.Close it drains straggler
-// replies so reader goroutines blocked on the reply channel can exit.
+// Close implements Transport. It discards straggler replies so reader
+// goroutines blocked on the reply channel can exit, then closes the reply
+// channel once every reader has: a master still waiting on Replies sees the
+// transport close instead of waiting for replies Close took or that will
+// never come.
 func (t *TCPTransport) Close() error {
 	t.once.Do(func() {
 		t.mu.Lock()
@@ -277,6 +300,8 @@ func (t *TCPTransport) Close() error {
 			select {
 			case <-t.replies: // discard
 			case <-done:
+				// No reader is left to send on the channel.
+				close(t.replies)
 				return
 			}
 		}

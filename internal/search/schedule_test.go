@@ -17,12 +17,15 @@ import (
 // TestRuntimeExecutesEstimatorTimeline is the one-scheduler contract's
 // differential property test: for random legal plans (the delta tests'
 // candidate generator, offload variants included, over a single- and a
-// multi-iteration graph), under both stream semantics and over both
-// transports, runtime.Run reports exactly the oracle-costed, uncalibrated
+// multi-iteration graph), under both stream semantics and over every reply
+// path, runtime.Run reports exactly the oracle-costed, uncalibrated
 // Estimator.Evaluate timeline — span for span (label, start, end), with
 // MakespanV == TimeCost and equal CallTimes, bit for bit — and its workers
 // peak at the estimator's memory ledger: PeakBytes == MaxMem and the same
-// OOM verdict, over plans on both sides of device capacity.
+// OOM verdict, over plans on both sides of device capacity. runtime.Run's
+// ChanTransport answers inside the dispatch call; a fault-free
+// FaultyTransport around one takes the reply channel, and a TCP fleet
+// replies from its sockets. Both must reproduce the in-call Report whole.
 func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	cluster := hardware.DefaultCluster(1)
 	workers := make([]*runtime.ModelWorker, cluster.NumGPUs())
@@ -38,8 +41,16 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := runtime.NewWorkerPoolWith(workers, tcp)
-	defer pool.Close()
+	fleets := []struct {
+		name string
+		pool *runtime.WorkerPool
+	}{
+		{"channel", runtime.NewWorkerPoolWith(workers, runtime.NewFaultyTransport(runtime.NewChanTransport(workers)))},
+		{"tcp", runtime.NewWorkerPoolWith(workers, tcp)},
+	}
+	for _, f := range fleets {
+		defer f.pool.Close()
+	}
 
 	for _, iters := range []int{1, 2} {
 		g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: iters})
@@ -69,15 +80,22 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				name := fmt.Sprintf("iters=%d trial=%d overlap=%v", iters, trial, overlap)
-				sameSchedule(t, name+" chan", got, want)
+				sameSchedule(t, name+" in-call", got, want)
 
-				if err := pool.Reset(estimator.StaticPerGPU(plan)); err != nil {
-					t.Fatal(err)
+				for _, f := range fleets {
+					if err := f.pool.Reset(estimator.StaticPerGPU(plan)); err != nil {
+						t.Fatal(err)
+					}
+					other, err := f.pool.Run(plan, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSchedule(t, name+" "+f.name, other, want)
+					if !reflect.DeepEqual(other, got) {
+						t.Fatalf("%s: %s report differs from the in-call report:\n got %+v\nwant %+v",
+							name, f.name, other, got)
+					}
 				}
-				if got, err = pool.Run(plan, opts); err != nil {
-					t.Fatal(err)
-				}
-				sameSchedule(t, name+" tcp", got, want)
 			}
 		}
 	}
