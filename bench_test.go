@@ -560,6 +560,31 @@ func BenchmarkPlannerCachedPlan(b *testing.B) {
 	b.ReportMetric(cost/warm.Estimate.Cost, "cost-ratio-vs-solve")
 }
 
+// BenchmarkPlannerColdSolve measures one paper-scale cold solve: a fresh
+// Planner plans the 16-node 70B+7B PPO problem (batch 512, 1024+1024
+// tokens) at 4,000 MCMC steps and a fixed seed. plan-cost-s and space-log10
+// are deterministic, so the CI gate pins the plan and the pruned space;
+// allocs/op and B/op grow with the cluster if the candidate space is ever
+// materialized per mesh position again.
+func BenchmarkPlannerColdSolve(b *testing.B) {
+	b.ReportAllocs()
+	cfg, err := PaperExperiment("ppo", "llama70b", "llama7b-critic", 16, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.SearchSteps = 4000
+	cfg.Seed = 1
+	var exp *Experiment
+	for i := 0; i < b.N; i++ {
+		exp, err = NewPlanner(ClusterConfig{}).Plan(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(exp.Estimate.Cost, "plan-cost-s")
+	b.ReportMetric(exp.SearchStats.SpaceLog10, "space-log10")
+}
+
 // BenchmarkEstimatorEvaluate measures one cost-estimation call — the paper
 // quotes hundreds of microseconds per candidate plan.
 func BenchmarkEstimatorEvaluate(b *testing.B) {

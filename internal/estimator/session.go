@@ -45,7 +45,7 @@ type SessionStats struct {
 
 // NodeSig is the full duration signature of one augmented-graph node: every
 // input the node's duration depends on, in one comparable struct. Call nodes
-// carry their call name and assignment; transfer-style nodes carry their
+// carry their call name and layout shape; transfer-style nodes carry their
 // kind, role, payload bytes and canonical endpoints. Within one problem,
 // equal signatures imply equal uncalibrated durations, so the session's slot
 // cache and duration memo key on it.
@@ -69,10 +69,11 @@ type sigEnd struct {
 	zero3                        bool
 }
 
-// endOf packs a; ok is false when a field does not fit 16 bits.
-func endOf(a core.Assignment) (sigEnd, bool) {
+// endOf packs a with its mesh's first GPU moved down by shift; ok is false
+// when a field does not fit 16 bits.
+func endOf(a core.Assignment, shift int) (sigEnd, bool) {
 	st := a.Strategy
-	v := [...]int{a.Mesh.First, a.Mesh.Count, st.DP, st.TP, st.PP, st.MicroBatches}
+	v := [...]int{a.Mesh.First - shift, a.Mesh.Count, st.DP, st.TP, st.PP, st.MicroBatches}
 	for _, x := range v {
 		if x < 0 || x > math.MaxUint16 {
 			return sigEnd{}, false
@@ -91,20 +92,37 @@ func endOf(a core.Assignment) (sigEnd, bool) {
 // an assignment past 65,535 GPUs or micro-batches, which no signature
 // represents: such a node must be costed directly, never memoized.
 //
+// Signatures key positions only where the cost reads them. Every legal mesh
+// is aligned (§4), so a call's cost reads its mesh only through the GPU
+// count: call signatures drop the mesh's first GPU. An offload reload is
+// its per-GPU bytes over the PCIe link, so its signature keeps only the
+// payload and the GPU count.
+//
 // Transfer-style endpoints are canonicalized: communication schedules
-// (realloc.ParamsCost, realloc.DataCost) and offload reload times are pure
-// functions of the endpoint meshes and the DP/TP/PP grid — MicroBatches and
-// ZeRO3 never enter them (an offload's strategy-dependent shard size is
-// already folded into the node's Bytes). Dropping them collapses the
-// endpoint-pair space by the number of micro-batch variants per layout,
-// which is what lets the memos saturate during a search.
+// (realloc.ParamsCost, realloc.DataCost) are pure functions of the endpoint
+// meshes and the DP/TP/PP grid — MicroBatches and ZeRO3 never enter them.
+// Dropping them collapses the endpoint-pair space by the number of
+// micro-batch variants per layout, which is what lets the memos saturate
+// during a search. The schedules also read GPUs only through equality and
+// same-node tests, so shifting both endpoints by whole nodes shifts the
+// schedule and leaves its cost bit-identical: both endpoints move down by
+// the whole-node offset of the lower one.
 func SigOf(p *core.Plan, n *core.AugNode) (NodeSig, bool) {
-	if n.Kind == core.KindCall {
-		src, ok := endOf(p.Assign[n.Call.Name])
+	switch n.Kind {
+	case core.KindCall:
+		a := p.Assign[n.Call.Name]
+		src, ok := endOf(a, a.Mesh.First)
 		return NodeSig{kind: uint8(core.KindCall), name: n.Call.Name, src: src}, ok
+	case core.KindOffload:
+		dst, ok := endOf(n.Dst, n.Dst.Mesh.First)
+		return NodeSig{kind: uint8(n.Kind), name: string(n.Role), bytes: n.Bytes, dst: sigEnd{count: dst.count}}, ok
 	}
-	src, okSrc := endOf(n.Src)
-	dst, okDst := endOf(n.Dst)
+	shift := min(n.Src.Mesh.First, n.Dst.Mesh.First)
+	if m := n.Src.Mesh.M; m > 0 {
+		shift -= shift % m
+	}
+	src, okSrc := endOf(n.Src, shift)
+	dst, okDst := endOf(n.Dst, shift)
 	src.mb, src.zero3, dst.mb, dst.zero3 = 0, false, 0, false
 	return NodeSig{kind: uint8(n.Kind), name: string(n.Role), bytes: n.Bytes, src: src, dst: dst}, okSrc && okDst
 }

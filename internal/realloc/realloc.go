@@ -41,16 +41,19 @@ type srcDst struct{ src, dst int }
 // (dp, dp) cell, replacing the per-cell slice+map+sort churn that dominated
 // the estimator's allocation profile.
 type pairScratch struct {
-	srcs  []int
-	dstg  []int
-	pairs []srcDst
+	srcs    []int
+	srcNode []int // host of each source, by srcs index
+	dstg    []int
+	pairs   []srcDst
 }
 
 func (ps *pairScratch) reset(nsrcs, ndsts int) {
 	if cap(ps.srcs) < nsrcs {
 		ps.srcs = make([]int, nsrcs)
+		ps.srcNode = make([]int, nsrcs)
 	}
 	ps.srcs = ps.srcs[:nsrcs]
+	ps.srcNode = ps.srcNode[:nsrcs]
 	if cap(ps.dstg) < ndsts {
 		ps.dstg = make([]int, ndsts)
 	}
@@ -62,13 +65,23 @@ func (ps *pairScratch) reset(nsrcs, ndsts int) {
 // picks its cheapest source replica from srcs (resident ≺ same node ≺
 // remote, first minimum wins); non-local choices are collected as sorted
 // (src, dst) pairs and destinations already holding the piece are counted
-// as local.
+// as local. Each GPU's host is computed once per cell, and a destination
+// stops at a resident source: sources are distinct GPUs, so it is the only
+// one at the least cost.
 func (ps *pairScratch) chooseSources(gpusPerNode int) (local int) {
+	for i, s := range ps.srcs {
+		ps.srcNode[i] = nodeOf(s, gpusPerNode)
+	}
 	for _, dgpu := range ps.dstg {
-		best, bestCost := ps.srcs[0], commCost(ps.srcs[0], dgpu, gpusPerNode)
-		for _, s := range ps.srcs[1:] {
-			if c := commCost(s, dgpu, gpusPerNode); c < bestCost {
-				best, bestCost = s, c
+		dnode := nodeOf(dgpu, gpusPerNode)
+		best, bestRemote := ps.srcs[0], true
+		for i, s := range ps.srcs {
+			if s == dgpu {
+				best = s
+				break
+			}
+			if bestRemote && ps.srcNode[i] == dnode {
+				best, bestRemote = s, false
 			}
 		}
 		if best == dgpu {
@@ -148,19 +161,6 @@ func (ps *pairScratch) accumBusy(busy []float64, comm gpumodel.Comm, pieceBytes 
 			busy[pr.dst] += t
 		}
 		i = j
-	}
-}
-
-// commCost ranks candidate sources for a destination: resident (same GPU) ≺
-// same node ≺ remote.
-func commCost(src, dst, gpusPerNode int) int {
-	switch {
-	case src == dst:
-		return 0
-	case nodeOf(src, gpusPerNode) == nodeOf(dst, gpusPerNode):
-		return 1
-	default:
-		return 2
 	}
 }
 

@@ -36,14 +36,14 @@ func fullWalk(c *chainState, ctx context.Context, sp *space, opt Options, start 
 		c.step = step
 		ni := c.rng.Intn(len(sp.names))
 		name := sp.names[ni]
-		cands := sp.cands[ni]
+		cs := sp.cands[ni]
 		prev := c.cur.Assign[name]
 		if opt.OffloadSearch && sp.frozen[ni] && c.rng.Intn(4) == 0 {
 			next := prev
 			next.Offload = !prev.Offload
 			c.cur.Assign[name] = next
 		} else {
-			c.cur.Assign[name] = cands[c.rng.Intn(len(cands))]
+			c.cur.Assign[name] = cs.at(c.rng.Intn(cs.n))
 		}
 		pc, err := c.sess.Evaluate(c.cur)
 		if err != nil {

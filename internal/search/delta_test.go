@@ -48,7 +48,7 @@ func deltaVariants(t *testing.T, e *estimator.Estimator) map[string]*estimator.E
 // Failures are reported with Errorf (never FailNow), so the walk is safe to
 // run from spawned goroutines.
 func mutatePlans(t *testing.T, e *estimator.Estimator, sess *estimator.EvalSession,
-	p *core.Plan, sets map[string][]core.Assignment, seed int64, trials, muts int) {
+	p *core.Plan, sets map[string]*cands, seed int64, trials, muts int) {
 	t.Helper()
 	names := p.CallNames()
 	rng := rand.New(rand.NewSource(seed))
@@ -56,13 +56,13 @@ func mutatePlans(t *testing.T, e *estimator.Estimator, sess *estimator.EvalSessi
 	for trial := 0; trial < trials; trial++ {
 		for _, n := range names {
 			cs := sets[n]
-			plan.Assign[n] = cs[rng.Intn(len(cs))]
+			plan.Assign[n] = cs.at(rng.Intn(cs.n))
 		}
 		for mut := 0; mut < muts; mut++ {
 			if mut > 0 {
 				n := names[rng.Intn(len(names))]
 				cs := sets[n]
-				plan.Assign[n] = cs[rng.Intn(len(cs))]
+				plan.Assign[n] = cs.at(rng.Intn(cs.n))
 			}
 			got, err := sess.Evaluate(plan)
 			if err != nil {
@@ -117,7 +117,7 @@ func TestDeltaCostingOffloadFlips(t *testing.T) {
 	}
 	offloaded := 0
 	for _, cs := range sets {
-		for _, a := range cs {
+		for _, a := range expand(cs) {
 			if a.Offload {
 				offloaded++
 			}

@@ -12,14 +12,18 @@ import (
 // greedyFromSets builds the paper's seed plan p₀ over precomputed candidate
 // sets: every call independently takes the assignment minimizing its own
 // estimated duration, ignoring overlap and memory (§5.2 notes this seed is
-// usually sub-optimal for exactly those reasons).
-func greedyFromSets(e *estimator.Estimator, p *core.Plan, sets map[string][]core.Assignment) (*core.Plan, error) {
+// usually sub-optimal for exactly those reasons). A call's duration does
+// not depend on where its mesh starts, so each option is costed once, on
+// its size's first mesh. Options are in candidate order and a size's first
+// mesh carries all of them before any other mesh of the size, so the strict
+// first minimum over the options is the first minimum over the candidates.
+func greedyFromSets(e *estimator.Estimator, p *core.Plan, sets map[string]*cands) (*core.Plan, error) {
 	byName := nodesByName(p)
 	out := p.Clone()
 	for name, n := range byName {
 		best := math.Inf(1)
 		var bestA core.Assignment
-		for _, a := range sets[name] {
+		for _, a := range sets[name].opts {
 			t, err := callTime(e, p, n, a)
 			if err != nil {
 				continue

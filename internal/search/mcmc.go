@@ -148,14 +148,14 @@ func (c *chainState) propose(sp *space, opt Options, start time.Time) bool {
 	// under OffloadSearch, so default solves keep their historical streams.)
 	ni := c.rng.Intn(len(sp.names))
 	name := sp.names[ni]
-	cands := sp.cands[ni]
+	cs := sp.cands[ni]
 	prev := c.cur.Assign[name]
 	if opt.OffloadSearch && sp.frozen[ni] && c.rng.Intn(4) == 0 {
 		next := prev
 		next.Offload = !prev.Offload
 		c.cur.Assign[name] = next
 	} else {
-		c.cur.Assign[name] = cands[c.rng.Intn(len(cands))]
+		c.cur.Assign[name] = cs.at(c.rng.Intn(cs.n))
 	}
 
 	// Bound-first Metropolis test (DESIGN.md). The full cost is at least
@@ -229,7 +229,7 @@ func startState(sess *estimator.EvalSession, e *estimator.Estimator,
 			return nil, estimator.PlanCost{}, err
 		}
 	} else {
-		cur, err = greedyFromSets(e, p, sp.fullSets)
+		cur, err = greedyFromSets(e, p, sp.full)
 		if err != nil {
 			return nil, estimator.PlanCost{}, err
 		}

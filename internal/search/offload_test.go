@@ -40,10 +40,10 @@ func TestCandidatesEmitOffloadVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cands := range sets {
+	for name, cs := range sets {
 		ms := p.Models[byName[name].Role]
 		var resident, offloaded int
-		for _, a := range cands {
+		for _, a := range expand(cs) {
 			if a.Offload {
 				offloaded++
 			} else {
@@ -68,8 +68,8 @@ func TestCandidatesEmitOffloadVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cands := range sets {
-		for _, a := range cands {
+	for name, cs := range sets {
+		for _, a := range expand(cs) {
 			if a.Offload {
 				t.Fatalf("%s: offloaded candidate without offload search", name)
 			}

@@ -65,7 +65,7 @@ func TestRuntimeExecutesEstimatorTimeline(t *testing.T) {
 		for trial := 0; trial < 16; trial++ {
 			for _, n := range plan.CallNames() {
 				cs := sets[n]
-				plan.Assign[n] = cs[rng.Intn(len(cs))]
+				plan.Assign[n] = cs.at(rng.Intn(cs.n))
 			}
 			for _, overlap := range []bool{false, true} {
 				ev := *e

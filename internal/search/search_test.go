@@ -133,10 +133,14 @@ func TestCandidatesRespectPruning(t *testing.T) {
 			genNode = n
 		}
 	}
-	meshes := mesh.Enumerate(p.Cluster)
-	none := appendCandidates(nil, p, genNode, PruneNone, meshes, nil, false)
-	moderate := appendCandidates(nil, p, genNode, PruneModerate, meshes, nil, false)
-	aggressive := appendCandidates(nil, p, genNode, PruneAggressive, meshes, nil, false)
+	at := func(lvl PruneLevel) []core.Assignment {
+		sets, _, err := candidateSets(p, lvl, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return expand(sets[genNode.Name])
+	}
+	none, moderate, aggressive := at(PruneNone), at(PruneModerate), at(PruneAggressive)
 	if len(moderate) >= len(none) {
 		t.Errorf("moderate pruning did not shrink the space: %d vs %d", len(moderate), len(none))
 	}

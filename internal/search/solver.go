@@ -10,18 +10,11 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"time"
 
 	"realhf/internal/core"
-	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
-	"realhf/internal/memory"
-	"realhf/internal/mesh"
-	"realhf/internal/parallel"
 )
 
 // Problem bundles what every solver needs: the cost model and the plan
@@ -255,307 +248,4 @@ func Solve(ctx context.Context, name string, prob Problem, opt Options) (Solutio
 		return Solution{}, Stats{}, err
 	}
 	return s.Solve(ctx, prob, opt)
-}
-
-// --- candidate space construction, shared by every solver ---
-
-// space is a solver's prepared move set: per-call candidate assignments,
-// the movable call names (sorted for determinism), and the joint-space size.
-// fullSets keeps the pre-shortlist enumeration: the greedy seed minimizes
-// over it (as the original engine did) even when sampling is shortlisted.
-// cands mirrors sets indexed by position in names, so the proposal loop
-// draws candidates without a map lookup per step.
-type space struct {
-	sets       map[string][]core.Assignment
-	fullSets   map[string][]core.Assignment
-	names      []string
-	cands      [][]core.Assignment
-	spaceLog10 float64
-	// frozen marks (per names index) calls of non-trainable roles — the
-	// calls whose host-offload bit the OffloadSearch flip move may toggle.
-	frozen []bool
-}
-
-// buildSpace enumerates (and optionally shortlists) the candidate sets and
-// resolves the movable call names under opt.
-func buildSpace(e *estimator.Estimator, p *core.Plan, opt Options) (*space, error) {
-	full, spaceLog10, err := candidateSets(p, opt.Prune, opt.OffloadSearch)
-	if err != nil {
-		return nil, err
-	}
-	sets := full
-	if opt.MaxCandidatesPerCall > 0 {
-		sets, spaceLog10, err = shortlist(e, p, full, opt.MaxCandidatesPerCall, false)
-		if err != nil {
-			return nil, err
-		}
-	}
-	names := make([]string, 0, len(sets))
-	for name := range sets {
-		if len(opt.RestrictCalls) > 0 && !contains(opt.RestrictCalls, name) {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("search: no calls to search over")
-	}
-	cands := make([][]core.Assignment, len(names))
-	frozen := make([]bool, len(names))
-	byName := nodesByName(p)
-	for i, name := range names {
-		cands[i] = sets[name]
-		if n := byName[name]; n != nil {
-			frozen[i] = !p.Models[n.Role].Trainable
-		}
-	}
-	return &space{sets: sets, fullSets: full, names: names, cands: cands, spaceLog10: spaceLog10, frozen: frozen}, nil
-}
-
-// enumMemo caches the pure enumeration helpers consulted while building
-// candidate sets: parallel.Enumerate keyed by its (gpus, maxTP, maxPP)
-// arguments and parallel.MicroBatchOptions keyed by the per-replica batch.
-// Calls in one problem share meshes and mostly share model shapes, so the
-// same enumerations recur across every (call, mesh) pair; memoizing them
-// removes the bulk of candidate-set construction's allocations. A nil memo
-// disables caching (each lookup recomputes).
-type enumMemo struct {
-	strategies map[[3]int][]parallel.Strategy
-	microBatch map[int][]int
-}
-
-func newEnumMemo() *enumMemo {
-	return &enumMemo{
-		strategies: map[[3]int][]parallel.Strategy{},
-		microBatch: map[int][]int{},
-	}
-}
-
-func (m *enumMemo) enumerate(gpus, maxTP, maxPP int) []parallel.Strategy {
-	if m == nil {
-		return parallel.Enumerate(gpus, maxTP, maxPP)
-	}
-	key := [3]int{gpus, maxTP, maxPP}
-	sts, ok := m.strategies[key]
-	if !ok {
-		sts = parallel.Enumerate(gpus, maxTP, maxPP)
-		m.strategies[key] = sts
-	}
-	return sts
-}
-
-func (m *enumMemo) microBatchOptions(perDP int) []int {
-	if m == nil {
-		return parallel.MicroBatchOptions(perDP)
-	}
-	mbs, ok := m.microBatch[perDP]
-	if !ok {
-		mbs = parallel.MicroBatchOptions(perDP)
-		m.microBatch[perDP] = mbs
-	}
-	return mbs
-}
-
-// appendCandidates appends the legal assignments of one call under the
-// pruning level to dst. meshes is the cluster's mesh enumeration and memo
-// caches the inner strategy/micro-batch enumerations; both are hoisted by
-// the caller because they are identical (or heavily shared) across calls,
-// and recomputing them per call dominated candidate-set construction.
-//
-// The offload axis: with offloadSearch set, every layout of a frozen role is
-// emitted twice — device-resident and host-offloaded — so every solver
-// (greedy seeding, MCMC redraws, the exhaustive cross product) explores the
-// offload decision. Without it every call emits only the resident variant,
-// keeping default solves byte-identical.
-func appendCandidates(dst []core.Assignment, p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
-	ms := p.Models[call.Role]
-	batch := call.UpdateBatch()
-	maxPP := ms.Cfg.NumLayers
-	maxMB := 32
-	if lvl >= PruneAggressive {
-		if maxPP > 16 {
-			maxPP = 16
-		}
-		maxMB = 8
-	}
-	out := dst
-	for _, m := range meshes {
-		if lvl >= PruneModerate && m.Count > p.Cluster.GPUsPerNode {
-			span := m.Count / p.Cluster.GPUsPerNode
-			if span&(span-1) != 0 || m.FirstNode()%span != 0 {
-				continue
-			}
-		}
-		maxTP := p.Cluster.GPUsPerNode // the paper's unconditional TP prune
-		if m.Count < maxTP {
-			maxTP = m.Count
-		}
-		for _, st := range memo.enumerate(m.Count, maxTP, maxPP) {
-			if batch > 0 && batch%st.DP != 0 {
-				continue
-			}
-			perDP := batch / st.DP
-			if perDP == 0 {
-				perDP = 1
-			}
-			for _, mb := range memo.microBatchOptions(perDP) {
-				if mb > maxMB {
-					break
-				}
-				a := core.Assignment{Mesh: m, Strategy: st.WithMicroBatches(mb)}
-				if err := a.Strategy.Validate(m, ms.Cfg, batch); err != nil {
-					continue
-				}
-				// Drop candidates whose own working set cannot fit the
-				// device even with nothing else resident: they can never be
-				// part of a feasible plan.
-				spec := gpumodel.CallSpec{
-					Cfg: ms.Cfg, IsCritic: ms.IsCritic, Type: call.Type,
-					Work: call.Work, Strategy: a.Strategy, Mesh: a.Mesh,
-				}
-				if memory.Active(spec) > p.Cluster.GPU.MemoryBytes {
-					continue
-				}
-				out = append(out, a)
-				if offloadSearch && !ms.Trainable {
-					a.Offload = true
-					out = append(out, a)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// candidateSets precomputes per-call candidate lists and the joint space
-// size. Every call enumerates into one reused scratch buffer and keeps an
-// exact-size copy: growing each call's list by append allocated several
-// times the list's final size.
-func candidateSets(p *core.Plan, lvl PruneLevel, offloadSearch bool) (map[string][]core.Assignment, float64, error) {
-	sets := map[string][]core.Assignment{}
-	var log10 float64
-	meshes := mesh.Enumerate(p.Cluster)
-	memo := newEnumMemo()
-	var buf []core.Assignment
-	for _, n := range p.Graph.Calls() {
-		buf = appendCandidates(buf[:0], p, n, lvl, meshes, memo, offloadSearch)
-		if len(buf) == 0 {
-			return nil, 0, fmt.Errorf("search: call %q has no legal assignment", n.Name)
-		}
-		sets[n.Name] = slices.Clone(buf)
-		log10 += math.Log10(float64(len(buf)))
-	}
-	return sets, log10, nil
-}
-
-// callTime estimates the standalone duration of one call under a candidate
-// assignment, without constructing a full plan. Assignments whose working
-// set cannot plausibly coexist with the role's static memory receive an
-// infeasibility surcharge, so greedy seeding and shortlists prefer layouts
-// that can actually run.
-func callTime(e *estimator.Estimator, p *core.Plan, n *dfg.Node, a core.Assignment) (float64, error) {
-	ms, ok := p.Models[n.Role]
-	if !ok {
-		return 0, fmt.Errorf("search: role %q has no model", n.Role)
-	}
-	mc, ok := e.Costers[n.Role]
-	if !ok {
-		return 0, fmt.Errorf("search: role %q has no coster", n.Role)
-	}
-	spec := gpumodel.CallSpec{
-		Cfg: ms.Cfg, IsCritic: ms.IsCritic, Type: n.Type, Work: n.Work,
-		Strategy: a.Strategy, Mesh: a.Mesh,
-	}
-	t := gpumodel.AssembleCall(mc, e.Comm, spec).Total()
-	if a.Offload {
-		// An offloaded call pays the PCIe reload of its parameter shard every
-		// invocation — the time side of the memory it releases.
-		t += e.Comm.OffloadTransfer(memory.ParamShardBytes(ms.Params(), a.Strategy))
-	}
-	static := estimator.StaticBytes(ms, a.Strategy, a.Offload && !ms.Trainable)
-	if memory.Active(spec)+static > p.Cluster.GPU.MemoryBytes {
-		t *= estimator.OOMPenalty
-	}
-	return t, nil
-}
-
-// nodesByName returns a representative dfg node for each distinct call name.
-func nodesByName(p *core.Plan) map[string]*dfg.Node {
-	calls := p.Graph.Calls()
-	out := make(map[string]*dfg.Node, len(calls))
-	for _, n := range calls {
-		out[n.Name] = n
-	}
-	return out
-}
-
-// shortlist keeps the topK individually fastest candidates of each call.
-// With dedupeLayouts set, only the best micro-batch variant of each
-// (mesh, dp, tp, pp) layout survives, so a small K still spans genuinely
-// different memory/speed trade-offs — essential for the exhaustive search,
-// where K same-layout variants would make every joint combination inherit
-// the same static-memory footprint.
-func shortlist(e *estimator.Estimator, p *core.Plan, sets map[string][]core.Assignment, topK int, dedupeLayouts bool) (map[string][]core.Assignment, float64, error) {
-	byName := nodesByName(p)
-	out := map[string][]core.Assignment{}
-	var log10 float64
-	names := make([]string, 0, len(sets))
-	for name := range sets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cands := sets[name]
-		n := byName[name]
-		type scored struct {
-			a core.Assignment
-			t float64
-		}
-		all := make([]scored, 0, len(cands))
-		for _, a := range cands {
-			t, err := callTime(e, p, n, a)
-			if err != nil {
-				continue
-			}
-			all = append(all, scored{a, t})
-		}
-		if len(all) == 0 {
-			return nil, 0, fmt.Errorf("search: no costable assignment for %q", name)
-		}
-		sort.Slice(all, func(x, y int) bool { return all[x].t < all[y].t })
-		if dedupeLayouts {
-			seen := map[core.Assignment]bool{}
-			dedup := all[:0]
-			for _, s := range all {
-				key := s.a
-				key.Strategy.MicroBatches = 0
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				dedup = append(dedup, s)
-			}
-			all = dedup
-		}
-		if topK > 0 && len(all) > topK {
-			all = all[:topK]
-		}
-		list := make([]core.Assignment, len(all))
-		for i, s := range all {
-			list[i] = s.a
-		}
-		out[name] = list
-		log10 += math.Log10(float64(len(list)))
-	}
-	return out, log10, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

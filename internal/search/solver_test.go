@@ -244,12 +244,9 @@ func TestCostCacheConcurrentHammer(t *testing.T) {
 	// A pool of overlapping variants so goroutines collide on fingerprints.
 	var variants []*core.Plan
 	for _, name := range sp.names {
-		for i, a := range sp.sets[name] {
-			if i >= 4 {
-				break
-			}
+		for i := 0; i < min(4, sp.full[name].n); i++ {
 			v := seed.Clone()
-			v.Assign[name] = a
+			v.Assign[name] = sp.full[name].at(i)
 			variants = append(variants, v)
 		}
 	}
@@ -325,7 +322,7 @@ func TestCachedEvaluateMatchesDirect(t *testing.T) {
 	check(seed)
 	for _, name := range sp.names {
 		v := seed.Clone()
-		v.Assign[name] = sp.sets[name][len(sp.sets[name])/2]
+		v.Assign[name] = sp.full[name].at(sp.full[name].n / 2)
 		check(v)
 	}
 }
@@ -364,7 +361,7 @@ func TestCachedResultTimelineStable(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		v := prob.Plan.Clone()
 		for _, name := range prob.Plan.CallNames() {
-			v.Assign[name] = sets[name][rng.Intn(len(sets[name]))]
+			v.Assign[name] = sets[name].at(rng.Intn(sets[name].n))
 		}
 		if _, err := cache.Evaluate(prob.Est, v); err != nil {
 			t.Fatal(err)
@@ -415,9 +412,9 @@ func TestCostCacheCapped(t *testing.T) {
 	var variants []*core.Plan
 	for i := 0; len(variants) <= costCacheEntries; i++ {
 		for _, name := range sp.names {
-			if i < len(sp.sets[name]) && sp.sets[name][i] != seed.Assign[name] {
+			if i < sp.full[name].n && sp.full[name].at(i) != seed.Assign[name] {
 				v := seed.Clone()
-				v.Assign[name] = sp.sets[name][i]
+				v.Assign[name] = sp.full[name].at(i)
 				variants = append(variants, v)
 			}
 		}
