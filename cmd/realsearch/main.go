@@ -54,7 +54,7 @@ func run() int {
 	overlapCost := flag.Bool("overlap-cost", false,
 		"search under the overlapped-engine cost semantics (optimize the makespan the overlapped runtime achieves)")
 	offloadSearch := flag.Bool("offload-search", false,
-		"search per-call host offload of frozen models as a plan dimension, with device memory as a hard constraint")
+		"search per-call host offload of frozen models as a plan dimension")
 	heuristic := flag.Bool("heuristic", false, "print the heuristic plan instead of searching")
 	progress := flag.Bool("progress", false, "stream best-cost improvements while searching")
 	save := flag.String("save", "", "write the resulting plan to this JSON file")

@@ -34,7 +34,7 @@ const (
 	FaultKill FaultKind = iota
 	// FaultDrop simulates a wedged worker: Sends are silently swallowed,
 	// so the worker stops making progress without any error — the failure
-	// mode only a fence timeout can detect.
+	// mode only the worker timeout can detect.
 	FaultDrop
 	// FaultDelay simulates a stalled network path: requests are delivered
 	// but the worker's replies are withheld until Heal releases them.

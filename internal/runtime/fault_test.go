@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,13 +42,13 @@ func TestFaultKillFailsReset(t *testing.T) {
 }
 
 // TestFenceTimeoutOnDroppedStream: a wedged worker (requests silently
-// swallowed, no error) is only detectable by the fence timeout, which must
-// blame exactly the wedged device.
+// swallowed, no error) is only detectable by the worker timeout on the
+// fence drain, which must blame exactly the wedged device.
 func TestFenceTimeoutOnDroppedStream(t *testing.T) {
 	plan := reallocHeavyPlan(t, 1)
 	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
 	defer wp.Close()
-	wp.SetFenceTimeout(100 * time.Millisecond)
+	wp.SetWorkerTimeout(100 * time.Millisecond)
 	ft.Fail(5, FaultDrop)
 	err := wp.Reset(estimator.StaticPerGPU(plan))
 	var lost *ErrWorkerLost
@@ -71,7 +72,7 @@ func TestFaultDelayHealRecovers(t *testing.T) {
 	}
 	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
 	defer wp.Close()
-	wp.SetFenceTimeout(100 * time.Millisecond)
+	wp.SetWorkerTimeout(100 * time.Millisecond)
 	static := estimator.StaticPerGPU(plan)
 
 	ft.Fail(2, FaultDelay)
@@ -95,12 +96,16 @@ func TestFaultDelayHealRecovers(t *testing.T) {
 }
 
 // TestRunWorkerTimeoutPartialReport: losing a worker mid-run surfaces a
-// typed *ErrWorkerLost through Options.WorkerTimeout instead of hanging,
-// and the partial report still accounts the nodes that completed.
+// typed *ErrWorkerLost instead of hanging, and the partial report still
+// accounts the nodes that completed. The send that trips the kill fails at
+// once, so the run ends there without waiting for the pool's worker
+// timeout; TestRunWorkerTimeoutDroppedWorker covers a loss only the timeout
+// can see.
 func TestRunWorkerTimeoutPartialReport(t *testing.T) {
 	plan := reallocHeavyPlan(t, 2)
 	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
 	defer wp.Close()
+	wp.SetWorkerTimeout(200 * time.Millisecond)
 	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +113,7 @@ func TestRunWorkerTimeoutPartialReport(t *testing.T) {
 	// then on its replies vanish and fresh sends to it fail.
 	ft.InjectAfter(0, 3, FaultKill)
 
-	rep, err := wp.Run(plan, Options{
-		UseCUDAGraph: true, OverlapComm: true,
-		WorkerTimeout: 200 * time.Millisecond,
-	})
+	rep, err := wp.Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
 	var lost *ErrWorkerLost
 	if !errors.As(err, &lost) {
 		t.Fatalf("Run with a killed worker returned %v, want *ErrWorkerLost", err)
@@ -139,15 +141,13 @@ func TestRunWorkerTimeoutDroppedWorker(t *testing.T) {
 	plan := reallocHeavyPlan(t, 2)
 	wp, ft, _ := faultyPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
 	defer wp.Close()
+	wp.SetWorkerTimeout(200 * time.Millisecond)
 	if err := wp.Reset(estimator.StaticPerGPU(plan)); err != nil {
 		t.Fatal(err)
 	}
 	ft.InjectAfter(5, 3, FaultDrop)
 
-	rep, err := wp.Run(plan, Options{
-		UseCUDAGraph: true, OverlapComm: true,
-		WorkerTimeout: 200 * time.Millisecond,
-	})
+	rep, err := wp.Run(plan, Options{UseCUDAGraph: true, OverlapComm: true})
 	var lost *ErrWorkerLost
 	if !errors.As(err, &lost) {
 		t.Fatalf("Run with a dropped worker returned %v, want *ErrWorkerLost", err)
@@ -161,6 +161,106 @@ func TestRunWorkerTimeoutDroppedWorker(t *testing.T) {
 	if rep.Iterations != 2 || rep.CompletedIterations >= rep.Iterations {
 		t.Fatalf("partial report has %d of %d iterations completed, want fewer than the configured 2",
 			rep.CompletedIterations, rep.Iterations)
+	}
+}
+
+// slowTransport is a slow but live fleet: each device works through its
+// FIFO on its own goroutine, one request at a time, holding every request
+// for hold before it replies.
+type slowTransport struct {
+	lanes   []chan Request
+	replies chan Reply
+	wg      sync.WaitGroup
+}
+
+func newSlowTransport(workers []*ModelWorker, hold time.Duration) *slowTransport {
+	// Both buffers outsize everything a test sends, so neither Send nor a
+	// lane ever blocks, even once the master has stopped reading.
+	st := &slowTransport{lanes: make([]chan Request, len(workers)), replies: make(chan Reply, 1<<14)}
+	for gpu, w := range workers {
+		lane := make(chan Request, 1<<10)
+		st.lanes[gpu] = lane
+		st.wg.Add(1)
+		go func() {
+			defer st.wg.Done()
+			for req := range lane {
+				time.Sleep(hold)
+				st.replies <- w.Handle(req)
+			}
+		}()
+	}
+	return st
+}
+
+func (st *slowTransport) Send(gpu int, req Request) error {
+	st.lanes[gpu] <- req
+	return nil
+}
+
+func (st *slowTransport) Replies() <-chan Reply { return st.replies }
+
+func (st *slowTransport) Close() error {
+	for _, lane := range st.lanes {
+		close(lane)
+	}
+	st.wg.Wait()
+	return nil
+}
+
+// TestWorkerTimeoutSparesSlowFleet: the worker timeout bounds each reply
+// wait, not a whole run or Reset. On a fleet that holds every request for
+// a quarter of the timeout, a two-iteration run and a Reset that first
+// discards a dozen stragglers per device each take several timeouts of
+// wall time, yet both succeed (a timer armed once per run or per Reset
+// would declare the fleet lost), and the run reports what the one-shot run
+// does.
+func TestWorkerTimeoutSparesSlowFleet(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	plan := reallocHeavyPlan(t, 2)
+	opts := Options{UseCUDAGraph: true, OverlapComm: true}
+	want, err := Run(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
+	}
+	st := newSlowTransport(workers, timeout/4)
+	wp := NewWorkerPoolWith(workers, st)
+	defer wp.Close()
+	wp.SetWorkerTimeout(timeout)
+	static := estimator.StaticPerGPU(plan)
+	if err := wp.Reset(static); err != nil {
+		t.Fatal(err)
+	}
+
+	begin := time.Now()
+	got, err := wp.Run(plan, opts)
+	if err != nil {
+		t.Fatalf("run on a slow but live fleet: %v", err)
+	}
+	if took := time.Since(begin); took < 2*timeout {
+		t.Fatalf("the run took %v, want it to span at least two timeouts of %v", took, timeout)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slow-fleet report differs from the one-shot run:\n got %+v\nwant %+v", got, want)
+	}
+
+	const stragglers = 12
+	for gpu := range workers {
+		for id := range stragglers {
+			if err := st.Send(gpu, Request{ID: id, Kind: ReqNode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	begin = time.Now()
+	if err := wp.Reset(static); err != nil {
+		t.Fatalf("Reset on a slow but live fleet: %v", err)
+	}
+	if took := time.Since(begin); took < 3*timeout {
+		t.Fatalf("the Reset took %v, want it to span at least three timeouts of %v", took, timeout)
 	}
 }
 

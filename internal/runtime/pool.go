@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,11 +20,11 @@ import (
 //
 // A pool serializes its own operations; run one iteration at a time.
 type WorkerPool struct {
-	mu           sync.Mutex
-	workers      []*ModelWorker
-	transport    Transport
-	fenceTimeout time.Duration
-	closed       bool
+	mu        sync.Mutex
+	workers   []*ModelWorker
+	transport Transport
+	timeout   time.Duration
+	closed    bool
 	// fenced marks, per worker, the fences answered during a drain; reused
 	// across Resets.
 	fenced []bool
@@ -46,15 +47,17 @@ func NewWorkerPoolWith(workers []*ModelWorker, tr Transport) *WorkerPool {
 	return &WorkerPool{workers: workers, transport: tr}
 }
 
-// SetFenceTimeout bounds how long Reset waits for the fleet to quiesce:
-// when the fences are not all answered within d, Reset gives up and
-// reports the smallest unaccounted-for device as a typed *ErrWorkerLost
-// instead of hanging on a dead or wedged worker. Zero (the default)
-// restores the unbounded wait.
-func (wp *WorkerPool) SetFenceTimeout(d time.Duration) {
+// SetWorkerTimeout bounds every reply wait of the pool's fence drains
+// (Reset) and runs (Run, Execute): a wait that sees no reply for d gives up
+// with an error chaining a typed *ErrWorkerLost that names the smallest
+// device still owing one — a run also returns its partial report — instead
+// of hanging on a dead or wedged worker. The bound is per wait, so a slow
+// but live fleet is never declared lost, however long a Reset or run takes.
+// Zero (the default) waits without bound.
+func (wp *WorkerPool) SetWorkerTimeout(d time.Duration) {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	wp.fenceTimeout = d
+	wp.timeout = d
 }
 
 // fenceID maps a worker to a reserved negative request ID, so fence replies
@@ -75,8 +78,8 @@ func fenceGPU(id int) int { return -id - 1 }
 //
 // On the in-process ChanTransport every fence is answered inside its send
 // and no straggler can exist (the master folded each reply where its
-// dispatch returned), so Reset neither reads the reply channel nor arms its
-// fence timer. Every other transport runs the full protocol.
+// dispatch returned), so Reset neither reads the reply channel nor arms a
+// liveness timer. Every other transport runs the full protocol.
 //
 // static must have one entry per worker (estimator.StaticPerGPU of the next
 // plan, or Program.StaticPerGPU of its compiled form).
@@ -101,8 +104,9 @@ func (wp *WorkerPool) Reset(static []int64) error {
 // drainLocked runs the fence protocol over the pool's transport. A dead
 // worker surfaces here in one of two ways, both as a typed *ErrWorkerLost
 // in the returned chain: the fence send itself fails (a killed transport
-// lane), or the fences stop coming back and the fence timeout expires (a
-// wedged or silently dropped worker).
+// lane), or no reply comes within the worker timeout (a wedged or silently
+// dropped worker), which blames the smallest device with a fence
+// outstanding.
 func (wp *WorkerPool) drainLocked() error {
 	n := len(wp.workers)
 	if cap(wp.fenced) < n {
@@ -134,46 +138,19 @@ func (wp *WorkerPool) drainLocked() error {
 			return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
 		}
 	}
-	if outstanding == 0 {
-		return nil
-	}
-	var timeout <-chan time.Time
-	if wp.fenceTimeout > 0 {
-		timer := time.NewTimer(wp.fenceTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+	live := livenessTimer{timeout: wp.timeout}
 	replies := wp.transport.Replies()
 	for outstanding > 0 {
-		var (
-			rep Reply
-			ok  bool
-		)
-		// Drain, then block, as the dispatch loop does: a queued reply is
-		// taken without entering the select on the fence timeout.
 		select {
-		case rep, ok = <-replies:
-		default:
-			select {
-			case rep, ok = <-replies:
-			case <-timeout:
-				// Deterministic blame: the smallest device with an
-				// outstanding fence.
-				lost := -1
-				for gpu, ok := range fenced {
-					if !ok {
-						lost = gpu
-						break
-					}
-				}
-				return fmt.Errorf("runtime: fence timeout after %v with %d fences outstanding: %w",
-					wp.fenceTimeout, outstanding, &ErrWorkerLost{GPU: lost})
+		case <-live.wait():
+			return fmt.Errorf("runtime: no fence reply within %v with %d fences outstanding: %w",
+				wp.timeout, outstanding, &ErrWorkerLost{GPU: slices.Index(fenced, false)})
+		case rep, ok := <-replies:
+			if !ok {
+				return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
 			}
+			fold(rep)
 		}
-		if !ok {
-			return fmt.Errorf("runtime: transport closed with %d fences outstanding", outstanding)
-		}
-		fold(rep)
 	}
 	return nil
 }
@@ -193,8 +170,8 @@ func (wp *WorkerPool) Run(p *core.Plan, opts Options) (*Report, error) {
 
 // Execute runs a compiled program over the pool's workers and transport —
 // the steady-state path of a session that re-executes one plan: no
-// recompilation, only dispatch. Of opts, Context and WorkerTimeout apply;
-// UseCUDAGraph and OverlapComm were fixed by Compile and must match it.
+// recompilation, only dispatch. Of opts, Context applies; UseCUDAGraph and
+// OverlapComm were fixed by Compile and must match it.
 // Like Run, it expects a prior Reset to prog.StaticPerGPU().
 func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
 	if opts.UseCUDAGraph != prog.cudaGraph || opts.OverlapComm != prog.overlap {
@@ -206,14 +183,14 @@ func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
 		wp.mu.Unlock()
 		return nil, fmt.Errorf("runtime: worker pool closed")
 	}
-	transport, workers := wp.transport, wp.workers
+	transport, workers, timeout := wp.transport, wp.workers, wp.timeout
 	wp.mu.Unlock()
 	// The worker ledgers account peak memory and OOM, so a fleet adopted
 	// through NewWorkerPoolWith must bring one worker per device.
 	if len(workers) != len(prog.static) {
 		return nil, fmt.Errorf("runtime: program for %d devices on a pool of %d workers", len(prog.static), len(workers))
 	}
-	return prog.execute(opts, transport, workers)
+	return prog.execute(opts, transport, workers, timeout)
 }
 
 // Close tears the pool down. Idempotent.

@@ -292,7 +292,7 @@ func TestTCPCloseMidIteration(t *testing.T) {
 }
 
 // TestTCPCloseWhileWaiting: a TCP fleet whose workers read requests and
-// never reply, closed while the master waits with no WorkerTimeout, ends the
+// never reply, closed while the master waits with no worker timeout, ends the
 // run with a transport-closed error instead of hanging it. Close takes the
 // replies the master waits for, so only the reply channel's closing can wake
 // it.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,15 +26,6 @@ type Options struct {
 	// Context, when set, cancels an in-flight run: Run returns the partial
 	// report accumulated so far together with a wrapping error.
 	Context context.Context
-	// WorkerTimeout bounds how long the dispatch loop waits for the next
-	// worker reply while nodes are in flight. When a wait outlasts it
-	// (detected within a quarter of it more), the run is
-	// abandoned with a partial report and an error chaining a typed
-	// *ErrWorkerLost naming the smallest device that still owes a reply —
-	// the failure-detection half of the resilience contract (a dead worker
-	// must surface as a typed error, never as a hang). Zero disables the
-	// timeout (the historical behavior).
-	WorkerTimeout time.Duration
 }
 
 // NodeSpan is one executed node of the run timeline.
@@ -225,13 +217,34 @@ func Run(p *core.Plan, opts Options) (*Report, error) {
 	}
 	ct := NewChanTransport(workers)
 	defer ct.Close()
-	return prog.execute(opts, ct, workers)
+	return prog.execute(opts, ct, workers, 0)
 }
 
-// livenessTicks is how many timer ticks make up one WorkerTimeout: a lost
-// worker is detected between WorkerTimeout and WorkerTimeout plus one tick
-// after the master began waiting on it.
-const livenessTicks = 4
+// livenessTimer bounds each reply wait of one loop — a run's dispatch loop
+// or a Reset's fence drain — by the pool's worker timeout. It is armed at
+// the loop's first wait, so a loop that never waits (every in-call
+// execution and fence drain) takes no timer, and re-armed at each later
+// one: a wait that sees no reply for the timeout expires, however long the
+// loop as a whole has run. Under go 1.23 timer semantics Timer.Reset needs
+// no drain and an abandoned timer no Stop.
+type livenessTimer struct {
+	timeout time.Duration
+	timer   *time.Timer
+}
+
+// wait arms the timer for one reply wait and returns its channel, which is
+// nil (never ready) when there is no timeout.
+func (l *livenessTimer) wait() <-chan time.Time {
+	if l.timeout <= 0 {
+		return nil
+	}
+	if l.timer == nil {
+		l.timer = time.NewTimer(l.timeout)
+	} else {
+		l.timer.Reset(l.timeout)
+	}
+	return l.timer.C
+}
 
 // nodeRun is one node's dispatch state within one execution.
 type nodeRun struct {
@@ -244,7 +257,7 @@ type nodeRun struct {
 // execution takes, whether the program was just compiled (Run,
 // WorkerPool.Run) or is re-executed by a long-lived session
 // (WorkerPool.Execute), and whatever the transport. Of opts, only Context
-// and WorkerTimeout are read.
+// is read; timeout bounds each reply wait (zero waits without bound).
 //
 // It is a plain dependency-driven dispatcher: a node whose parents' replies
 // are all in goes on a ready list, and the loop dispatches every ready node
@@ -257,7 +270,7 @@ type nodeRun struct {
 // it. Virtual spans were fixed by Compile, and the worker ledgers' peaks
 // and OOM verdicts do not depend on request order; the report folds
 // completed nodes in compiled order with sorted error lists.
-func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker) (*Report, error) {
+func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker, timeout time.Duration) (*Report, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -401,24 +414,12 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 	// node that did complete, exactly like a context cancellation: the
 	// caller's accounting (CompletedIterations, IterTime's partial-run
 	// clamp) must not depend on *why* the run ended early.
-	var (
-		timer    *time.Timer
-		timeoutC <-chan time.Time
-		tick     = opts.WorkerTimeout / livenessTicks
-		// waits numbers the blocking waits; tickedWait is the wait the last
-		// tick landed in, and quietTicks counts the ticks since then.
-		waits, tickedWait, quietTicks int
-	)
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	cancelled := func() (*Report, error) {
 		finish()
 		return report, fmt.Errorf("runtime: run cancelled with %d/%d nodes complete: %w",
 			completed, total, ctx.Err())
 	}
+	live := livenessTimer{timeout: timeout}
 	replies := transport.Replies()
 	for completed < total {
 		if next < len(ready) {
@@ -441,71 +442,27 @@ func (prog *Program) execute(opts Options, transport Transport, workers []*Model
 			finish()
 			return report, fmt.Errorf("runtime: scheduler stalled with %d/%d nodes complete", completed, total)
 		}
-		var (
-			rep Reply
-			ok  bool
-		)
-		// Drain, then block: a reply already queued is taken with a
-		// non-blocking receive, so a step's thousands of replies do not
-		// each enter the three-way select below and lock every channel in
-		// it. Only that select watches ctx.Done, so a drained reply checks
-		// the context itself: a fleet that always has a reply ready stays
-		// cancellable.
 		select {
-		case rep, ok = <-replies:
+		case <-ctx.Done():
+			return cancelled()
+		case <-live.wait():
+			finish()
+			lost := slices.IndexFunc(owedByGPU, func(owed int) bool { return owed > 0 })
+			return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
+				timeout, completed, total, &ErrWorkerLost{GPU: lost})
+		case rep, ok := <-replies:
+			// A select picks at random among ready cases, so a fleet that
+			// always has a reply queued could keep ctx.Done waiting: each
+			// received reply checks the context itself.
 			if ctx.Err() != nil {
 				return cancelled()
 			}
-		default:
-			// Block for the next reply. The liveness timer is armed at the
-			// first blocking wait (a run that never blocks, such as every
-			// in-call execution, takes no timer), then ticks every
-			// WorkerTimeout/livenessTicks and is never re-armed per wait
-			// (that would cost a clock read per reply): a blocking wait
-			// that spans livenessTicks+1 ticks has lasted at least
-			// WorkerTimeout with replies owed, and is caught within one
-			// tick of that. Only blocking waits count; a tick that lands
-			// while the master drains is discounted by the next one.
-			waits++
-			if timer == nil && opts.WorkerTimeout > 0 {
-				timer = time.NewTimer(tick)
-				timeoutC = timer.C
+			if !ok {
+				finish()
+				return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
 			}
-		wait:
-			for {
-				select {
-				case <-ctx.Done():
-					return cancelled()
-				case <-timeoutC:
-					if waits != tickedWait {
-						tickedWait, quietTicks = waits, 0
-					} else {
-						quietTicks++
-					}
-					if quietTicks < livenessTicks {
-						timer.Reset(tick)
-						continue
-					}
-					finish()
-					lost := -1
-					for gpu, owed := range owedByGPU {
-						if owed > 0 {
-							lost = gpu
-							break
-						}
-					}
-					return report, fmt.Errorf("runtime: no worker reply within %v with %d/%d nodes complete: %w",
-						opts.WorkerTimeout, completed, total, &ErrWorkerLost{GPU: lost})
-				case rep, ok = <-replies:
-					break wait
-				}
-			}
+			fold(rep)
 		}
-		if !ok {
-			finish()
-			return report, fmt.Errorf("runtime: transport closed with %d nodes in flight", inflight)
-		}
-		fold(rep)
 	}
 	finish()
 	return report, nil

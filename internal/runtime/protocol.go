@@ -21,8 +21,9 @@
 // where the call returns, and a node it completes puts its unblocked
 // children on the ready list: a steady step takes no channel operation,
 // no worker lock and no timer. TCP, FaultyTransport and any other
-// Transport reply asynchronously through Replies, which the same loop
-// drains.
+// Transport reply asynchronously through Replies, on which the same loop
+// waits, one reply at a time, each wait bounded by the pool's worker
+// timeout.
 //
 // The compiled timeline gives each worker two streams, mirroring a CUDA
 // device's compute and copy engines: model function calls occupy

@@ -56,11 +56,7 @@ func fullWalk(c *chainState, ctx context.Context, sp *space, opt Options, start 
 			c.curCost = pc.Cost
 			c.curOOM = pc.OOM
 			c.accepted++
-			better := pc.Cost < c.bestCost
-			if c.hardMem {
-				better = betterUnderHardMem(pc.OOM, pc.Cost, c.bestOOM, c.bestCost)
-			}
-			if better {
+			if beats(pc.OOM, pc.Cost, c.bestOOM, c.bestCost) {
 				c.bestCost = pc.Cost
 				c.bestOOM = pc.OOM
 				copyAssign(c.best, c.cur)

@@ -62,13 +62,7 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 		}
 		if pc, err := sess.Evaluate(trial); err == nil {
 			steps++
-			better := pc.Cost < best
-			if opt.OffloadSearch {
-				// Hard memory constraint: a feasible plan beats any
-				// infeasible one before costs are compared.
-				better = bestPlan == nil || betterUnderHardMem(pc.OOM, pc.Cost, bestOOM, best)
-			}
-			if better {
+			if beats(pc.OOM, pc.Cost, bestOOM, best) {
 				best, bestOOM, bestPlan = pc.Cost, pc.OOM, trial.Clone()
 				if opt.Progress != nil {
 					//lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints

@@ -52,12 +52,10 @@ type chainState struct {
 	curCost  float64
 	best     *core.Plan
 	bestCost float64
-	// curOOM/bestOOM track feasibility alongside the costs; under hardMem
-	// (Options.OffloadSearch) best tracking, exchange and the final winner
-	// reduction order candidates feasibility-first.
+	// curOOM/bestOOM track feasibility alongside the costs: best tracking,
+	// exchange and the final winner reduction order plans by beats.
 	curOOM  bool
 	bestOOM bool
-	hardMem bool
 
 	sess *estimator.EvalSession
 
@@ -72,12 +70,13 @@ type chainState struct {
 	cancelled     bool
 }
 
-// betterUnderHardMem orders (OOM, cost) pairs with the memory ledger as a
-// hard constraint: any feasible plan beats any infeasible one, and cost
-// breaks ties within a feasibility class. The OOM-penalized cost almost
-// always agrees, but the lexicographic order makes the guarantee absolute —
-// a search that saw a fitting plan can never return an over-memory one.
-func betterUnderHardMem(oom bool, cost float64, bestOOM bool, bestCost float64) bool {
+// beats is the one order every solve ranks plans by, an (OOM, cost) pair
+// against the best so far, with the memory ledger as a hard constraint: any
+// feasible plan beats any infeasible one, and cost breaks ties within a
+// feasibility class. The OOM-penalized cost almost always agrees, but the
+// lexicographic order makes the guarantee absolute — a search that saw a
+// fitting plan can never return an over-memory one.
+func beats(oom bool, cost float64, bestOOM bool, bestCost float64) bool {
 	if oom != bestOOM {
 		return !oom
 	}
@@ -192,11 +191,7 @@ func (c *chainState) propose(sp *space, opt Options, start time.Time) bool {
 	c.curCost = pc.Cost
 	c.curOOM = pc.OOM
 	c.accepted++
-	better := pc.Cost < c.bestCost
-	if c.hardMem {
-		better = betterUnderHardMem(pc.OOM, pc.Cost, c.bestOOM, c.bestCost)
-	}
-	if better {
+	if beats(pc.OOM, pc.Cost, c.bestOOM, c.bestCost) {
 		c.bestCost = pc.Cost
 		c.bestOOM = pc.OOM
 		copyAssign(c.best, c.cur)
@@ -329,7 +324,6 @@ func (m mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 			idx: i, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			cur: cur.Clone(), curCost: curCost, curOOM: curPC.OOM,
 			best: cur.Clone(), bestCost: curCost, bestOOM: curPC.OOM,
-			hardMem:  opt.OffloadSearch,
 			sess:     sessions[i],
 			beta:     adaptiveBeta(curCost),
 			progress: progress,
@@ -359,15 +353,11 @@ func (m mcmcSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 		}
 	}
 
-	// Deterministic reduction: best cost (feasibility-first under the
-	// OffloadSearch hard memory constraint), ties broken by chain index.
+	// Deterministic reduction: the best plan by beats, ties broken by
+	// chain index.
 	winner := cs[0]
 	for _, c := range cs[1:] {
-		if opt.OffloadSearch {
-			if betterUnderHardMem(c.bestOOM, c.bestCost, winner.bestOOM, winner.bestCost) {
-				winner = c
-			}
-		} else if c.bestCost < winner.bestCost {
+		if beats(c.bestOOM, c.bestCost, winner.bestOOM, winner.bestCost) {
 			winner = c
 		}
 	}
@@ -430,18 +420,13 @@ func runExchanging(ctx context.Context, cs []*chainState,
 	}
 }
 
-// exchangeBest is the barrier body: the globally best plan (lowest cost,
-// lowest chain index on ties; feasibility-first under the hard memory
-// constraint) replaces the current state of any chain doing worse.
+// exchangeBest is the barrier body: the globally best plan (by beats,
+// lowest chain index on ties) replaces the current state of any chain doing
+// worse.
 func exchangeBest(cs []*chainState) {
-	hardMem := cs[0].hardMem
 	g := cs[0]
 	for _, c := range cs[1:] {
-		if hardMem {
-			if betterUnderHardMem(c.bestOOM, c.bestCost, g.bestOOM, g.bestCost) {
-				g = c
-			}
-		} else if c.bestCost < g.bestCost {
+		if beats(c.bestOOM, c.bestCost, g.bestOOM, g.bestCost) {
 			g = c
 		}
 	}
@@ -449,11 +434,7 @@ func exchangeBest(cs []*chainState) {
 		if c.done || c == g {
 			continue
 		}
-		adopt := g.bestCost < c.curCost
-		if hardMem {
-			adopt = betterUnderHardMem(g.bestOOM, g.bestCost, c.curOOM, c.curCost)
-		}
-		if adopt {
+		if beats(g.bestOOM, g.bestCost, c.curOOM, c.curCost) {
 			// The barrier is single-threaded, so adopting in place (no
 			// clones) is safe: every chain goroutine has already joined.
 			copyAssign(c.cur, g.best)
@@ -465,11 +446,7 @@ func exchangeBest(cs []*chainState) {
 			// OOM-penalized cost keeps β ≈ 10/hugeCost ≈ 0 after adopting a
 			// cheap plan and accepts nearly every uphill proposal for the
 			// rest of the solve.
-			fold := g.bestCost < c.bestCost
-			if hardMem {
-				fold = betterUnderHardMem(g.bestOOM, g.bestCost, c.bestOOM, c.bestCost)
-			}
-			if fold {
+			if beats(g.bestOOM, g.bestCost, c.bestOOM, c.bestCost) {
 				copyAssign(c.best, g.best)
 				c.bestCost = g.bestCost
 				c.bestOOM = g.bestOOM

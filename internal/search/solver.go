@@ -186,12 +186,13 @@ type Options struct {
 	Cache *CostCache
 	// OffloadSearch makes host offload a searched plan dimension: candidate
 	// enumeration emits an offloaded variant of every frozen-role assignment,
-	// MCMC chains gain a dedicated offload-flip proposal move, and the
-	// memory ledger becomes a hard constraint — a feasible plan beats any
-	// infeasible one regardless of the OOM-penalized cost, so the search
-	// cannot return an over-memory plan while a fitting one was seen. The
-	// default (false) keeps every parameter device-resident, leaving existing
-	// solves, RNG streams and golden plans byte-identical.
+	// and MCMC chains gain a dedicated offload-flip proposal move. The
+	// memory ledger is a hard constraint in every solve, with or without
+	// it: a feasible plan beats any infeasible one regardless of the
+	// OOM-penalized cost, so no search returns an over-memory plan while a
+	// fitting one was seen. The default (false) keeps every parameter
+	// device-resident, leaving existing solves, RNG streams and golden plans
+	// byte-identical.
 	OffloadSearch bool
 }
 

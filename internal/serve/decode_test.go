@@ -215,6 +215,36 @@ func TestNegativeFieldsAre400(t *testing.T) {
 	}
 }
 
+// TestClusterCapIs400 pins the bugfix through the server: a request for
+// 1<<40 nodes, or 1<<40 GPUs per node, made the planner allocate terabytes
+// and die with a fatal out of memory, killing the process. Each is now a
+// 400 invalid_config, and the server keeps answering.
+func TestClusterCapIs400(t *testing.T) {
+	srv, _, client := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		field string
+		set   func(*realhf.ExperimentConfig)
+	}{
+		{"Nodes", func(c *realhf.ExperimentConfig) { c.Nodes = 1 << 40 }},
+		{"GPUsPerNode", func(c *realhf.ExperimentConfig) { c.GPUsPerNode = 1 << 40 }},
+	} {
+		cfg := testConfig(12, 200)
+		tc.set(&cfg)
+		_, err := client.Plan(context.Background(), cfg, nil)
+		var se *ServerError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest || se.Code != CodeInvalidConfig ||
+			!strings.Contains(se.Message, tc.field) {
+			t.Errorf("%s = 1<<40: %v, want 400 %s naming the field", tc.field, err, CodeInvalidConfig)
+		}
+	}
+	if _, err := client.Plan(context.Background(), testConfig(12, 200), nil); err != nil {
+		t.Fatalf("the server stopped answering: %v", err)
+	}
+	if st := srv.Stats(); st.Solves != 1 || st.Invalid != 2 || st.SolveErrors != 0 {
+		t.Errorf("stats = %+v, want 1 solve, 2 invalid and no solve errors", st)
+	}
+}
+
 // TestInvalidConfigAnsweredBeforeAdmission pins the bugfix: a config that
 // fails validation was admitted like any miss. With the admission queue
 // full it got 429 and a Retry-After, so a client would retry a request

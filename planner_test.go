@@ -1,6 +1,7 @@
 package realhf
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"realhf/internal/checkpoint"
 	"realhf/internal/dfg"
 	"realhf/internal/search"
 )
@@ -268,6 +270,114 @@ func TestPlanRejectsNegativeFields(t *testing.T) {
 	}
 	if st := p.Stats(); st.PlanRequests != 0 || st.PlanCacheMisses != 0 {
 		t.Errorf("rejected configs counted: %+v", st)
+	}
+}
+
+// TestClusterCapRejectsHugeClusters pins the bugfix: validate set no upper
+// bound on the cluster, so Nodes = 1<<40 or GPUsPerNode = 1<<40 made the
+// planner size per-GPU slices of terabytes and die with a fatal out of
+// memory (no recover catches it). Every entry point now rejects a cluster
+// past 1,024 nodes or 8,192 GPUs with a wrapped ErrInvalidConfig naming the
+// field, a product that would overflow included, and a session that was
+// asked to grow past the cap keeps working.
+func TestClusterCapRejectsHugeClusters(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlanner(ClusterConfig{})
+	tr, err := p.Train(ctx, trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := tr.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	state, err := checkpoint.Read(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wantInvalid := func(what, field string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(fmt.Sprint(err), field) {
+			t.Errorf("%s = %v, want a wrapped ErrInvalidConfig naming %s", what, err, field)
+		}
+	}
+	for _, tc := range []struct {
+		name, field        string
+		nodes, gpusPerNode int
+	}{
+		{"nodes", "Nodes", 1 << 40, 0},
+		{"nodes-over-cap", "Nodes", 1025, 8},
+		{"gpus-per-node", "GPUsPerNode", 1, 1 << 40},
+		{"gpus-over-cap", "GPUsPerNode", 1024, 9},
+		{"product-overflows", "GPUsPerNode", 2, 1 << 62},
+	} {
+		cfg := plannerConfig(1, 100)
+		cfg.Nodes, cfg.GPUsPerNode = tc.nodes, tc.gpusPerNode
+		_, err := p.Plan(ctx, cfg)
+		wantInvalid(tc.name+": Plan", tc.field, err)
+		b, ok, err := p.PlanCachedAnswer(cfg, func(*Experiment) ([]byte, error) { return []byte("{}"), nil })
+		if b != nil || ok {
+			t.Errorf("%s: PlanCachedAnswer answered %q", tc.name, b)
+		}
+		wantInvalid(tc.name+": PlanCachedAnswer", tc.field, err)
+		_, err = p.Heuristic(cfg)
+		wantInvalid(tc.name+": Heuristic", tc.field, err)
+		_, err = p.Train(ctx, cfg)
+		wantInvalid(tc.name+": Train", tc.field, err)
+	}
+
+	state.Nodes = 1 << 40
+	ckpt.Reset()
+	if err := checkpoint.Write(&ckpt, state); err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.ResumeTrain(ctx, &ckpt, trainerConfig())
+	wantInvalid("ResumeTrain of a 1<<40-node checkpoint", "Nodes", err)
+
+	wantInvalid("Resize to 1<<40 nodes", "Nodes", tr.Resize(ctx, 1<<40))
+	if st := tr.Stats(); st.Nodes != 1 {
+		t.Errorf("a rejected Resize left the session on %d nodes", st.Nodes)
+	}
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatalf("the session stopped stepping after a rejected Resize: %v", err)
+	}
+	if st := p.Stats(); st.PlanCacheMisses != 1 {
+		t.Errorf("rejected configs reached the solver: %+v", st)
+	}
+}
+
+// TestClusterCapValuesValidate: the caps themselves are legal clusters — a
+// 1,024-node and an 8,192-GPU config validate, and the largest cluster a
+// 3-node config may hold (3 × 2,730 GPUs) stops one GPU per node short of
+// the cap — and a 1,024 × 8 config plans.
+func TestClusterCapValuesValidate(t *testing.T) {
+	for _, c := range []struct{ nodes, gpusPerNode int }{
+		{1024, 8}, {1024, 0}, {1, 8192}, {8192 / 16, 16}, {3, 2730},
+	} {
+		cfg := plannerConfig(1, 100)
+		cfg.Nodes, cfg.GPUsPerNode = c.nodes, c.gpusPerNode
+		if err := cfg.validate(); err != nil {
+			t.Errorf("%d nodes × %d GPUs: %v", c.nodes, c.gpusPerNode, err)
+		}
+	}
+	cfg := plannerConfig(1, 20)
+	cfg.Nodes = 3
+	cfg.GPUsPerNode = 2731
+	if err := cfg.validate(); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("3 × 2,731 GPUs: %v, want ErrInvalidConfig", err)
+	}
+	cfg.Nodes, cfg.GPUsPerNode = 1024, 8
+	exp, err := NewPlanner(ClusterConfig{}).Plan(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("a 1,024-node config must plan: %v", err)
+	}
+	if exp.Cluster.NumGPUs() != 8192 {
+		t.Errorf("planned a cluster of %d GPUs, want 8,192", exp.Cluster.NumGPUs())
 	}
 }
 

@@ -100,9 +100,11 @@ type ModelFunctionCallDef struct {
 // defaults-applied form and UnmarshalJSON parses it back, round-tripping
 // bit-stably through the config fingerprint (see wire.go).
 type ExperimentConfig struct {
-	// Nodes is the number of 8-GPU hosts (the paper's testbed shape).
+	// Nodes is the number of 8-GPU hosts (the paper's testbed shape), at
+	// most 1,024.
 	Nodes int `json:"nodes"`
-	// GPUsPerNode overrides the default of 8.
+	// GPUsPerNode overrides the default of 8. The cluster may hold at most
+	// 8,192 GPUs in all.
 	GPUsPerNode int `json:"gpus_per_node"`
 	// BatchSize is the global number of prompts per iteration.
 	BatchSize int `json:"batch_size"`
@@ -149,11 +151,12 @@ type ExperimentConfig struct {
 	PlanForOverlap bool `json:"plan_for_overlap"`
 	// OffloadSearch makes host offload a searched plan dimension
 	// (search.Options.OffloadSearch): the solver explores parking frozen
-	// models' parameters in host memory per call, with the memory ledger as a
-	// hard feasibility constraint — the path to the paper's 70B-on-one-node
-	// regime, which a fixed-offload search can never discover. Default off:
-	// existing configs keep their plans byte for byte. Like PlanForOverlap,
-	// the flag is part of the planner's problem and plan-cache keys.
+	// models' parameters in host memory per call — the path to the paper's
+	// 70B-on-one-node regime, which a fixed-offload search can never
+	// discover. Like every solve, it treats the memory ledger as a hard
+	// feasibility constraint. Default off: existing configs keep their
+	// plans byte for byte. Like PlanForOverlap, the flag is part of the
+	// planner's problem and plan-cache keys.
 	OffloadSearch bool `json:"offload_search"`
 }
 
@@ -179,6 +182,16 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 	return c
 }
 
+// maxNodes and maxClusterGPUs bound the cluster a config may describe. The
+// planner sizes per-GPU slices by the device count, and the whole-node mesh
+// list grows with the square of the node count: a request past these caps
+// could exhaust the process's memory before any search runs, while
+// 1,024 × 8 GPUs plans in a fraction of a second.
+const (
+	maxNodes       = 1024
+	maxClusterGPUs = 8192
+)
+
 // validate reports configuration errors. It is the single checker shared by
 // every planning entry point — Planner.Plan, Heuristic, LoadExperiment and
 // Train — so all of them reject a bad config with the same error, wrapping
@@ -186,7 +199,8 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 // plan-cache hit runs them); an unknown model type or a repeated call name
 // is found by buildGraph. Zero keeps its meaning for every field (a default,
 // or no time bound); a negative size or search knob is rejected, since it
-// would size slices, loops and stop tests with it.
+// would size slices, loops and stop tests with it, and so is a cluster past
+// maxNodes or maxClusterGPUs.
 func (c ExperimentConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("realhf: Nodes must be positive: %w", ErrInvalidConfig)
@@ -208,6 +222,14 @@ func (c ExperimentConfig) validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("realhf: %s must not be negative, got %d: %w", f.name, f.v, ErrInvalidConfig)
 		}
+	}
+	if c.Nodes > maxNodes {
+		return fmt.Errorf("realhf: Nodes = %d exceeds the limit of %d: %w", c.Nodes, maxNodes, ErrInvalidConfig)
+	}
+	// Divide rather than multiply, so a huge GPUsPerNode cannot overflow.
+	if c.GPUsPerNode > maxClusterGPUs/c.Nodes {
+		return fmt.Errorf("realhf: Nodes × GPUsPerNode = %d × %d exceeds the limit of %d GPUs: %w",
+			c.Nodes, c.GPUsPerNode, maxClusterGPUs, ErrInvalidConfig)
 	}
 	return nil
 }
@@ -500,14 +522,15 @@ type RunOptions struct {
 	LatencyScale   float64
 	MemoryScale    float64
 
-	// WorkerTimeout bounds how long the runtime waits for an unresponsive
-	// worker before abandoning the run with a typed worker-lost error
-	// (wrapping ErrWorkerLost) instead of hanging — the failure-detection
-	// half of the resilience contract. Zero keeps the default: disabled
-	// for one-shot Run/RunWith (whose in-process workers cannot die
-	// independently), and a conservative 2s liveness bound for Trainer
-	// sessions, whose pools may front real remote fleets. Negative values
-	// are rejected by Validate.
+	// WorkerTimeout bounds every reply wait of a Trainer's worker fleets
+	// (runtime.WorkerPool.SetWorkerTimeout): a fence drain or iteration
+	// that sees no reply for this long gives up with a typed worker-lost
+	// error (wrapping ErrWorkerLost) instead of hanging — the
+	// failure-detection half of the resilience contract. Zero keeps the
+	// conservative 2s default, since a session's pools may front real
+	// remote fleets. One-shot Run and RunWith ignore it: their in-process
+	// workers answer inside each dispatch, so they never wait. Negative
+	// values are rejected by Validate.
 	WorkerTimeout time.Duration
 }
 
@@ -629,9 +652,8 @@ func (e *Experiment) RunWith(opts RunOptions) (*RunReport, error) {
 		plan.Cluster = hw
 	}
 	rep, err := runtime.Run(plan, runtime.Options{
-		UseCUDAGraph:  opts.UseCUDAGraph,
-		OverlapComm:   opts.OverlapComm,
-		WorkerTimeout: opts.WorkerTimeout,
+		UseCUDAGraph: opts.UseCUDAGraph,
+		OverlapComm:  opts.OverlapComm,
 	})
 	if err != nil {
 		return nil, err

@@ -348,7 +348,7 @@ func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
 	if err != nil {
 		return fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
 	}
-	pool.SetFenceTimeout(t.run.WorkerTimeout)
+	pool.SetWorkerTimeout(t.run.WorkerTimeout)
 	t.pool, t.hw = pool, hw
 	t.plan, t.plannedCfg = plan, plannedCfg
 	return nil
@@ -403,8 +403,8 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	}
 
 	// Execute, surviving worker loss: a *runtime.ErrWorkerLost from Reset or
-	// Run (fence timeout, dead transport stream, or no reply within the
-	// worker timeout) evicts the failed device's node, shrink-replans onto
+	// Execute (a dead transport stream, or no reply within the worker
+	// timeout) evicts the failed device's node, shrink-replans onto
 	// the survivors and re-executes the whole iteration there. The failed
 	// attempt's partial progress is discarded — virtual makespans stay
 	// deterministic functions of the executed plan. Anything that is not a
@@ -414,10 +414,9 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 		rep *runtime.Report
 	)
 	runOpts := runtime.Options{
-		UseCUDAGraph:  t.run.UseCUDAGraph,
-		OverlapComm:   t.run.OverlapComm,
-		Context:       ctx,
-		WorkerTimeout: t.run.WorkerTimeout,
+		UseCUDAGraph: t.run.UseCUDAGraph,
+		OverlapComm:  t.run.OverlapComm,
+		Context:      ctx,
 	}
 	for {
 		// The replan loop is bounded by the shrinking mesh (shrinkLocked
@@ -770,7 +769,7 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	if err != nil {
 		return fmt.Errorf("worker pool for %d GPUs: %w", newHW.NumGPUs(), err)
 	}
-	pool.SetFenceTimeout(t.run.WorkerTimeout)
+	pool.SetWorkerTimeout(t.run.WorkerTimeout)
 	t.pool = pool
 	t.replans++
 	t.switches++
