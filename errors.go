@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// The package's error taxonomy. Every planning entry point — Auto,
-// Heuristic, Planner.Plan, Planner.Train, LoadExperiment — classifies its
-// failures under one of these sentinels, so callers (and the plan server in
-// internal/serve, which maps them onto HTTP status codes) dispatch with
-// errors.Is instead of string matching:
+// The package's error taxonomy. Every planning entry point — Planner.Plan,
+// Planner.Heuristic, Planner.LoadExperiment, Planner.Train,
+// Planner.ResumeTrain — classifies its failures under one of these
+// sentinels, so callers (and the plan server in internal/serve, which maps
+// them onto HTTP status codes) dispatch with errors.Is instead of string
+// matching:
 //
 //   - ErrInvalidConfig: the request itself is malformed — a non-positive
 //     Nodes count, an empty or inconsistent RPC list, an unknown ModelType

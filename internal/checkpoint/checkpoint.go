@@ -5,10 +5,11 @@
 // / realhf.Planner.ResumeTrain).
 //
 // The wire format follows the same canonical-codec contract as the root
-// package's wire.go: a versioned JSON document, written with a canonical
-// field-by-field marshal (realvet's fieldcover proves every exported State
-// field reaches the bytes), decoded strictly (unknown fields and version
-// skew are errors, never silent drops), and byte-deterministic — two
+// package's wire.go: State is its own wire type, a versioned JSON document
+// whose field tags fix the canonical byte order, encoded whole through a
+// method-free conversion (so realvet's fieldcover sees every field reach the
+// bytes), decoded strictly (unknown fields, version skew and out-of-range
+// values are errors, never silent drops), and byte-deterministic — two
 // checkpoints of identical state are identical files, and a round trip is
 // bit-stable. Save writes through a temp file and an atomic rename, so a
 // crash mid-checkpoint leaves the previous checkpoint intact rather than a
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 )
 
 // Version is the current checkpoint wire version. Decoders reject other
@@ -32,91 +34,75 @@ const Version = 1
 // State is a campaign snapshot — everything a Trainer needs beyond its
 // (caller-re-supplied) config and options to resume bit-exactly: the next
 // iteration's replan decision is a pure function of these fields plus the
-// config, so restoring them replays the uninterrupted session.
+// config, so restoring them replays the uninterrupted session. Field order
+// is the canonical byte order of the checkpoint file; Campaign's fields sit
+// inline between version and nodes.
 type State struct {
 	// Version is the wire version (see Version).
-	Version int
-	// Iteration is the number of iterations fully executed (the next Step
-	// runs iteration Iteration).
-	Iteration int
-	// Replans and Switches are the session counters: replan attempts and
-	// adopted plan changes (including shrink-replans and resizes).
-	Replans  int
-	Switches int
-	// WorkerFailures counts workers lost (and survived) so far.
-	WorkerFailures int
-	// SwitchCostV and TotalMakespanV mirror the campaign accounting:
-	// charged §5 reallocation total and virtual campaign wall time.
-	SwitchCostV    float64
-	TotalMakespanV float64
-	// PendingSwitchCostV is reallocation charged but not yet reported (a
-	// switch adopted after the last executed iteration).
-	PendingSwitchCostV float64
-	// Drifted records that profile feedback demanded a replan before the
-	// next iteration.
-	Drifted bool
+	Version int `json:"version"`
+	// Campaign is the Trainer's running state, checkpointed and restored
+	// whole.
+	Campaign
 	// Nodes is the cluster scale the campaign currently runs at (shrinks
 	// and resizes applied) — it overrides the resuming config's Nodes.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// PlannedGenLen is the generation length the incumbent plan was last
 	// (re)considered at; resuming restores it so the next Step's replan
 	// trigger fires exactly as it would have.
-	PlannedGenLen int
+	PlannedGenLen int `json:"planned_gen_len"`
 	// Plan is the incumbent plan in the SavePlan wire format.
-	Plan json.RawMessage
+	Plan json.RawMessage `json:"plan"`
 	// PlanFingerprint is the incumbent's canonical fingerprint, checked on
 	// resume: a checkpoint whose plan bytes decode to a different plan than
 	// the one that was saved is corrupt.
-	PlanFingerprint string
+	PlanFingerprint string `json:"plan_fingerprint"`
 	// Calibration is the profile-feedback state: per-call
 	// observed/predicted multipliers (empty when uncalibrated).
-	Calibration map[string]float64
+	Calibration map[string]float64 `json:"calibration,omitempty"`
 }
 
-// stateJSON is the wire shadow of State. Field order here is the canonical
-// byte order of the checkpoint file.
-type stateJSON struct {
-	Version            int                `json:"version"`
-	Iteration          int                `json:"iteration"`
-	Replans            int                `json:"replans"`
-	Switches           int                `json:"switches"`
-	WorkerFailures     int                `json:"worker_failures"`
-	SwitchCostV        float64            `json:"switch_cost_v"`
-	TotalMakespanV     float64            `json:"total_makespan_v"`
-	PendingSwitchCostV float64            `json:"pending_switch_cost_v"`
-	Drifted            bool               `json:"drifted,omitempty"`
-	Nodes              int                `json:"nodes"`
-	PlannedGenLen      int                `json:"planned_gen_len"`
-	Plan               json.RawMessage    `json:"plan"`
-	PlanFingerprint    string             `json:"plan_fingerprint"`
-	Calibration        map[string]float64 `json:"calibration,omitempty"`
+// Campaign is the part of a campaign's durable state the Trainer updates as
+// it runs, and the Trainer's only copy of it. Every number is a count or a
+// total and is never negative. It must have no JSON methods: encoding/json
+// then inlines its fields into State's document, where a promoted
+// MarshalJSON would instead encode the whole checkpoint as Campaign alone.
+type Campaign struct {
+	// Iteration is the number of iterations fully executed (the next Step
+	// runs iteration Iteration).
+	Iteration int `json:"iteration"`
+	// Replans and Switches are the session counters: replan attempts and
+	// adopted plan changes (including shrink-replans and resizes).
+	Replans  int `json:"replans"`
+	Switches int `json:"switches"`
+	// WorkerFailures counts workers lost (and survived) so far.
+	WorkerFailures int `json:"worker_failures"`
+	// SwitchCostV and TotalMakespanV are the campaign accounting: charged
+	// §5 reallocation total and virtual campaign wall time.
+	SwitchCostV    float64 `json:"switch_cost_v"`
+	TotalMakespanV float64 `json:"total_makespan_v"`
+	// PendingSwitchCostV is reallocation charged but not yet reported (a
+	// switch adopted after the last executed iteration).
+	PendingSwitchCostV float64 `json:"pending_switch_cost_v"`
+	// Drifted records that profile feedback demanded a replan before the
+	// next iteration.
+	Drifted bool `json:"drifted,omitempty"`
 }
 
-// MarshalJSON is the canonical checkpoint encoding: every exported State
-// field, stable field order, deterministic bytes (encoding/json sorts the
-// calibration map's keys). It is the fieldcover-checked canonical method —
-// adding a State field without extending this marshal is a realvet break,
-// not a silently-dropped-on-resume bug.
+// stateWire is State without its methods, so MarshalJSON hands the whole
+// document to encoding/json without recursing.
+type stateWire State
+
+// MarshalJSON is the canonical checkpoint encoding: every State field,
+// stable field order, deterministic bytes (encoding/json sorts the
+// calibration map's keys).
 //
 // The bytes are json.MarshalIndent's of the whole document, but the plan is
 // scanned once: the other fields are indented around a null placeholder,
 // and the plan is indented into its place.
 func (s *State) MarshalJSON() ([]byte, error) {
-	doc, err := json.MarshalIndent(stateJSON{
-		Version:            s.Version,
-		Iteration:          s.Iteration,
-		Replans:            s.Replans,
-		Switches:           s.Switches,
-		WorkerFailures:     s.WorkerFailures,
-		SwitchCostV:        s.SwitchCostV,
-		TotalMakespanV:     s.TotalMakespanV,
-		PendingSwitchCostV: s.PendingSwitchCostV,
-		Drifted:            s.Drifted,
-		Nodes:              s.Nodes,
-		PlannedGenLen:      s.PlannedGenLen,
-		PlanFingerprint:    s.PlanFingerprint,
-		Calibration:        s.Calibration,
-	}, "", "  ")
+	w := stateWire(*s)
+	w.Plan = nil
+	doc, err := json.MarshalIndent(w, "", "  ")
 	if err != nil || s.Plan == nil {
 		return doc, err
 	}
@@ -172,38 +158,47 @@ func Write(w io.Writer, s *State) error {
 
 // Read strictly decodes a checkpoint: unknown fields are an error (a field
 // this build does not understand cannot be silently dropped from campaign
-// state), so is anything but whitespace after the document, and a version
-// other than Version is rejected.
+// state), so is anything but whitespace after the document, a version other
+// than Version, and a value no campaign can hold (see check).
 func Read(r io.Reader) (*State, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var in stateJSON
-	if err := dec.Decode(&in); err != nil {
+	s := new(State)
+	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
 	// Token, not More: More reports a stray ']' as the end of the input.
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("checkpoint: decode: trailing data after the checkpoint")
 	}
-	if in.Version != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (this build reads %d)", in.Version, Version)
+	if s.Version != Version {
+		return nil, fmt.Errorf("checkpoint: unsupported version %d (this build reads %d)", s.Version, Version)
 	}
-	return &State{
-		Version:            in.Version,
-		Iteration:          in.Iteration,
-		Replans:            in.Replans,
-		Switches:           in.Switches,
-		WorkerFailures:     in.WorkerFailures,
-		SwitchCostV:        in.SwitchCostV,
-		TotalMakespanV:     in.TotalMakespanV,
-		PendingSwitchCostV: in.PendingSwitchCostV,
-		Drifted:            in.Drifted,
-		Nodes:              in.Nodes,
-		PlannedGenLen:      in.PlannedGenLen,
-		Plan:               in.Plan,
-		PlanFingerprint:    in.PlanFingerprint,
-		Calibration:        in.Calibration,
-	}, nil
+	if err := s.check(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return s, nil
+}
+
+// check enforces the ranges campaign state lives in, by the rules the
+// Trainer's config validation applies to the same quantities: no Campaign
+// number is negative, and the campaign runs on at least one node at a
+// non-negative generation length.
+func (s *State) check() error {
+	c := reflect.ValueOf(s.Campaign)
+	for i := 0; i < c.NumField(); i++ {
+		f := c.Field(i)
+		if f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
+			return fmt.Errorf("%s = %v must not be negative", c.Type().Field(i).Name, f)
+		}
+	}
+	if s.Nodes < 1 {
+		return fmt.Errorf("nodes = %d must be positive", s.Nodes)
+	}
+	if s.PlannedGenLen < 0 {
+		return fmt.Errorf("planned GenLen = %d must not be negative", s.PlannedGenLen)
+	}
+	return nil
 }
 
 // Save writes the checkpoint durably: the bytes go to a temp file in the

@@ -13,19 +13,21 @@ import (
 
 func sampleState() *State {
 	return &State{
-		Iteration:          7,
-		Replans:            3,
-		Switches:           2,
-		WorkerFailures:     1,
-		SwitchCostV:        12.25,
-		TotalMakespanV:     480.5,
-		PendingSwitchCostV: 1.5,
-		Drifted:            true,
-		Nodes:              2,
-		PlannedGenLen:      768,
-		Plan:               json.RawMessage(`{"version":1,"nodes":2}`),
-		PlanFingerprint:    "deadbeefcafe",
-		Calibration:        map[string]float64{"ActorGen": 1.25, "RewInf": 0.9},
+		Campaign: Campaign{
+			Iteration:          7,
+			Replans:            3,
+			Switches:           2,
+			WorkerFailures:     1,
+			SwitchCostV:        12.25,
+			TotalMakespanV:     480.5,
+			PendingSwitchCostV: 1.5,
+			Drifted:            true,
+		},
+		Nodes:           2,
+		PlannedGenLen:   768,
+		Plan:            json.RawMessage(`{"version":1,"nodes":2}`),
+		PlanFingerprint: "deadbeefcafe",
+		Calibration:     map[string]float64{"ActorGen": 1.25, "RewInf": 0.9},
 	}
 }
 
@@ -127,6 +129,41 @@ func TestReadRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestReadRejectsOutOfRange: Read refuses a value no campaign can hold —
+// any Campaign counter or total below zero, fewer than one node, a negative
+// planned GenLen — and accepts planned GenLen 0, which a config without
+// generation (DPO) plans at.
+func TestReadRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*State)
+		ok   bool
+	}{
+		{"iteration", func(s *State) { s.Iteration = -1 }, false},
+		{"replans", func(s *State) { s.Replans = -1 }, false},
+		{"switches", func(s *State) { s.Switches = -1 }, false},
+		{"worker_failures", func(s *State) { s.WorkerFailures = -1 }, false},
+		{"switch_cost_v", func(s *State) { s.SwitchCostV = -0.5 }, false},
+		{"total_makespan_v", func(s *State) { s.TotalMakespanV = -1e-9 }, false},
+		{"pending_switch_cost_v", func(s *State) { s.PendingSwitchCostV = -2 }, false},
+		{"nodes", func(s *State) { s.Nodes = 0 }, false},
+		{"planned_gen_len", func(s *State) { s.PlannedGenLen = -1 }, false},
+		{"planned_gen_len zero", func(s *State) { s.PlannedGenLen = 0 }, true},
+		{"counters zero", func(s *State) { s.Campaign = Campaign{} }, true},
+	} {
+		s := sampleState()
+		c.edit(s)
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(&buf)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Read err = %v, want accepted = %v", c.name, err, c.ok)
+		}
+	}
+}
+
 // TestVersionSkewRejected on both sides: Read refuses other versions, and
 // Write refuses to emit a version this build does not produce.
 func TestVersionSkewRejected(t *testing.T) {
@@ -176,10 +213,31 @@ func TestSaveAtomicReplace(t *testing.T) {
 	}
 }
 
+// referenceJSON is the checkpoint's wire layout as a flat struct, one
+// field per key in file order: the layout State's tags and its inlined
+// Campaign must keep, so checkpoints written before Campaign was split out
+// stay byte-identical.
+type referenceJSON struct {
+	Version            int                `json:"version"`
+	Iteration          int                `json:"iteration"`
+	Replans            int                `json:"replans"`
+	Switches           int                `json:"switches"`
+	WorkerFailures     int                `json:"worker_failures"`
+	SwitchCostV        float64            `json:"switch_cost_v"`
+	TotalMakespanV     float64            `json:"total_makespan_v"`
+	PendingSwitchCostV float64            `json:"pending_switch_cost_v"`
+	Drifted            bool               `json:"drifted,omitempty"`
+	Nodes              int                `json:"nodes"`
+	PlannedGenLen      int                `json:"planned_gen_len"`
+	Plan               json.RawMessage    `json:"plan"`
+	PlanFingerprint    string             `json:"plan_fingerprint"`
+	Calibration        map[string]float64 `json:"calibration,omitempty"`
+}
+
 // indentReference is the encoding MarshalJSON must reproduce byte for byte:
-// json.MarshalIndent of the whole wire document, plan included.
+// json.MarshalIndent of the whole reference document, plan included.
 func indentReference(s *State) ([]byte, error) {
-	return json.MarshalIndent(stateJSON{
+	return json.MarshalIndent(referenceJSON{
 		Version:            s.Version,
 		Iteration:          s.Iteration,
 		Replans:            s.Replans,
@@ -258,19 +316,21 @@ func TestMarshalMatchesIndentReference(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		s := &State{
-			Version:            Version,
-			Iteration:          rng.Intn(1 << 20),
-			Replans:            rng.Intn(100),
-			Switches:           rng.Intn(100),
-			WorkerFailures:     rng.Intn(4),
-			SwitchCostV:        rng.Float64() * 100,
-			TotalMakespanV:     rng.ExpFloat64() * 1e5,
-			PendingSwitchCostV: []float64{0, rng.Float64(), 1e-7}[rng.Intn(3)],
-			Drifted:            rng.Intn(2) == 0,
-			Nodes:              1 + rng.Intn(16),
-			PlannedGenLen:      rng.Intn(4096),
-			Plan:               plan(),
-			PlanFingerprint:    word(),
+			Version: Version,
+			Campaign: Campaign{
+				Iteration:          rng.Intn(1 << 20),
+				Replans:            rng.Intn(100),
+				Switches:           rng.Intn(100),
+				WorkerFailures:     rng.Intn(4),
+				SwitchCostV:        rng.Float64() * 100,
+				TotalMakespanV:     rng.ExpFloat64() * 1e5,
+				PendingSwitchCostV: []float64{0, rng.Float64(), 1e-7}[rng.Intn(3)],
+				Drifted:            rng.Intn(2) == 0,
+			},
+			Nodes:           1 + rng.Intn(16),
+			PlannedGenLen:   rng.Intn(4096),
+			Plan:            plan(),
+			PlanFingerprint: word(),
 		}
 		switch rng.Intn(3) {
 		case 1:
@@ -305,4 +365,57 @@ func checkMarshalMatches(t *testing.T, s *State) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("plan %q: MarshalJSON differs from the MarshalIndent reference:\n%s\nvs\n%s", s.Plan, got, want)
 	}
+}
+
+// FuzzCheckpointRead: Read never panics, and every document it accepts
+// survives the codec — Write then Read gives an equal State, and writing
+// that State again gives the same bytes. The seed corpus in
+// testdata/fuzz/FuzzCheckpointRead holds sampleState's checkpoint and one a
+// Trainer wrote after a two-iteration GenLen ramp.
+func FuzzCheckpointRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := Read(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := Write(&first, s); err != nil {
+			t.Fatalf("an accepted checkpoint does not write: %v", err)
+		}
+		got, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a written checkpoint does not read back: %v\n%s", err, first.Bytes())
+		}
+		if a, b := canonical(t, s), canonical(t, got); !reflect.DeepEqual(a, b) {
+			t.Fatalf("Write then Read changed the state:\n got %+v\nwant %+v", b, a)
+		}
+		var second bytes.Buffer
+		if err := Write(&second, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not bit-stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// canonical returns s with the representation choices Write makes taken
+// out: the plan as its compact, HTML-escaped JSON value (null when absent)
+// and an empty calibration as none, both of which Write encodes alike.
+func canonical(t *testing.T, s *State) State {
+	t.Helper()
+	c := *s
+	if c.Plan == nil {
+		c.Plan = json.RawMessage("null")
+	}
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, c.Plan); err != nil {
+		t.Fatalf("plan %q: %v", c.Plan, err)
+	}
+	json.HTMLEscape(&escaped, compact.Bytes())
+	c.Plan = escaped.Bytes()
+	if len(c.Calibration) == 0 {
+		c.Calibration = nil
+	}
+	return c
 }

@@ -20,8 +20,9 @@ import (
 )
 
 // ClusterConfig configures a Planner session. Like ExperimentConfig it is a
-// wire type: MarshalJSON emits the canonical defaults-applied form (see
-// wire.go), which is what cmd/realserve logs and serves.
+// wire type (see wire.go): MarshalJSON emits the canonical defaults-applied
+// form, the settings NewPlanner runs with, and UnmarshalJSON decodes
+// strictly.
 type ClusterConfig struct {
 	// Nodes is the default number of 8-GPU hosts for requests that leave
 	// ExperimentConfig.Nodes at 0. A request carrying its own Nodes value

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"realhf/internal/checkpoint"
 	"realhf/internal/runtime"
 )
 
@@ -279,6 +280,135 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	other.RPCs = PPORPCs("llama13b", "llama13b-critic")
 	if _, err := planner.ResumeTrain(ctx, bytes.NewReader(good.Bytes()), other); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("model mismatch: %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestResumeRejectsNegativeCounters: a checkpoint whose counters or totals
+// were edited below zero wraps ErrInvalidConfig, one field at a time. One
+// resumed at iteration -1 used to start, and its next Step handed -1 to the
+// GenLen schedule, which panics when the schedule indexes a slice by
+// iteration.
+func TestResumeRejectsNegativeCounters(t *testing.T) {
+	ctx := context.Background()
+	planner := NewPlanner(ClusterConfig{})
+	tr, err := planner.Train(ctx, trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := tr.Checkpoint(&good); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field string
+		edit  func(*checkpoint.State)
+	}{
+		{"iteration", func(s *checkpoint.State) { s.Iteration = -1 }},
+		{"replans", func(s *checkpoint.State) { s.Replans = -1 }},
+		{"switches", func(s *checkpoint.State) { s.Switches = -1 }},
+		{"worker_failures", func(s *checkpoint.State) { s.WorkerFailures = -1 }},
+		{"switch_cost_v", func(s *checkpoint.State) { s.SwitchCostV = -1 }},
+		{"total_makespan_v", func(s *checkpoint.State) { s.TotalMakespanV = -1 }},
+		{"pending_switch_cost_v", func(s *checkpoint.State) { s.PendingSwitchCostV = -1 }},
+	} {
+		state, err := checkpoint.Read(bytes.NewReader(good.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(state)
+		var bad bytes.Buffer
+		if err := checkpoint.Write(&bad, state); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := planner.ResumeTrain(ctx, &bad, trainerConfig())
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("negative %s: ResumeTrain = %v, want ErrInvalidConfig", c.field, err)
+		}
+		if resumed != nil {
+			resumed.Close()
+		}
+	}
+}
+
+// TestTrainerPanickingScheduleReleasesSession: a GenLen schedule that panics
+// inside Step panics the caller, and the session stays usable: Close
+// returns instead of waiting forever on the lock the step held.
+func TestTrainerPanickingScheduleReleasesSession(t *testing.T) {
+	ctx := context.Background()
+	walk := []int{256}
+	tr, err := NewPlanner(ClusterConfig{}).Train(ctx, trainerConfig(),
+		WithGenLenSchedule(func(i int) int { return walk[i] }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Step past the schedule's end did not panic")
+			}
+		}()
+		tr.Step(ctx)
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- tr.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still blocked 10s after a Step panicked: the step left the session locked")
+	}
+}
+
+// TestResumeGenLenZeroCampaign: validate accepts GenLen 0, and a DPO
+// campaign configured that way trains, steps and checkpoints, so resuming
+// its own checkpoint must work too, and replay the uninterrupted session's
+// next step.
+func TestResumeGenLenZeroCampaign(t *testing.T) {
+	ctx := context.Background()
+	cfg := ExperimentConfig{
+		Nodes: 1, BatchSize: 128, PromptLen: 256,
+		RPCs: DPORPCs("llama7b"), SearchSteps: 300, Seed: 1,
+	}
+	orig, err := NewPlanner(ClusterConfig{}).Train(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	if _, err := orig.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := orig.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ckpt.String(), `"planned_gen_len": 0,`) {
+		t.Fatalf("the campaign did not plan at GenLen 0:\n%s", ckpt.Bytes())
+	}
+	cont, err := orig.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewPlanner(ClusterConfig{}).ResumeTrain(ctx, &ckpt, cfg)
+	if err != nil {
+		t.Fatalf("resuming a GenLen-0 campaign from its own checkpoint: %v", err)
+	}
+	defer resumed.Close()
+	rep, err := resumed.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Iter != cont.Iter || rep.PlanFingerprint != cont.PlanFingerprint || rep.MakespanV != cont.MakespanV {
+		t.Fatalf("resumed step %d (%s, %.6f) != uninterrupted step %d (%s, %.6f)",
+			rep.Iter, rep.PlanFingerprint, rep.MakespanV, cont.Iter, cont.PlanFingerprint, cont.MakespanV)
 	}
 }
 

@@ -46,24 +46,20 @@ func (t *Trainer) checkpointLocked() (*checkpoint.State, error) {
 		return nil, fmt.Errorf("realhf: %w", ErrTrainerClosed)
 	}
 	inc := t.incumbentLocked()
+	if inc.bytes == nil && inc.err == nil {
+		inc.bytes, inc.err = inc.plan.MarshalJSON()
+	}
 	if inc.err != nil {
 		return nil, fmt.Errorf("realhf: checkpoint: marshal plan: %w", inc.err)
 	}
 	return &checkpoint.State{
-		Version:            checkpoint.Version,
-		Iteration:          t.iter,
-		Replans:            t.replans,
-		Switches:           t.switches,
-		WorkerFailures:     t.workerFailures,
-		SwitchCostV:        t.switchCostV,
-		TotalMakespanV:     t.totalV,
-		PendingSwitchCostV: t.pendingSwitchCost,
-		Drifted:            t.drifted,
-		Nodes:              t.base.Nodes,
-		PlannedGenLen:      t.plannedCfg.GenLen,
-		Plan:               inc.bytes,
-		PlanFingerprint:    inc.fingerprint,
-		Calibration:        t.calib.Factors(),
+		Version:         checkpoint.Version,
+		Campaign:        t.durable,
+		Nodes:           t.base.Nodes,
+		PlannedGenLen:   t.plannedGenLen,
+		Plan:            inc.bytes,
+		PlanFingerprint: inc.fingerprint,
+		Calibration:     t.calib.Factors(),
 	}, nil
 }
 
@@ -79,7 +75,9 @@ func (t *Trainer) checkpointLocked() (*checkpoint.State, error) {
 // before the crash carry over), and its plan must validate against the
 // config's cluster shape, model cast and stored fingerprint — any
 // disagreement wraps ErrInvalidConfig, because a checkpoint resumed under
-// the wrong config can never succeed.
+// the wrong config can never succeed. So does a checkpoint no campaign
+// could have written: a negative counter or total, fewer than one node, a
+// negative planned GenLen or an invalid calibration factor.
 func (p *Planner) ResumeTrain(ctx context.Context, r io.Reader, cfg ExperimentConfig, opts ...TrainOption) (*Trainer, error) {
 	state, err := checkpoint.Read(r)
 	if err != nil {
@@ -101,12 +99,7 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("realhf: resume cancelled: %w: %w", err, ErrSolveCanceled)
 	}
-	if state.Nodes <= 0 {
-		return nil, fmt.Errorf("realhf: resume: checkpoint records %d nodes: %w", state.Nodes, ErrInvalidConfig)
-	}
-	if state.PlannedGenLen <= 0 {
-		return nil, fmt.Errorf("realhf: resume: checkpoint records planned GenLen %d: %w", state.PlannedGenLen, ErrInvalidConfig)
-	}
+	// checkpoint.Read range-checked the counters, scale and planned GenLen.
 	for name, f := range state.Calibration {
 		if err := estimator.CheckFactor(name, f); err != nil {
 			return nil, fmt.Errorf("realhf: resume: %w: %w", err, ErrInvalidConfig)
@@ -139,14 +132,9 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 		return nil, fmt.Errorf("realhf: resume: plan fingerprint %s does not match checkpointed %s: %w",
 			fp, state.PlanFingerprint, ErrInvalidConfig)
 	}
-	if err := t.start(plan, plannedCfg); err != nil {
+	if err := t.start(plan, state.PlannedGenLen); err != nil {
 		return nil, err
 	}
-	t.drifted = state.Drifted
-	t.iter = state.Iteration
-	t.replans, t.switches = state.Replans, state.Switches
-	t.workerFailures = state.WorkerFailures
-	t.switchCostV, t.totalV = state.SwitchCostV, state.TotalMakespanV
-	t.pendingSwitchCost = state.PendingSwitchCostV
+	t.durable = state.Campaign
 	return t, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"realhf/internal/checkpoint"
 	"realhf/internal/core"
 	"realhf/internal/estimator"
 	"realhf/internal/hardware"
@@ -60,25 +61,22 @@ type Trainer struct {
 	pool *runtime.WorkerPool
 	hw   hardware.Cluster // execution cluster (run-option scaling applied)
 
-	plan       *core.Plan       // current execution plan (assignments)
-	plannedCfg ExperimentConfig // config the current plan was last (re)considered at
-	calib      *estimator.Calibration
-	drifted    bool // profile feedback demands a replan before the next iteration
+	plan          *core.Plan // current execution plan (assignments)
+	plannedGenLen int        // GenLen the current plan was last (re)considered at
+	calib         *estimator.Calibration
 
 	// steady is what the last step derived from its inputs (stepKey):
 	// a step with the same inputs reuses it and goes straight to Reset
 	// and Execute.
 	steady *stepState
-	// inc is what Stats and checkpoints derive from the incumbent plan.
+	// inc is what step reports, Stats and checkpoints derive from the
+	// incumbent plan.
 	inc *incumbent
 
-	iter              int
-	replans, switches int
-	workerFailures    int
-	switchCostV       float64
-	totalV            float64
-	pendingSwitchCost float64
-	closed            bool
+	// durable is the session's counters, accounting and drift flag: what
+	// checkpoints carry beyond the plan, scale and calibration.
+	durable checkpoint.Campaign
+	closed  bool
 }
 
 // TrainOption customizes a training session.
@@ -277,7 +275,7 @@ func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...Train
 	if err != nil {
 		return nil, err
 	}
-	if err := t.start(exp.Plan, exp.Config); err != nil {
+	if err := t.start(exp.Plan, exp.Config.GenLen); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -337,9 +335,10 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 	return &Trainer{planner: p, base: cfg, opts: o, run: run}, nil
 }
 
-// start adopts the session's first plan, last (re)considered at plannedCfg,
-// and opens a worker fleet for the plan's run-option-scaled cluster.
-func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
+// start adopts the session's first plan, last (re)considered at
+// plannedGenLen, and opens a worker fleet for the plan's run-option-scaled
+// cluster.
+func (t *Trainer) start(plan *core.Plan, plannedGenLen int) error {
 	hw, err := t.run.scaleCluster(plan.Cluster)
 	if err != nil {
 		return err
@@ -350,7 +349,7 @@ func (t *Trainer) start(plan *core.Plan, plannedCfg ExperimentConfig) error {
 	}
 	pool.SetWorkerTimeout(t.run.WorkerTimeout)
 	t.pool, t.hw = pool, hw
-	t.plan, t.plannedCfg = plan, plannedCfg
+	t.plan, t.plannedGenLen = plan, plannedGenLen
 	return nil
 }
 
@@ -365,11 +364,15 @@ func (t *Trainer) Step(ctx context.Context) (*IterationReport, error) {
 
 // step runs one locked iteration and then streams its report with the lock
 // released, so a WithIterationProgress callback may freely call back into
-// the session (Stats, even Resize) without deadlocking.
+// the session (Stats, even Resize) without deadlocking. The lock is released
+// by a defer, so a caller's schedule or pool factory that panics inside the
+// iteration does not leave the session locked.
 func (t *Trainer) step(ctx context.Context) (*IterationReport, error) {
-	t.mu.Lock()
-	rep, err := t.stepLocked(ctx)
-	t.mu.Unlock()
+	rep, err := func() (*IterationReport, error) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.stepLocked(ctx)
+	}()
 	if err == nil && t.opts.progress != nil {
 		t.opts.progress(*rep)
 	}
@@ -383,7 +386,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("realhf: training step cancelled: %w", err)
 	}
-	iter := t.iter
+	iter := t.durable.Iteration
 	workCfg := t.base
 	if t.opts.genLen != nil {
 		g := t.opts.genLen(iter)
@@ -394,7 +397,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	}
 
 	report := IterationReport{Iter: iter, GenLen: workCfg.GenLen, Nodes: workCfg.Nodes}
-	if !t.opts.frozen && (workCfg.GenLen != t.plannedCfg.GenLen || t.drifted) {
+	if !t.opts.frozen && (workCfg.GenLen != t.plannedGenLen || t.durable.Drifted) {
 		switched, cached, err := t.replanLocked(ctx, workCfg)
 		if err != nil {
 			return nil, err
@@ -459,8 +462,8 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	report.EstCallTimes = maps.Clone(st.est.CallTimes)
 	report.OOM = rep.OOM
 	report.Errors = rep.Errors
-	report.PlanFingerprint = st.fingerprint
-	report.ReallocSwitchCost = t.pendingSwitchCost
+	report.PlanFingerprint = t.incumbentLocked().fingerprint
+	report.ReallocSwitchCost = t.durable.PendingSwitchCostV
 	if !rep.OOM {
 		report.ThroughputPFLOPs = estimator.Throughput(st.exec, rep.MakespanV)
 	}
@@ -474,14 +477,15 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 		report.Drift = drift
 		if !t.opts.frozen {
 			t.calib = next
-			t.drifted = drift > t.opts.threshold
+			t.durable.Drifted = drift > t.opts.threshold
 		}
 	}
 
-	t.totalV += rep.MakespanV + t.pendingSwitchCost
-	t.switchCostV += t.pendingSwitchCost
-	t.pendingSwitchCost = 0
-	t.iter++
+	d := &t.durable
+	d.TotalMakespanV += rep.MakespanV + d.PendingSwitchCostV
+	d.SwitchCostV += d.PendingSwitchCostV
+	d.PendingSwitchCostV = 0
+	d.Iteration++
 	return &report, nil
 }
 
@@ -530,7 +534,7 @@ func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (s
 	if err != nil {
 		return false, false, err
 	}
-	t.replans++
+	t.durable.Replans++
 	adopt := false
 	if exp.Plan.Fingerprint() != t.plan.Fingerprint() {
 		cost := realloc.SwitchCost(t.plan, exp.Plan, t.hw)
@@ -542,13 +546,13 @@ func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (s
 			adopt = exp.Estimate.Cost+cost < staleEst.Cost
 		}
 		if adopt {
-			t.pendingSwitchCost += cost
+			t.durable.PendingSwitchCostV += cost
 			t.plan = exp.Plan
-			t.switches++
+			t.durable.Switches++
 		}
 	}
-	t.plannedCfg = exp.Config
-	t.drifted = false
+	t.plannedGenLen = exp.Config.GenLen
+	t.durable.Drifted = false
 	return adopt, exp.Cached, nil
 }
 
@@ -565,7 +569,7 @@ func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (s
 func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, report *IterationReport, lost *runtime.ErrWorkerLost) error {
 	report.WorkerLost = true
 	report.LostGPUs = append(report.LostGPUs, lost.GPU)
-	t.workerFailures++
+	t.durable.WorkerFailures++
 	if t.base.Nodes <= 1 {
 		return fmt.Errorf("realhf: iteration %d: worker gpu %d lost and no surviving nodes remain: %w: %w",
 			report.Iter, lost.GPU, ErrWorkerLost, lost)
@@ -621,14 +625,13 @@ type stepKey struct {
 }
 
 // stepState is what a step derives from its stepKey: the incumbent
-// instantiated for the step's workload, its estimate, fingerprint and
-// compiled program. It is immutable once built.
+// instantiated for the step's workload, its estimate and compiled program.
+// It is immutable once built.
 type stepState struct {
-	key         stepKey
-	exec        *core.Plan
-	est         *estimator.Result
-	fingerprint string
-	prog        *runtime.Program
+	key  stepKey
+	exec *core.Plan
+	est  *estimator.Result
+	prog *runtime.Program
 }
 
 // stepStateLocked returns what the step at workCfg executes, deriving it only
@@ -646,16 +649,17 @@ func (t *Trainer) stepStateLocked(workCfg ExperimentConfig, opts runtime.Options
 	}
 	prog, err := runtime.Compile(exec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("realhf: iteration %d failed: %w", t.iter, err)
+		return nil, fmt.Errorf("realhf: iteration %d failed: %w", t.durable.Iteration, err)
 	}
-	t.steady = &stepState{key: key, exec: exec, est: est, fingerprint: exec.Fingerprint(), prog: prog}
+	t.steady = &stepState{key: key, exec: exec, est: est, prog: prog}
 	return t.steady, nil
 }
 
-// incumbent is what Stats and checkpoints derive from one incumbent plan:
-// its fingerprint and its SavePlan bytes (or the error marshaling them). A
-// plan change replaces it rather than updating it, because Checkpoint
-// writes the bytes after releasing t.mu.
+// incumbent is what step reports, Stats and checkpoints derive from one
+// incumbent plan: its fingerprint, and its SavePlan bytes (or the error
+// marshaling them), which the plan's first checkpoint fills in and never
+// changes. A plan change replaces it rather than updating it, because
+// Checkpoint writes the bytes after releasing t.mu.
 type incumbent struct {
 	plan        *core.Plan
 	fingerprint string
@@ -663,13 +667,11 @@ type incumbent struct {
 	err         error
 }
 
-// incumbentLocked returns the incumbent's derived state, computing it once
-// per adopted plan.
+// incumbentLocked returns the incumbent's derived state, fingerprinting it
+// once per adopted plan.
 func (t *Trainer) incumbentLocked() *incumbent {
 	if t.inc == nil || t.inc.plan != t.plan {
-		inc := &incumbent{plan: t.plan, fingerprint: t.plan.Fingerprint()}
-		inc.bytes, inc.err = t.plan.MarshalJSON()
-		t.inc = inc
+		t.inc = &incumbent{plan: t.plan, fingerprint: t.plan.Fingerprint()}
 	}
 	return t.inc
 }
@@ -728,9 +730,9 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 	// execute: with an active schedule, the upcoming iteration's length —
 	// not the pre-resize one — or the very next Step would immediately
 	// replan (and possibly charge a second switch) on the fresh mesh.
-	newCfg.GenLen = t.plannedCfg.GenLen
+	newCfg.GenLen = t.plannedGenLen
 	if t.opts.genLen != nil {
-		if g := t.opts.genLen(t.iter); g > 0 {
+		if g := t.opts.genLen(t.durable.Iteration); g > 0 {
 			newCfg.GenLen = g
 		}
 	}
@@ -761,7 +763,7 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	if newHW.NumGPUs() > priceHW.NumGPUs() {
 		priceHW = newHW
 	}
-	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
+	t.durable.PendingSwitchCostV += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
 	if err := t.pool.Close(); err != nil {
 		return fmt.Errorf("closing worker fleet: %w", err)
 	}
@@ -771,13 +773,13 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 	}
 	pool.SetWorkerTimeout(t.run.WorkerTimeout)
 	t.pool = pool
-	t.replans++
-	t.switches++
+	t.durable.Replans++
+	t.durable.Switches++
 	t.base.Nodes = nodes
-	t.plannedCfg = exp.Config
+	t.plannedGenLen = exp.Config.GenLen
 	t.plan = exp.Plan
 	t.hw = newHW
-	t.drifted = false
+	t.durable.Drifted = false
 	return nil
 }
 
@@ -785,13 +787,14 @@ func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
 func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	d := t.durable
 	return TrainerStats{
-		Iterations:         t.iter,
-		Replans:            t.replans,
-		Switches:           t.switches,
-		SwitchCostV:        t.switchCostV,
-		TotalMakespanV:     t.totalV,
-		WorkerFailures:     t.workerFailures,
+		Iterations:         d.Iteration,
+		Replans:            d.Replans,
+		Switches:           d.Switches,
+		SwitchCostV:        d.SwitchCostV,
+		TotalMakespanV:     d.TotalMakespanV,
+		WorkerFailures:     d.WorkerFailures,
 		Nodes:              t.base.Nodes,
 		PlanFingerprint:    t.incumbentLocked().fingerprint,
 		CalibrationFactors: t.calib.Factors(),
