@@ -32,12 +32,13 @@ func (s PackageScope) importPath() string {
 
 // DeterministicScopes lists the packages whose code must be
 // byte-reproducible: plans, timelines, fingerprints and cache keys are all
-// derived here, so a single unsorted map iteration or wall-clock read can
-// poison the shared caches (DESIGN.md "Determinism contract"). maporder
-// and wallclock apply to exactly this set. In the root package only the
+// derived here, from the graphs internal/dfg lowers, so a single unsorted
+// map iteration or wall-clock read can poison the shared caches (DESIGN.md
+// "Determinism contract"). maporder and wallclock apply to exactly this set. In the root package only the
 // canonical codec and fingerprint files are deterministic surface — the
 // planner/trainer session machinery legitimately measures wall time.
 var DeterministicScopes = []PackageScope{
+	{Path: "internal/dfg"},
 	{Path: "internal/core"},
 	{Path: "internal/search"},
 	{Path: "internal/estimator"},

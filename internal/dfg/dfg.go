@@ -1,11 +1,11 @@
 // Package dfg implements the paper's dataflow graphs (§4): RLHF workflows
 // decomposed into model function calls — generation, inference, and training
 // tasks on independent LLMs — with data and parameter-version dependencies.
-// BuildPPO builds the Fig. 4 PPO graph the internal experiments, tests and
+// Lower is the one wiring rule: every graph is a table of calls lowered by
+// it. BuildPPO is the Fig. 4 PPO table the internal experiments, tests and
 // golden plans use; every other workflow (the DPO, GRPO and ReMax presets
-// of Fig. 16, and custom ones) is lowered from the public API's model
-// function call definitions onto NewGraph/AddNode/AddEdge. PaperSpec is the
-// paper's Appendix A workload.
+// of Fig. 16, and custom ones) is translated from the public API's model
+// function call definitions. PaperSpec is the paper's Appendix A workload.
 package dfg
 
 import (
@@ -94,7 +94,7 @@ func (n *Node) UpdateBatch() int {
 type Graph struct {
 	Nodes []*Node
 	// Algo names the workflow: "ppo" for BuildPPO, "custom" for graphs
-	// lowered from the public API's call definitions.
+	// translated from the public API's call definitions.
 	Algo string
 
 	parents  map[int][]int
@@ -265,38 +265,72 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// BuildPPO constructs the PPO dataflow graph of Fig. 4: per iteration,
-// ActorGen → {RewInf, RefInf, CriticInf} → {ActorTrain, CriticTrain}, with
-// parameter-version edges ActorTrain(t)→ActorGen(t+1) and
-// CriticTrain(t)→CriticInf(t+1).
-func BuildPPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("ppo")
-	var prevActorTrain, prevCriticTrain *Node
-	gen := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	inf := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen, MiniBatches: s.MiniBatches}
-	for t := 0; t < s.Iterations; t++ {
-		actorGen := g.AddNode("ActorGen", Actor, Generate, t, gen)
-		rewInf := g.AddNode("RewInf", Reward, Inference, t, inf)
-		refInf := g.AddNode("RefInf", Ref, Inference, t, inf)
-		criticInf := g.AddNode("CriticInf", Critic, Inference, t, inf)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		criticTrain := g.AddNode("CriticTrain", Critic, Train, t, train)
+// Call is one model function call of a workflow table, in the form Lower
+// wires: its name, the role it runs on, its type, its resolved workload,
+// and the named data it consumes and produces.
+type Call struct {
+	Name    string
+	Role    Role
+	Type    CallType
+	Work    Workload
+	Inputs  []string
+	Outputs []string
+}
 
-		for _, infNode := range []*Node{rewInf, refInf, criticInf} {
-			g.AddEdge(actorGen, infNode)
-			g.AddEdge(infNode, actorTrain)
-			g.AddEdge(infNode, criticTrain)
+// Lower wires iterations consecutive copies of a call table into a graph.
+// Within an iteration each call gets one data edge from each distinct
+// producer of its inputs: the last other call listing that output. Across
+// iterations a parameter-version edge runs from a role's last Train call to
+// every call of that role in the next iteration. Graph.Validate, not Lower,
+// rejects a repeated call name or a cycle.
+func Lower(algo string, calls []Call, iterations int) *Graph {
+	producer := make(map[string]int, len(calls))
+	lastTrain := map[Role]int{}
+	for i, c := range calls {
+		for _, out := range c.Outputs {
+			producer[out] = i
 		}
-		if prevActorTrain != nil {
-			g.AddEdge(prevActorTrain, actorGen)
+		if c.Type == Train {
+			lastTrain[c.Role] = i
 		}
-		if prevCriticTrain != nil {
-			g.AddEdge(prevCriticTrain, criticInf)
-			g.AddEdge(prevCriticTrain, criticTrain)
+	}
+	g := NewGraph(algo)
+	for t := 0; t < iterations; t++ {
+		for _, c := range calls {
+			g.AddNode(c.Name, c.Role, c.Type, t, c.Work)
 		}
-		prevActorTrain, prevCriticTrain = actorTrain, criticTrain
+		cur := g.Nodes[t*len(calls):]
+		for i, c := range calls {
+			for _, in := range c.Inputs {
+				if j, ok := producer[in]; ok && j != i && !slices.Contains(g.parents[cur[i].ID], cur[j].ID) {
+					g.AddEdge(cur[j], cur[i])
+				}
+			}
+		}
+		for i, c := range calls {
+			if j, ok := lastTrain[c.Role]; ok && t > 0 {
+				g.AddEdge(g.Nodes[(t-1)*len(calls)+j], cur[i])
+			}
+		}
 	}
 	return g
+}
+
+// BuildPPO lowers the PPO workflow of Fig. 4: per iteration, ActorGen →
+// {RewInf, RefInf, CriticInf} → {ActorTrain, CriticTrain}, with
+// parameter-version edges from each iteration's ActorTrain and CriticTrain
+// to every call of the same role in the next.
+func BuildPPO(s Spec) *Graph {
+	s = s.withDefaults()
+	w := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
+	train := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen, MiniBatches: s.MiniBatches}
+	scores := []string{"r", "ref_logp", "v"}
+	return Lower("ppo", []Call{
+		{Name: "ActorGen", Role: Actor, Type: Generate, Work: w, Outputs: []string{"seq"}},
+		{Name: "RewInf", Role: Reward, Type: Inference, Work: w, Inputs: []string{"seq"}, Outputs: []string{"r"}},
+		{Name: "RefInf", Role: Ref, Type: Inference, Work: w, Inputs: []string{"seq"}, Outputs: []string{"ref_logp"}},
+		{Name: "CriticInf", Role: Critic, Type: Inference, Work: w, Inputs: []string{"seq"}, Outputs: []string{"v"}},
+		{Name: "ActorTrain", Role: Actor, Type: Train, Work: train, Inputs: scores},
+		{Name: "CriticTrain", Role: Critic, Type: Train, Work: train, Inputs: scores},
+	}, s.Iterations)
 }

@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,44 @@ func TestTopoSortRespectsDependencies(t *testing.T) {
 			if pos[p.ID] >= pos[n.ID] {
 				t.Fatalf("topo order violates edge %s(%d) -> %s(%d)", p.Name, p.Iter, n.Name, n.Iter)
 			}
+		}
+	}
+}
+
+// TestLowerWiringRules pins the rules Lower documents on a table that
+// exercises each: a call reading several outputs of one producer gets one
+// edge, its own output and an input no call produces get none, the last
+// producer of a name wins, and version edges leave the role's last Train
+// call for every call of the role in the next iteration.
+func TestLowerWiringRules(t *testing.T) {
+	w := Workload{Batch: 8}
+	g := Lower("rules", []Call{
+		{Name: "Gen", Role: Actor, Type: Generate, Work: w, Inputs: []string{"prompts"}, Outputs: []string{"seq", "logp"}},
+		{Name: "Score", Role: Reward, Type: Inference, Work: w, Inputs: []string{"seq", "logp", "s"}, Outputs: []string{"s", "r"}},
+		{Name: "Rescore", Role: Reward, Type: Inference, Work: w, Inputs: []string{"seq"}, Outputs: []string{"r"}},
+		{Name: "Warmup", Role: Actor, Type: Train, Work: w, Inputs: []string{"r"}},
+		{Name: "Train", Role: Actor, Type: Train, Work: w, Inputs: []string{"seq", "r", "logp"}},
+	}, 2)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	parents := func(n *Node) []string {
+		var out []string
+		for _, p := range g.Parents(n) {
+			out = append(out, fmt.Sprintf("%s@%d", p.Name, p.Iter))
+		}
+		return out
+	}
+	want := map[string][]string{
+		"Gen@0": nil, "Score@0": {"Gen@0"}, "Rescore@0": {"Gen@0"},
+		"Warmup@0": {"Rescore@0"}, "Train@0": {"Gen@0", "Rescore@0"},
+		"Gen@1": {"Train@0"}, "Score@1": {"Gen@1"}, "Rescore@1": {"Gen@1"},
+		"Warmup@1": {"Rescore@1", "Train@0"}, "Train@1": {"Gen@1", "Rescore@1", "Train@0"},
+	}
+	for _, n := range g.Nodes {
+		key := fmt.Sprintf("%s@%d", n.Name, n.Iter)
+		if got := parents(n); !slices.Equal(got, want[key]) {
+			t.Errorf("%s parents = %v, want %v", key, got, want[key])
 		}
 	}
 }

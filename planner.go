@@ -72,17 +72,21 @@ type planEntry struct {
 	answer atomic.Pointer[[]byte]
 }
 
-// problemState is what the planner keeps per distinct problem: the
-// estimator over the problem's role→coster mapping and the plan-level
-// estimate memo every request for this problem shares. Solves store their
-// winner's estimate in it; the traffic it answers is re-attachment (attach,
-// which a Trainer runs twice per replan on the same incumbent) and repeated
-// Heuristic or stored-plan estimates. (A CostCache is scoped to one
-// problem/estimator pair — see its contract — which is exactly the
-// granularity of this pool.)
+// problemState is what the planner keeps per distinct problem: what its key
+// fixes (the cluster, the lowered graph and the model cast, which every plan
+// of the problem shares read-only), the estimator over the problem's
+// role→coster mapping and the plan-level estimate memo every request for
+// this problem shares. Solves store their winner's estimate in it; the
+// traffic it answers is re-attachment (attach, which a Trainer runs twice
+// per replan on the same incumbent) and repeated Heuristic or stored-plan
+// estimates. (A CostCache is scoped to one problem/estimator pair — see its
+// contract — which is exactly the granularity of this pool.)
 type problemState struct {
-	est   *estimator.Estimator
-	cache *search.CostCache
+	hw     hardware.Cluster
+	graph  *dfg.Graph
+	models map[dfg.Role]core.ModelSpec
+	est    *estimator.Estimator
+	cache  *search.CostCache
 }
 
 // withDefaults resolves the session defaults NewPlanner applies — the
@@ -238,7 +242,8 @@ func (p *Planner) Canonicalize(cfg ExperimentConfig) ExperimentConfig {
 }
 
 // prepare folds options into the config, applies the session defaults and
-// validates both — the shared prologue of Plan and PlanCached.
+// validates both: the one prologue of Plan, PlanCached, Heuristic,
+// LoadExperiment and a Trainer's open.
 func (p *Planner) prepare(cfg ExperimentConfig, opts []AutoOption) (ExperimentConfig, *autoOptions, error) {
 	o := &autoOptions{}
 	for _, fn := range opts {
@@ -287,13 +292,13 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", err, ErrInvalidConfig)
 	}
-	ps, hw, g, models, err := p.problemFor(cfg, o.calib)
+	ps, err := p.problemFor(cfg, o.calib)
 	if err != nil {
 		return nil, err
 	}
-	plan := core.NewPlan(hw, g, models)
+	plan := core.NewPlan(ps.hw, ps.graph, ps.models)
 	var seeds []*core.Plan
-	if heur, err := baselines.BuildHeuristic(hw, g, models); err == nil {
+	if heur, err := baselines.BuildHeuristic(ps.hw, ps.graph, ps.models); err == nil {
 		seeds = append(seeds, heur)
 	}
 	seeds = append(seeds, o.warmStarts...)
@@ -317,7 +322,7 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	}
 	p.planMisses.Add(1) // a completed solve, cacheable or not
 	exp := &Experiment{
-		Config: cfg, Cluster: hw, Plan: sol.Plan,
+		Config: cfg, Cluster: ps.hw, Plan: sol.Plan,
 		Estimate: sol.Estimate, SearchTrace: stats.Trace, SearchStats: stats,
 		runOpts: o.runOpts,
 	}
@@ -415,25 +420,18 @@ func (p *Planner) cachedEntry(cfg ExperimentConfig, opts []AutoOption) (*planEnt
 // estimate the heuristic plan under the overlapped semantics, set
 // cfg.PlanForOverlap — it selects the cost model, not the search.)
 func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experiment, error) {
-	var o autoOptions
-	for _, fn := range opts {
-		fn(&o)
+	cfg, o, err := p.prepare(cfg, opts)
+	if err != nil {
+		return nil, err
 	}
 	if o.progress != nil || o.warmStarts != nil || o.calib != nil || o.calibFactors != nil {
 		return nil, fmt.Errorf("realhf: Heuristic runs no search and accepts only WithRunOptions: %w", ErrInvalidConfig)
 	}
-	cfg = p.merge(cfg).withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	ps, hw, g, models, err := p.problemFor(cfg, nil)
+	ps, err := p.problemFor(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := baselines.BuildHeuristic(hw, g, models)
+	plan, err := baselines.BuildHeuristic(ps.hw, ps.graph, ps.models)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +440,7 @@ func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experime
 		return nil, err
 	}
 	return &Experiment{
-		Config: cfg, Cluster: hw, Plan: plan, Estimate: res, runOpts: o.runOpts,
+		Config: cfg, Cluster: ps.hw, Plan: plan, Estimate: res, runOpts: o.runOpts,
 	}, nil
 }
 
@@ -463,8 +461,8 @@ func (p *Planner) LoadExperiment(path string, cfg ExperimentConfig) (*Experiment
 // loadExperiment rebuilds an Experiment from serialized plan bytes; label
 // names the source (a path, or "plan bytes") in errors.
 func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig) (*Experiment, error) {
-	cfg = p.merge(cfg).withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, _, err := p.prepare(cfg, nil)
+	if err != nil {
 		return nil, err
 	}
 	plan, res, err := p.loadPlan(data, "plan "+label, cfg, nil)
@@ -476,17 +474,17 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 
 // loadPlan decodes a stored plan (a saved plan file, plan bytes off the
 // wire, a checkpoint's incumbent) for cfg's problem: the stored cluster
-// shape and model cast must agree with cfg, and the assignments are
-// re-attached to cfg's own graph and models. Every rejection wraps
-// ErrInvalidConfig — a malformed or invalid stored plan (including a legacy
+// shape and model cast must agree with cfg, and the assignments are decoded
+// onto and re-attached to the graph and models of cfg's problem entry. Every
+// rejection wraps ErrInvalidConfig — a malformed or invalid stored plan (including a legacy
 // offload_when_idle mark on a trainable role) can never succeed on retry, so
 // serve maps it to HTTP 400. label names the source in errors.
 func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, calib *estimator.Calibration) (*core.Plan, *estimator.Result, error) {
-	g, models, err := buildGraph(cfg)
+	ps, err := p.problemFor(cfg, calib)
 	if err != nil {
 		return nil, nil, err
 	}
-	loaded, err := core.UnmarshalPlan(data, g)
+	loaded, err := core.UnmarshalPlan(data, ps.graph)
 	if err != nil {
 		return nil, nil, fmt.Errorf("realhf: %s: %w: %w", label, err, ErrInvalidConfig)
 	}
@@ -494,7 +492,7 @@ func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, cali
 		return nil, nil, fmt.Errorf("realhf: %s was saved for a %d-node×%d-GPU cluster, config describes %d×%d: %w",
 			label, loaded.Cluster.Nodes, loaded.Cluster.GPUsPerNode, cfg.Nodes, cfg.GPUsPerNode, ErrInvalidConfig)
 	}
-	for role, ms := range models {
+	for role, ms := range ps.models {
 		lm, ok := loaded.Models[role]
 		if !ok || lm.Cfg.Name != ms.Cfg.Name {
 			return nil, nil, fmt.Errorf("realhf: %s disagrees with the config about model %q: %w", label, role, ErrInvalidConfig)
@@ -507,18 +505,18 @@ func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, cali
 	return plan, res, nil
 }
 
-// attach builds cfg's plan — its own cluster, graph and models — carrying
-// the given assignments, validates it and estimates it through the session
-// caches under calib. It is the one re-attachment path: stored plans, a
+// attach builds cfg's plan — its problem's cluster, graph and models —
+// carrying the given assignments, validates it and estimates it through the
+// session caches under calib. It is the one re-attachment path: stored plans, a
 // checkpoint's incumbent and a Trainer's incumbent on a moved workload all
 // return to a problem through it, so the estimator and runtime see one
 // consistent problem.
 func (p *Planner) attach(cfg ExperimentConfig, calib *estimator.Calibration, assign map[string]core.Assignment) (*core.Plan, *estimator.Result, error) {
-	ps, hw, g, models, err := p.problemFor(cfg, calib)
+	ps, err := p.problemFor(cfg, calib)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan := core.NewPlan(hw, g, models)
+	plan := core.NewPlan(ps.hw, ps.graph, ps.models)
 	for name, a := range assign {
 		plan.Assign[name] = a
 	}
@@ -616,25 +614,25 @@ func (c ExperimentConfig) cluster() hardware.Cluster {
 	return hw
 }
 
-// problemFor resolves the session state for cfg's problem — building the
-// graph and model cast fresh (they are cheap and per-request) while the
-// estimator and cost cache come from the session pool. A non-nil
-// calibration selects (or creates) the problem's calibrated twin: the
-// calibration key joins the pool key, so a calibrated problem owns its own
-// estimator and search.CostCache and can never poison the uncalibrated
-// (or overlap-semantics) entries a default request reads.
-func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration) (*problemState, hardware.Cluster, *dfg.Graph, map[dfg.Role]core.ModelSpec, error) {
-	hw := cfg.cluster()
-	g, models, err := buildGraph(cfg)
-	if err != nil {
-		return nil, hw, nil, nil, err
-	}
+// problemFor resolves the session pool's entry for cfg's problem, lowering
+// the graph and building the model cast and estimator only on a pool miss:
+// the problem key fixes all three. A non-nil calibration selects (or
+// creates) the problem's calibrated twin: the calibration key joins the
+// pool key, so a calibrated problem owns its own graph, estimator and
+// search.CostCache and can never poison the uncalibrated (or
+// overlap-semantics) entries a default request reads.
+func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration) (*problemState, error) {
 	key := cfg.problemKey() + calibToken(calib)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if v, ok := p.problems.get(key); ok {
-		return v.(*problemState), hw, g, models, nil
+		return v.(*problemState), nil
 	}
+	g, models, err := buildGraph(cfg)
+	if err != nil {
+		return nil, err
+	}
+	hw := cfg.cluster()
 	est := estimator.NewOracle(hw, models, true)
 	// The problem's cost semantics follow the config: with PlanForOverlap
 	// set, every estimate this problem produces (search, Heuristic,
@@ -642,9 +640,9 @@ func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration)
 	// the flag, so the serialized twin keeps its own estimator and cache.
 	est.OverlapComm = cfg.PlanForOverlap
 	est.Calib = calib
-	ps := &problemState{est: est, cache: search.NewCostCache()}
+	ps := &problemState{hw: hw, graph: g, models: models, est: est, cache: search.NewCostCache()}
 	p.problems.add(key, ps)
-	return ps, hw, g, models, nil
+	return ps, nil
 }
 
 // calibToken folds a calibration into a problem or plan-cache key ("" for
@@ -706,25 +704,12 @@ func (c ExperimentConfig) appendProblemKey(b []byte) []byte {
 	b = strconv.AppendBool(b, c.OffloadSearch)
 	b = append(b, ";rpcs="...)
 	for _, r := range c.RPCs {
-		// Canonicalize per-call fields the graph builder treats as
-		// equivalent, so e.g. BatchScale 0 and 1 (both "unscaled"), a
-		// MiniBatches value on a non-train call (ignored), or an explicit
-		// train MiniBatches equal to the experiment default never split the
-		// caches into duplicate entries for one workload.
-		scale := r.BatchScale
-		if scale < 1 {
-			scale = 1
-		}
-		mini := 0
-		if r.InterfaceType == TrainStep {
-			mini = c.MiniBatches
-			if r.MiniBatches > 0 {
-				mini = r.MiniBatches
-			}
-		}
+		// Key the per-call fields as the graph reads them, so equivalent
+		// spellings (BatchScale 0 and 1, MiniBatches on a non-train call or
+		// equal to the experiment's) never split the caches for one workload.
 		b = append(b, '[')
-		b = appendInts(b, '.', int(r.InterfaceType), scale)
-		b = strconv.AppendInt(b, int64(mini), 10)
+		b = appendInts(b, '.', int(r.InterfaceType), r.batchScale())
+		b = strconv.AppendInt(b, int64(r.miniBatches(c.MiniBatches)), 10)
 		b = append(b, ';')
 		b = appendToken(b, r.Name)
 		b = appendToken(b, r.ModelName)

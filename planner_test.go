@@ -915,6 +915,51 @@ func TestPlannerStatsCostCacheReuse(t *testing.T) {
 	}
 }
 
+// TestProblemLoweredOnce: a problem's pool entry keeps the graph its key
+// fixes, so solves at two seeds, a Heuristic and a stored plan of that
+// problem all share one lowered graph, while a calibrated request, a
+// problem of its own, gets its own graph.
+func TestProblemLoweredOnce(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlanner(ClusterConfig{})
+	first, err := p.Plan(ctx, plannerConfig(1, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := first.Plan.Graph
+	second, err := p.Plan(ctx, plannerConfig(2, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heur, err := p.Heuristic(plannerConfig(1, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := first.MarshalPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := p.LoadExperimentBytes(data, plannerConfig(1, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, exp := range map[string]*Experiment{"second seed": second, "Heuristic": heur, "LoadExperimentBytes": loaded} {
+		if exp.Plan.Graph != g {
+			t.Errorf("%s lowered the problem's graph again", name)
+		}
+	}
+	calibrated, err := p.Plan(ctx, plannerConfig(1, 200), WithCalibrationFactors(map[string]float64{"actor/GENERATE": 1.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calibrated.Plan.Graph == g {
+		t.Error("a calibrated request shares the uncalibrated problem's graph")
+	}
+	if st := p.Stats(); st.Problems != 2 {
+		t.Errorf("%d problems, want the base and its calibrated twin", st.Problems)
+	}
+}
+
 // TestPlannerCostCacheBounded: a problem that stays in the pool across many
 // solves keeps a bounded plan-level memo, and the latest entries still
 // answer what the memo is kept for: a Trainer's replan re-attaches its
@@ -934,7 +979,7 @@ func TestPlannerCostCacheBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, _, _, _, err := p.problemFor(exp.Config, nil)
+		ps, err := p.problemFor(exp.Config, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

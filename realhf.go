@@ -95,6 +95,22 @@ type ModelFunctionCallDef struct {
 	MiniBatches int `json:"mini_batches,omitempty"`
 }
 
+// batchScale is the factor the call scales BatchSize by: a BatchScale below
+// 2 means unscaled.
+func (r ModelFunctionCallDef) batchScale() int { return max(r.BatchScale, 1) }
+
+// miniBatches is the call's mini-batch count under the experiment's dflt:
+// only a TrainStep call reads MiniBatches, its own when positive, else dflt.
+func (r ModelFunctionCallDef) miniBatches(dflt int) int {
+	if r.InterfaceType != TrainStep {
+		return 0
+	}
+	if r.MiniBatches > 0 {
+		return r.MiniBatches
+	}
+	return dflt
+}
+
 // ExperimentConfig describes one RLHF experiment, the input to Planner.Plan.
 // It is also the plan service's wire type: MarshalJSON emits the canonical
 // defaults-applied form and UnmarshalJSON parses it back, round-tripping
@@ -371,92 +387,47 @@ func parseModelType(s string) (model.Config, bool, error) {
 	return cfg, critic, nil
 }
 
-// buildGraph lowers RPC definitions into the internal dataflow graph.
+// callTypes translates each interface type into its dataflow call type.
+var callTypes = map[InterfaceType]dfg.CallType{Generate: dfg.Generate, Inference: dfg.Inference, TrainStep: dfg.Train}
+
+// buildGraph translates the RPC definitions into dfg calls, resolving each
+// call's model type, role and workload, and lowers them with dfg.Lower. It
+// also returns the model cast: one spec per role, trainable when any of the
+// role's calls is a TrainStep.
 func buildGraph(c ExperimentConfig) (*dfg.Graph, map[dfg.Role]core.ModelSpec, error) {
 	if len(c.RPCs) == 0 {
 		return nil, nil, fmt.Errorf("realhf: experiment has no RPCs: %w", ErrInvalidConfig)
 	}
-	g := dfg.NewGraph("custom")
 	models := map[dfg.Role]core.ModelSpec{}
-
-	type produced struct{ node *dfg.Node }
-	var prevTrain map[dfg.Role]*dfg.Node
-
-	for iter := 0; iter < c.Iterations; iter++ {
-		producers := map[string]produced{}
-		var nodes []*dfg.Node
-		// First pass: create nodes and record outputs.
-		for _, rpc := range c.RPCs {
-			cfg, critic, err := parseModelType(rpc.ModelType)
-			if err != nil {
-				return nil, nil, err
-			}
-			role := dfg.Role(rpc.ModelName)
-			ms, ok := models[role]
-			if !ok {
-				ms = core.ModelSpec{Role: role, Cfg: cfg, IsCritic: critic}
-			} else if ms.Cfg.Name != cfg.Name {
-				return nil, nil, fmt.Errorf("realhf: model %q declared with types %q and %q: %w",
-					rpc.ModelName, ms.Cfg.Name, cfg.Name, ErrInvalidConfig)
-			}
-			name := rpc.Name
-			if name == "" {
-				name = fmt.Sprintf("%s/%s", rpc.ModelName, rpc.InterfaceType)
-			}
-			var typ dfg.CallType
-			work := dfg.Workload{Batch: c.BatchSize, PromptLen: c.PromptLen, GenLen: c.GenLen}
-			if rpc.BatchScale > 1 {
-				work.Batch *= rpc.BatchScale
-			}
-			switch rpc.InterfaceType {
-			case Generate:
-				typ = dfg.Generate
-			case Inference:
-				typ = dfg.Inference
-			case TrainStep:
-				typ = dfg.Train
-				work.MiniBatches = c.MiniBatches
-				if rpc.MiniBatches > 0 {
-					work.MiniBatches = rpc.MiniBatches
-				}
-				ms.Trainable = true
-			default:
-				return nil, nil, fmt.Errorf("realhf: bad interface type %v: %w", rpc.InterfaceType, ErrInvalidConfig)
-			}
-			models[role] = ms
-			n := g.AddNode(name, role, typ, iter, work)
-			nodes = append(nodes, n)
-			for _, out := range rpc.OutputData {
-				producers[out] = produced{node: n}
-			}
+	calls := make([]dfg.Call, len(c.RPCs))
+	for i, rpc := range c.RPCs {
+		cfg, critic, err := parseModelType(rpc.ModelType)
+		if err != nil {
+			return nil, nil, err
 		}
-		// Second pass: wire data dependencies within the iteration
-		// (deduplicated: several named tensors may flow along one edge).
-		for i, rpc := range c.RPCs {
-			wired := map[int]bool{}
-			for _, in := range rpc.InputData {
-				p, ok := producers[in]
-				if !ok || p.node == nodes[i] || wired[p.node.ID] {
-					continue
-				}
-				wired[p.node.ID] = true
-				g.AddEdge(p.node, nodes[i])
-			}
+		role := dfg.Role(rpc.ModelName)
+		ms, ok := models[role]
+		if !ok {
+			ms = core.ModelSpec{Role: role, Cfg: cfg, IsCritic: critic}
+		} else if ms.Cfg.Name != cfg.Name {
+			return nil, nil, fmt.Errorf("realhf: model %q declared with types %q and %q: %w",
+				rpc.ModelName, ms.Cfg.Name, cfg.Name, ErrInvalidConfig)
 		}
-		// Parameter-version edges from the previous iteration's training.
-		for i, rpc := range c.RPCs {
-			role := dfg.Role(rpc.ModelName)
-			if prev, ok := prevTrain[role]; ok && prev != nil {
-				g.AddEdge(prev, nodes[i])
-			}
+		name := rpc.Name
+		if name == "" {
+			name = fmt.Sprintf("%s/%s", rpc.ModelName, rpc.InterfaceType)
 		}
-		prevTrain = map[dfg.Role]*dfg.Node{}
-		for i, rpc := range c.RPCs {
-			if rpc.InterfaceType == TrainStep {
-				prevTrain[dfg.Role(rpc.ModelName)] = nodes[i]
-			}
+		typ, ok := callTypes[rpc.InterfaceType]
+		if !ok {
+			return nil, nil, fmt.Errorf("realhf: bad interface type %v: %w", rpc.InterfaceType, ErrInvalidConfig)
 		}
+		ms.Trainable = ms.Trainable || typ == dfg.Train
+		models[role] = ms
+		work := dfg.Workload{Batch: c.BatchSize * rpc.batchScale(), PromptLen: c.PromptLen, GenLen: c.GenLen,
+			MiniBatches: rpc.miniBatches(c.MiniBatches)}
+		calls[i] = dfg.Call{Name: name, Role: role, Type: typ, Work: work, Inputs: rpc.InputData, Outputs: rpc.OutputData}
 	}
+	g := dfg.Lower("custom", calls, c.Iterations)
 	if err := g.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", err, ErrInvalidConfig)
 	}

@@ -111,13 +111,16 @@ const defaultWorkerTimeout = 2 * time.Second
 // runtime.NewWorkerPool (in-process channel workers). Custom factories are
 // how campaigns run over other transports: build the fleet, wrap its
 // transport (e.g. runtime.NewFaultyTransport for chaos tests, or a
-// TCPTransport fleet), and return runtime.NewWorkerPoolWith.
+// TCPTransport fleet), and return runtime.NewWorkerPoolWith. A factory runs
+// with the session locked, so a call back into the Trainer deadlocks;
+// WithIterationProgress is the re-entrant hook.
 type WorkerPoolFactory func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error)
 
 // WithWorkerPoolFactory routes every worker-fleet (re)build through fn.
 // The Trainer owns the returned pools (it closes the old pool before
 // requesting a replacement); any caller-owned far side (a TCP worker
-// server, say) stays the caller's to tear down.
+// server, say) stays the caller's to tear down. fn runs with the session
+// locked and must not call back into the Trainer.
 func WithWorkerPoolFactory(fn WorkerPoolFactory) TrainOption {
 	return func(o *trainOptions) { o.poolFactory = fn }
 }
@@ -135,7 +138,10 @@ func WithIterationProgress(fn func(IterationReport)) TrainOption {
 // fn(i) tokens instead of the config's fixed GenLen. This is the §8
 // scenario — generation length drifting over a training run — and a change
 // in the scheduled length is a replan trigger (the Trainer still switches
-// plans only when the predicted gain covers the reallocation cost).
+// plans only when the predicted gain covers the reallocation cost). fn runs
+// inside Step, Campaign and Resize with the session locked, so it must not
+// call back into the Trainer (Stats from fn deadlocks); WithIterationProgress
+// is the re-entrant hook.
 func WithGenLenSchedule(fn func(iter int) int) TrainOption {
 	return func(o *trainOptions) { o.genLen = fn }
 }
@@ -300,8 +306,8 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 	if err := run.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = p.merge(cfg).withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, _, err := p.prepare(cfg, nil)
+	if err != nil {
 		return nil, err
 	}
 	// Reject a scale that breaks the execution cluster before any search.
