@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -165,19 +166,15 @@ func (wp *WorkerPool) Run(p *core.Plan, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wp.Execute(prog, opts)
+	return wp.Execute(opts.Context, prog)
 }
 
 // Execute runs a compiled program over the pool's workers and transport —
 // the steady-state path of a session that re-executes one plan: no
-// recompilation, only dispatch. Of opts, Context applies; UseCUDAGraph and
-// OverlapComm were fixed by Compile and must match it.
+// recompilation, only dispatch, under the options Compile fixed. ctx
+// cancels an in-flight run as Options.Context does (nil never cancels).
 // Like Run, it expects a prior Reset to prog.StaticPerGPU().
-func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
-	if opts.UseCUDAGraph != prog.cudaGraph || opts.OverlapComm != prog.overlap {
-		return nil, fmt.Errorf("runtime: program compiled with UseCUDAGraph=%t OverlapComm=%t executed under UseCUDAGraph=%t OverlapComm=%t",
-			prog.cudaGraph, prog.overlap, opts.UseCUDAGraph, opts.OverlapComm)
-	}
+func (wp *WorkerPool) Execute(ctx context.Context, prog *Program) (*Report, error) {
 	wp.mu.Lock()
 	if wp.closed {
 		wp.mu.Unlock()
@@ -190,7 +187,7 @@ func (wp *WorkerPool) Execute(prog *Program, opts Options) (*Report, error) {
 	if len(workers) != len(prog.static) {
 		return nil, fmt.Errorf("runtime: program for %d devices on a pool of %d workers", len(prog.static), len(workers))
 	}
-	return prog.execute(opts, transport, workers, timeout)
+	return prog.execute(ctx, transport, workers, timeout)
 }
 
 // Close tears the pool down. Idempotent.

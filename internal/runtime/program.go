@@ -103,8 +103,9 @@ type Program struct {
 	static []int64
 	// callsPerIter counts call nodes per RLHF iteration.
 	callsPerIter []int
-
-	cudaGraph, overlap bool
+	// overlap is the OverlapComm option the program was compiled under,
+	// which its reports echo.
+	overlap bool
 }
 
 // nodeWork is the compiled knowledge about one augmented node.
@@ -137,11 +138,10 @@ func Compile(p *core.Plan, opts Options) (*Program, error) {
 	}
 	n := len(res.Timeline)
 	prog := &Program{
-		works:     make([]nodeWork, n),
-		order:     make([]int, n),
-		static:    estimator.StaticPerGPU(p),
-		cudaGraph: opts.UseCUDAGraph,
-		overlap:   opts.OverlapComm,
+		works:   make([]nodeWork, n),
+		order:   make([]int, n),
+		static:  estimator.StaticPerGPU(p),
+		overlap: opts.OverlapComm,
 	}
 	// mark is a bitmap over the cluster's devices, reused across nodes to
 	// deduplicate the GPUs of a node's (possibly overlapping) meshes.
@@ -217,7 +217,7 @@ func Run(p *core.Plan, opts Options) (*Report, error) {
 	}
 	ct := NewChanTransport(workers)
 	defer ct.Close()
-	return prog.execute(opts, ct, workers, 0)
+	return prog.execute(opts.Context, ct, workers, 0)
 }
 
 // livenessTimer bounds each reply wait of one loop — a run's dispatch loop
@@ -256,8 +256,9 @@ type nodeRun struct {
 // execute is the master's event-driven dispatch loop — the one path every
 // execution takes, whether the program was just compiled (Run,
 // WorkerPool.Run) or is re-executed by a long-lived session
-// (WorkerPool.Execute), and whatever the transport. Of opts, only Context
-// is read; timeout bounds each reply wait (zero waits without bound).
+// (WorkerPool.Execute), and whatever the transport. ctx cancels the run
+// (nil never cancels); timeout bounds each reply wait (zero waits without
+// bound).
 //
 // It is a plain dependency-driven dispatcher: a node whose parents' replies
 // are all in goes on a ready list, and the loop dispatches every ready node
@@ -270,8 +271,7 @@ type nodeRun struct {
 // it. Virtual spans were fixed by Compile, and the worker ledgers' peaks
 // and OOM verdicts do not depend on request order; the report folds
 // completed nodes in compiled order with sorted error lists.
-func (prog *Program) execute(opts Options, transport Transport, workers []*ModelWorker, timeout time.Duration) (*Report, error) {
-	ctx := opts.Context
+func (prog *Program) execute(ctx context.Context, transport Transport, workers []*ModelWorker, timeout time.Duration) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

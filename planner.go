@@ -323,7 +323,7 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	p.planMisses.Add(1) // a completed solve, cacheable or not
 	exp := &Experiment{
 		Config: cfg, Cluster: ps.hw, Plan: sol.Plan,
-		Estimate: sol.Estimate, SearchTrace: stats.Trace, SearchStats: stats,
+		Estimate: sol.Estimate, SearchStats: stats,
 		runOpts: o.runOpts,
 	}
 	if cacheable {
@@ -459,7 +459,7 @@ func (p *Planner) LoadExperiment(path string, cfg ExperimentConfig) (*Experiment
 }
 
 // loadExperiment rebuilds an Experiment from serialized plan bytes; label
-// names the source (a path, or "plan bytes") in errors.
+// names the source (a path, or "bytes") in errors, after "plan ".
 func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig) (*Experiment, error) {
 	cfg, _, err := p.prepare(cfg, nil)
 	if err != nil {
@@ -492,10 +492,12 @@ func (p *Planner) loadPlan(data []byte, label string, cfg ExperimentConfig, cali
 		return nil, nil, fmt.Errorf("realhf: %s was saved for a %d-node×%d-GPU cluster, config describes %d×%d: %w",
 			label, loaded.Cluster.Nodes, loaded.Cluster.GPUsPerNode, cfg.Nodes, cfg.GPUsPerNode, ErrInvalidConfig)
 	}
-	for role, ms := range ps.models {
-		lm, ok := loaded.Models[role]
-		if !ok || lm.Cfg.Name != ms.Cfg.Name {
-			return nil, nil, fmt.Errorf("realhf: %s disagrees with the config about model %q: %w", label, role, ErrInvalidConfig)
+	// Check the cast in the roles' first-appearance order, so a plan that
+	// disagrees about several models is always rejected naming the same one.
+	for _, home := range ps.graph.Homes() {
+		lm, ok := loaded.Models[home.Role]
+		if !ok || lm.Cfg.Name != ps.models[home.Role].Cfg.Name {
+			return nil, nil, fmt.Errorf("realhf: %s disagrees with the config about model %q: %w", label, home.Role, ErrInvalidConfig)
 		}
 	}
 	plan, res, err := p.attach(cfg, calib, loaded.Assign)

@@ -340,6 +340,7 @@ func TestClusterCapRejectsHugeClusters(t *testing.T) {
 	wantInvalid("ResumeTrain of a 1<<40-node checkpoint", "Nodes", err)
 
 	wantInvalid("Resize to 1<<40 nodes", "Nodes", tr.Resize(ctx, 1<<40))
+	wantInvalid("Resize to 0 nodes", "Nodes", tr.Resize(ctx, 0))
 	if st := tr.Stats(); st.Nodes != 1 {
 		t.Errorf("a rejected Resize left the session on %d nodes", st.Nodes)
 	}

@@ -129,7 +129,7 @@ func TestProgramReuseMatchesFreshRun(t *testing.T) {
 					if err := pools[tr].Reset(prog.StaticPerGPU()); err != nil {
 						t.Fatalf("%s: reset: %v", name, err)
 					}
-					rep, err := pools[tr].Execute(prog, opts)
+					rep, err := pools[tr].Execute(context.Background(), prog)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -141,25 +141,6 @@ func TestProgramReuseMatchesFreshRun(t *testing.T) {
 			}
 		}
 		teardown()
-	}
-}
-
-// TestExecuteRejectsMismatchedOptions: a program's stream semantics and
-// CUDA-graph costing are fixed at compile time, so executing it under other
-// options is an error rather than a silently different run.
-func TestExecuteRejectsMismatchedOptions(t *testing.T) {
-	plan := splitPlacementPlan(t)
-	prog, err := realruntime.Compile(plan, realruntime.Options{UseCUDAGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp := realruntime.NewWorkerPool(plan.Cluster.NumGPUs(), plan.Cluster.GPU.MemoryBytes)
-	defer wp.Close()
-	if err := wp.Reset(prog.StaticPerGPU()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wp.Execute(prog, realruntime.Options{UseCUDAGraph: true, OverlapComm: true}); err == nil {
-		t.Fatal("executing a serial program under OverlapComm must fail")
 	}
 }
 
@@ -210,8 +191,8 @@ func checkCheckpointedIncumbent(t *testing.T, tr *Trainer, when string) {
 	tr.mu.Lock()
 	state, err := tr.checkpointLocked()
 	if err == nil {
-		state.Plan, err = tr.plan.MarshalJSON()
-		state.PlanFingerprint = tr.plan.Fingerprint()
+		state.Plan, err = tr.inc.plan.MarshalJSON()
+		state.PlanFingerprint = tr.inc.plan.Fingerprint()
 	}
 	tr.mu.Unlock()
 	if err != nil {

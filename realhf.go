@@ -441,15 +441,14 @@ type Experiment struct {
 	Plan    *core.Plan
 	// Estimate is the planner's prediction for the chosen plan.
 	Estimate *estimator.Result
-	// SearchTrace records the planner's convergence.
-	SearchTrace []search.ProgressPoint
-	// SearchStats carries the solver's counters: steps, acceptance,
-	// cost-cache hit rate, and per-chain breakdowns for MCMC.
+	// SearchStats carries the solver's counters and convergence trace:
+	// steps, acceptance, cost-cache hit rate, and per-chain breakdowns for
+	// MCMC.
 	SearchStats search.Stats
 	// Cached reports that this experiment was answered from a Planner's
-	// plan cache: Plan, Estimate, SearchTrace and SearchStats were carried
-	// over from the original solve of an equivalent config, and no search
-	// ran for this request.
+	// plan cache: Plan, Estimate and SearchStats were carried over from the
+	// original solve of an equivalent config, and no search ran for this
+	// request.
 	Cached bool
 
 	runOpts *RunOptions

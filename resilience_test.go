@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +167,109 @@ func TestTrainerCampaignPartialReportOnLoss(t *testing.T) {
 	}
 	if sum != rep.TotalMakespanV {
 		t.Fatalf("partial total %.4f != per-iteration sum %.4f", rep.TotalMakespanV, sum)
+	}
+}
+
+// errFleet is the error failAfter's factories return.
+var errFleet = errors.New("worker fleet unavailable")
+
+// failAfter wraps a pool factory so that every call after the first n fails
+// with errFleet. The Trainer calls its factory with the session locked, so
+// the counter needs no lock of its own.
+func failAfter(n int, build WorkerPoolFactory) WorkerPoolFactory {
+	calls := 0
+	return func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error) {
+		if calls++; calls > n {
+			return nil, errFleet
+		}
+		return build(numGPUs, memoryBytes)
+	}
+}
+
+// TestTrainerMoveCommitsOnSuccess: a plan move whose fleet rebuild fails
+// changes nothing but the fleet. A Resize whose pool factory fails returns
+// the factory's error and leaves the node count, plan, counters and pending
+// switch charge as they were, so a session resumed from a checkpoint taken
+// after it charges no switch. A worker-loss shrink whose rebuild fails ends
+// the step with ErrWorkerLost and charges and counts no switch. Either way
+// the old fleet was closed before the factory ran, so the next Step fails
+// too.
+func TestTrainerMoveCommitsOnSuccess(t *testing.T) {
+	ctx := context.Background()
+	planner := NewPlanner(ClusterConfig{})
+	inProcess := func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error) {
+		return runtime.NewWorkerPool(numGPUs, memoryBytes), nil
+	}
+	tr, err := planner.Train(ctx, trainerConfig(), WithWorkerPoolFactory(failAfter(1, inProcess)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Stats()
+	if err := tr.Resize(ctx, 2); !errors.Is(err, errFleet) {
+		t.Fatalf("Resize with a failing pool factory = %v, want the factory's error", err)
+	}
+	if after := tr.Stats(); before.Nodes != 1 || !reflect.DeepEqual(after, before) {
+		t.Errorf("a failed Resize moved the session:\n got %+v\nwant %+v", after, before)
+	}
+	var ckpt bytes.Buffer
+	if err := tr.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := planner.ResumeTrain(ctx, &ckpt, trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	rep, err := resumed.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ReallocSwitchCost != 0 || rep.Nodes != 1 {
+		t.Errorf("resumed after a failed Resize: step on %d nodes charged %.3fs, want 1 node and no charge",
+			rep.Nodes, rep.ReallocSwitchCost)
+	}
+	if _, err := tr.Step(ctx); err == nil {
+		t.Error("a Step after a failed fleet rebuild ran on the closed fleet")
+	}
+
+	rig := &chaosRig{}
+	cfg := trainerConfig()
+	cfg.Nodes = 2
+	shrink, err := planner.Train(ctx, cfg, WithWorkerPoolFactory(failAfter(1, rig.factory)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shrink.Close()
+	if _, err := shrink.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before = shrink.Stats()
+	rig.transport().Fail(3, runtime.FaultKill)
+	if _, err := shrink.Step(ctx); !errors.Is(err, ErrWorkerLost) || !errors.Is(err, errFleet) {
+		t.Fatalf("Step losing a worker with a failing pool factory = %v, want ErrWorkerLost and the factory's error", err)
+	}
+	after := shrink.Stats()
+	if after.WorkerFailures != 1 || after.Nodes != 2 || after.Replans != before.Replans ||
+		after.Switches != before.Switches || after.PlanFingerprint != before.PlanFingerprint {
+		t.Errorf("a failed shrink moved the session:\n got %+v\nwant %+v plus one worker failure", after, before)
+	}
+	ckpt.Reset()
+	if err := shrink.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	state, err := checkpoint.Read(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.PendingSwitchCostV != 0 {
+		t.Errorf("a failed shrink left %.3fs of switch cost pending", state.PendingSwitchCostV)
+	}
+	if _, err := shrink.Step(ctx); err == nil {
+		t.Error("a Step after a failed shrink ran on the closed fleet")
 	}
 }
 

@@ -45,7 +45,7 @@ func (t *Trainer) checkpointLocked() (*checkpoint.State, error) {
 	if t.closed {
 		return nil, fmt.Errorf("realhf: %w", ErrTrainerClosed)
 	}
-	inc := t.incumbentLocked()
+	inc := t.inc
 	if inc.bytes == nil && inc.err == nil {
 		inc.bytes, inc.err = inc.plan.MarshalJSON()
 	}

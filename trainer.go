@@ -61,7 +61,7 @@ type Trainer struct {
 	pool *runtime.WorkerPool
 	hw   hardware.Cluster // execution cluster (run-option scaling applied)
 
-	plan          *core.Plan // current execution plan (assignments)
+	inc           *incumbent // current execution plan (assignments)
 	plannedGenLen int        // GenLen the current plan was last (re)considered at
 	calib         *estimator.Calibration
 
@@ -69,9 +69,6 @@ type Trainer struct {
 	// a step with the same inputs reuses it and goes straight to Reset
 	// and Execute.
 	steady *stepState
-	// inc is what step reports, Stats and checkpoints derive from the
-	// incumbent plan.
-	inc *incumbent
 
 	// durable is the session's counters, accounting and drift flag: what
 	// checkpoints carry beyond the plan, scale and calibration.
@@ -105,22 +102,25 @@ const defaultReplanThreshold = 0.15
 const defaultWorkerTimeout = 2 * time.Second
 
 // WorkerPoolFactory builds the worker fleet a Trainer executes on — called
-// at session open, on every Resize, and on every shrink-replan after a
-// worker loss (pools are rebuilt, never patched, so adopted transports and
-// custom deployments work uniformly). The default wraps
-// runtime.NewWorkerPool (in-process channel workers). Custom factories are
-// how campaigns run over other transports: build the fleet, wrap its
-// transport (e.g. runtime.NewFaultyTransport for chaos tests, or a
+// at session open and whenever the campaign moves to a new node count (a
+// Resize, or a shrink-replan after a worker loss). Pools are rebuilt, never
+// patched, so adopted transports and custom deployments work uniformly. The
+// default wraps runtime.NewWorkerPool (in-process channel workers). Custom
+// factories are how campaigns run over other transports: build the fleet,
+// wrap its transport (e.g. runtime.NewFaultyTransport for chaos tests, or a
 // TCPTransport fleet), and return runtime.NewWorkerPoolWith. A factory runs
 // with the session locked, so a call back into the Trainer deadlocks;
 // WithIterationProgress is the re-entrant hook.
 type WorkerPoolFactory func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error)
 
 // WithWorkerPoolFactory routes every worker-fleet (re)build through fn.
-// The Trainer owns the returned pools (it closes the old pool before
-// requesting a replacement); any caller-owned far side (a TCP worker
-// server, say) stays the caller's to tear down. fn runs with the session
-// locked and must not call back into the Trainer.
+// The Trainer owns the returned pools and closes the old pool before
+// requesting a replacement; any caller-owned far side (a TCP worker server,
+// say) stays the caller's to tear down. A move whose rebuild fails changes
+// nothing else (the plan, node count, counters and charges stay as they
+// were), but the old fleet is already closed, so every later Step fails
+// too. fn runs with the session locked and must not call back into the
+// Trainer.
 func WithWorkerPoolFactory(fn WorkerPoolFactory) TrainOption {
 	return func(o *trainOptions) { o.poolFactory = fn }
 }
@@ -156,9 +156,10 @@ func WithReplanThreshold(frac float64) TrainOption {
 // WithFrozenPlan pins the iteration-0 plan for the whole campaign: no
 // profile feedback, no replanning, no switch charges — the one-shot
 // baseline the replanning Trainer is measured against (and the only mode
-// the pre-Trainer API could express). Reports still stream. One exception:
-// a lost worker still forces a shrink-replan (the frozen plan's mesh no
-// longer exists) — survival outranks baseline purity.
+// the pre-Trainer API could express). Reports still stream. Two
+// exceptions move the plan anyway: an explicit Resize, and a lost worker,
+// which forces a shrink-replan (the frozen plan's mesh no longer exists) —
+// survival outranks baseline purity.
 func WithFrozenPlan() TrainOption {
 	return func(o *trainOptions) { o.frozen = true }
 }
@@ -247,8 +248,9 @@ type CampaignReport struct {
 type TrainerStats struct {
 	// Iterations is the number of iterations executed so far.
 	Iterations int
-	// Replans counts replan attempts (drift- or schedule-triggered, plus
-	// resizes); Switches counts the ones that changed the plan.
+	// Replans counts completed replans (drift- or schedule-triggered,
+	// resizes and worker-loss shrinks; a failed one changes nothing);
+	// Switches counts the ones that changed the plan.
 	Replans, Switches int
 	// SwitchCostV and TotalMakespanV mirror the campaign accounting.
 	SwitchCostV, TotalMakespanV float64
@@ -342,20 +344,37 @@ func (p *Planner) openSession(cfg ExperimentConfig, opts []TrainOption) (*Traine
 }
 
 // start adopts the session's first plan, last (re)considered at
-// plannedGenLen, and opens a worker fleet for the plan's run-option-scaled
-// cluster.
+// plannedGenLen, and opens a worker fleet for the plan's cluster.
 func (t *Trainer) start(plan *core.Plan, plannedGenLen int) error {
-	hw, err := t.run.scaleCluster(plan.Cluster)
+	if err := t.openFleetLocked(plan.Cluster); err != nil {
+		return fmt.Errorf("realhf: %w", err)
+	}
+	t.inc = &incumbent{plan: plan, fingerprint: plan.Fingerprint()}
+	t.plannedGenLen = plannedGenLen
+	return nil
+}
+
+// openFleetLocked opens the session's worker fleet for cluster, scaled by
+// the run options, through the pool factory — the one place a Trainer
+// builds a fleet: at open, and when a replan moves the campaign to a new
+// node count. The previous fleet, if any, is closed first, as the factory
+// contract promises; t.pool and t.hw change only when the new fleet opens.
+func (t *Trainer) openFleetLocked(cluster hardware.Cluster) error {
+	hw, err := t.run.scaleCluster(cluster)
 	if err != nil {
 		return err
 	}
+	if t.pool != nil {
+		if err := t.pool.Close(); err != nil {
+			return fmt.Errorf("closing worker fleet: %w", err)
+		}
+	}
 	pool, err := t.opts.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
 	if err != nil {
-		return fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
+		return fmt.Errorf("worker pool for %d GPUs: %w", hw.NumGPUs(), err)
 	}
 	pool.SetWorkerTimeout(t.run.WorkerTimeout)
 	t.pool, t.hw = pool, hw
-	t.plan, t.plannedGenLen = plan, plannedGenLen
 	return nil
 }
 
@@ -422,11 +441,6 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 		st  *stepState
 		rep *runtime.Report
 	)
-	runOpts := runtime.Options{
-		UseCUDAGraph: t.run.UseCUDAGraph,
-		OverlapComm:  t.run.OverlapComm,
-		Context:      ctx,
-	}
 	for {
 		// The replan loop is bounded by the shrinking mesh (shrinkLocked
 		// fails out at one node), but each attempt re-checks the caller's
@@ -435,29 +449,24 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 			return nil, fmt.Errorf("realhf: training step cancelled: %w", err)
 		}
 		var err error
-		if st, err = t.stepStateLocked(workCfg, runOpts); err != nil {
+		if st, err = t.stepStateLocked(workCfg); err != nil {
 			return nil, err
 		}
-		if err := t.pool.Reset(st.prog.StaticPerGPU()); err != nil {
-			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
-				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
-					return nil, serr
-				}
-				continue
+		if err = t.pool.Reset(st.prog.StaticPerGPU()); err == nil {
+			if rep, err = t.pool.Execute(ctx, st.prog); err == nil {
+				break
 			}
+			err = fmt.Errorf("realhf: iteration %d failed: %w", iter, err)
+		}
+		// Only a failed attempt gets here: errors.As makes lost escape, and
+		// a steady step must not allocate it.
+		lost := (*runtime.ErrWorkerLost)(nil)
+		if !errors.As(err, &lost) {
 			return nil, err
 		}
-		rep, err = t.pool.Execute(st.prog, runOpts)
-		if err != nil {
-			if lost := (*runtime.ErrWorkerLost)(nil); errors.As(err, &lost) {
-				if serr := t.shrinkLocked(ctx, &workCfg, &report, lost); serr != nil {
-					return nil, serr
-				}
-				continue
-			}
-			return nil, fmt.Errorf("realhf: iteration %d failed: %w", iter, err)
+		if err := t.shrinkLocked(ctx, &workCfg, &report, lost); err != nil {
+			return nil, err
 		}
-		break
 	}
 
 	report.MakespanV = rep.MakespanV
@@ -468,7 +477,7 @@ func (t *Trainer) stepLocked(ctx context.Context) (*IterationReport, error) {
 	report.EstCallTimes = maps.Clone(st.est.CallTimes)
 	report.OOM = rep.OOM
 	report.Errors = rep.Errors
-	report.PlanFingerprint = t.incumbentLocked().fingerprint
+	report.PlanFingerprint = t.inc.fingerprint
 	report.ReallocSwitchCost = t.durable.PendingSwitchCostV
 	if !rep.OOM {
 		report.ThroughputPFLOPs = estimator.Throughput(st.exec, rep.MakespanV)
@@ -522,56 +531,74 @@ func foldFeedback(cur *estimator.Calibration, observed, predicted map[string]flo
 	return drift, estimator.NewCalibration(factors)
 }
 
-// replanLocked re-searches the plan for workCfg through the owning
-// Planner's caches under the session calibration, warm-starting the search
-// from the incumbent plan re-attached to the new workload — so the fresh
-// estimate can never regress below what keeping the old plan predicts — and
-// adopts the candidate only when its predicted iteration cost plus the
-// §5-priced switch reallocation beats the incumbent on the new workload.
-// Either way the workload is considered handled: the schedule must change
-// (or new drift appear) before the next replan.
-func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (switched, cached bool, err error) {
+// replanLocked moves the session's plan to cfg, the session's base config
+// at a GenLen and node count: the one path drift and schedule replans,
+// worker-loss shrinks and Resize take. It re-searches cfg through the owning
+// Planner's caches under the session calibration, warm-started from the
+// incumbent re-attached to cfg when that still validates, so the fresh
+// estimate can never regress below keeping the incumbent. A new node count
+// always adopts the fresh plan, on a fleet rebuilt at the new size; at the
+// same count the fresh plan is adopted only when its predicted cost plus
+// the §5-priced switch reallocation beats the incumbent on cfg (or the
+// incumbent no longer validates there). The switch is priced on the larger
+// of the two clusters, whose device range spans both meshes.
+//
+// The session changes only when the move succeeds: an error leaves the
+// plan, node count, counters and pending charge as they were (though a
+// failed rebuild has already closed the old fleet). A successful replan
+// marks the workload handled, adopted or not: the schedule must change (or
+// new drift appear) before the next one.
+func (t *Trainer) replanLocked(ctx context.Context, cfg ExperimentConfig) (switched, cached bool, err error) {
+	// Validate before attach, which sizes per-GPU state by the cluster.
+	if err := cfg.validate(); err != nil {
+		return false, false, err
+	}
 	opts := []AutoOption{withCalibration(t.calib)}
-	stalePlan, staleEst, staleErr := t.planner.attach(workCfg, t.calib, t.plan.Assign)
+	stalePlan, staleEst, staleErr := t.planner.attach(cfg, t.calib, t.inc.plan.Assign)
 	if staleErr == nil {
 		opts = append(opts, WithWarmStart(stalePlan))
 	}
-	exp, err := t.planner.Plan(ctx, workCfg, opts...)
+	exp, err := t.planner.Plan(ctx, cfg, opts...)
 	if err != nil {
 		return false, false, err
 	}
-	t.durable.Replans++
-	adopt := false
-	if exp.Plan.Fingerprint() != t.plan.Fingerprint() {
-		cost := realloc.SwitchCost(t.plan, exp.Plan, t.hw)
-		if staleErr != nil {
-			// The incumbent no longer validates on the new workload: the
-			// switch is forced, and its reallocation still charged.
-			adopt = true
-		} else {
-			adopt = exp.Estimate.Cost+cost < staleEst.Cost
-		}
-		if adopt {
-			t.durable.PendingSwitchCostV += cost
-			t.plan = exp.Plan
-			t.durable.Switches++
+	resized := cfg.Nodes != t.base.Nodes
+	oldHW := t.hw
+	if resized {
+		if err := t.openFleetLocked(exp.Cluster); err != nil {
+			return false, false, err
 		}
 	}
-	t.plannedGenLen = exp.Config.GenLen
+	// The move can no longer fail: price it, then commit.
+	fingerprint := exp.Plan.Fingerprint()
+	if resized || fingerprint != t.inc.fingerprint {
+		priceHW := oldHW
+		if t.hw.NumGPUs() > priceHW.NumGPUs() {
+			priceHW = t.hw
+		}
+		cost := realloc.SwitchCost(t.inc.plan, exp.Plan, priceHW)
+		switched = resized || staleErr != nil || exp.Estimate.Cost+cost < staleEst.Cost
+		if switched {
+			t.durable.PendingSwitchCostV += cost
+			t.durable.Switches++
+			t.inc = &incumbent{plan: exp.Plan, fingerprint: fingerprint}
+		}
+	}
+	t.durable.Replans++
 	t.durable.Drifted = false
-	return adopt, exp.Cached, nil
+	t.base.Nodes = cfg.Nodes
+	t.plannedGenLen = exp.Config.GenLen
+	return switched, exp.Cached, nil
 }
 
 // shrinkLocked recovers from a lost worker: it evicts the failed device's
-// host node from the campaign, re-solves the plan onto the surviving mesh
-// through the Planner's caches (calibrated, warm-started from the incumbent
-// when it still validates there), charges the §5-priced reallocation of
-// moving every model onto the survivors, and swaps the worker fleet to the
-// shrunken size. The inverse of Resize, forced rather than elective — it
-// runs even in WithFrozenPlan sessions, because the frozen plan's mesh no
-// longer exists; survival outranks baseline purity. When no surviving node
-// remains (or the shrink replan itself fails) it returns an error wrapping
-// ErrWorkerLost, ending the campaign.
+// host node from the campaign and replans onto the surviving mesh
+// (replanLocked), after which the step re-executes there. The inverse of
+// Resize, forced rather than elective — it runs even in WithFrozenPlan
+// sessions, because the frozen plan's mesh no longer exists; survival
+// outranks baseline purity. When no surviving node remains (or the shrink
+// replan itself fails) it returns an error wrapping ErrWorkerLost, ending
+// the campaign.
 func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, report *IterationReport, lost *runtime.ErrWorkerLost) error {
 	report.WorkerLost = true
 	report.LostGPUs = append(report.LostGPUs, lost.GPU)
@@ -580,24 +607,14 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 		return fmt.Errorf("realhf: iteration %d: worker gpu %d lost and no surviving nodes remain: %w: %w",
 			report.Iter, lost.GPU, ErrWorkerLost, lost)
 	}
-	newCfg := t.base
-	newCfg.Nodes--
-	newCfg.GenLen = workCfg.GenLen
-	opts := []AutoOption{withCalibration(t.calib)}
-	if stalePlan, _, staleErr := t.planner.attach(newCfg, t.calib, t.plan.Assign); staleErr == nil {
-		opts = append(opts, WithWarmStart(stalePlan))
-	}
-	exp, err := t.planner.Plan(ctx, newCfg, opts...)
-	if err == nil {
-		err = t.swapFleetLocked(exp, newCfg.Nodes)
-	}
+	workCfg.Nodes = t.base.Nodes - 1
+	switched, cached, err := t.replanLocked(ctx, *workCfg)
 	if err != nil {
 		return fmt.Errorf("realhf: iteration %d: shrink to %d nodes after losing worker gpu %d: %w: %w",
-			report.Iter, newCfg.Nodes, lost.GPU, ErrWorkerLost, err)
+			report.Iter, workCfg.Nodes, lost.GPU, ErrWorkerLost, err)
 	}
-	workCfg.Nodes = newCfg.Nodes
-	report.Nodes = newCfg.Nodes
-	report.Replanned, report.Switched, report.PlanCached = true, true, exp.Cached
+	report.Nodes = workCfg.Nodes
+	report.Replanned, report.Switched, report.PlanCached = true, switched, cached
 	return nil
 }
 
@@ -608,7 +625,7 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 // estimate is always computed against the canonical unscaled problem, so
 // shared cost caches stay consistent.
 func (t *Trainer) instantiateLocked(workCfg ExperimentConfig) (*core.Plan, *estimator.Result, error) {
-	plan, res, err := t.planner.attach(workCfg, t.calib, t.plan.Assign)
+	plan, res, err := t.planner.attach(workCfg, t.calib, t.inc.plan.Assign)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -644,8 +661,8 @@ type stepState struct {
 // when the step's inputs changed since the last step — a steady step pays
 // for fencing and dispatch alone. workCfg must be t.base at the step's
 // GenLen.
-func (t *Trainer) stepStateLocked(workCfg ExperimentConfig, opts runtime.Options) (*stepState, error) {
-	key := stepKey{genLen: workCfg.GenLen, nodes: t.base.Nodes, hw: t.hw, calib: t.calib.Key(), plan: t.plan}
+func (t *Trainer) stepStateLocked(workCfg ExperimentConfig) (*stepState, error) {
+	key := stepKey{genLen: workCfg.GenLen, nodes: t.base.Nodes, hw: t.hw, calib: t.calib.Key(), plan: t.inc.plan}
 	if t.steady != nil && t.steady.key == key {
 		return t.steady, nil
 	}
@@ -653,7 +670,7 @@ func (t *Trainer) stepStateLocked(workCfg ExperimentConfig, opts runtime.Options
 	if err != nil {
 		return nil, err
 	}
-	prog, err := runtime.Compile(exec, opts)
+	prog, err := runtime.Compile(exec, runtime.Options{UseCUDAGraph: t.run.UseCUDAGraph, OverlapComm: t.run.OverlapComm})
 	if err != nil {
 		return nil, fmt.Errorf("realhf: iteration %d failed: %w", t.durable.Iteration, err)
 	}
@@ -661,25 +678,17 @@ func (t *Trainer) stepStateLocked(workCfg ExperimentConfig, opts runtime.Options
 	return t.steady, nil
 }
 
-// incumbent is what step reports, Stats and checkpoints derive from one
-// incumbent plan: its fingerprint, and its SavePlan bytes (or the error
-// marshaling them), which the plan's first checkpoint fills in and never
-// changes. A plan change replaces it rather than updating it, because
-// Checkpoint writes the bytes after releasing t.mu.
+// incumbent is the session's current plan and what step reports, Stats and
+// checkpoints derive from it: its fingerprint, taken where the plan is
+// adopted, and its SavePlan bytes (or the error marshaling them), which the
+// plan's first checkpoint fills in and never changes. Adopting a plan
+// replaces the incumbent rather than updating it, because Checkpoint writes
+// the bytes after releasing t.mu.
 type incumbent struct {
 	plan        *core.Plan
 	fingerprint string
 	bytes       []byte
 	err         error
-}
-
-// incumbentLocked returns the incumbent's derived state, fingerprinting it
-// once per adopted plan.
-func (t *Trainer) incumbentLocked() *incumbent {
-	if t.inc == nil || t.inc.plan != t.plan {
-		t.inc = &incumbent{plan: t.plan, fingerprint: t.plan.Fingerprint()}
-	}
-	return t.inc
 }
 
 // Campaign runs n iterations back to back, aggregating their reports. A
@@ -713,79 +722,38 @@ func (t *Trainer) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 }
 
 // Resize moves the campaign to a different node count mid-training: the
-// session replans on the new mesh through the Planner's caches (calibrated
-// with everything profiled so far), charges the parameter reallocation into
+// session replans on the new mesh as every replan does (through the
+// Planner's caches, calibrated with everything profiled so far and
+// warm-started from the incumbent), charges the parameter reallocation into
 // the new layout — priced on the larger of the two clusters, whose device
-// range spans both meshes — and swaps the worker fleet to the new size. The
-// cost lands on the next iteration's report.
+// range spans both meshes — and rebuilds the worker fleet at the new size.
+// The cost lands on the next iteration's report. A node count the config
+// cannot describe wraps ErrInvalidConfig; a failed Resize leaves the plan,
+// node count and accounting as they were.
 func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return fmt.Errorf("realhf: %w", ErrTrainerClosed)
 	}
-	if nodes <= 0 {
-		return fmt.Errorf("realhf: resize to %d nodes: %w", nodes, ErrInvalidConfig)
-	}
 	if nodes == t.base.Nodes {
 		return nil
 	}
-	newCfg := t.base
-	newCfg.Nodes = nodes
+	cfg := t.base
+	cfg.Nodes = nodes
 	// Plan the new mesh at the workload the next iteration will actually
 	// execute: with an active schedule, the upcoming iteration's length —
 	// not the pre-resize one — or the very next Step would immediately
 	// replan (and possibly charge a second switch) on the fresh mesh.
-	newCfg.GenLen = t.plannedGenLen
+	cfg.GenLen = t.plannedGenLen
 	if t.opts.genLen != nil {
 		if g := t.opts.genLen(t.durable.Iteration); g > 0 {
-			newCfg.GenLen = g
+			cfg.GenLen = g
 		}
 	}
-	exp, err := t.planner.Plan(ctx, newCfg, withCalibration(t.calib))
-	if err == nil {
-		err = t.swapFleetLocked(exp, nodes)
-	}
-	if err != nil {
+	if _, _, err := t.replanLocked(ctx, cfg); err != nil {
 		return fmt.Errorf("realhf: resize to %d nodes: %w", nodes, err)
 	}
-	return nil
-}
-
-// swapFleetLocked adopts exp, planned for a campaign of nodes hosts, along
-// with a worker fleet of its size — the one tail Resize and a worker-loss
-// shrink share. It charges the §5 reallocation from the incumbent, priced on
-// the larger of the two clusters (its device range spans both meshes; a
-// shrink's old cluster is always the larger), then rebuilds the fleet
-// through the pool factory. Rebuilding, never patching, keeps custom fleets
-// (adopted transports, chaos wrappers) resizable the same way the default
-// in-process fleet is.
-func (t *Trainer) swapFleetLocked(exp *Experiment, nodes int) error {
-	newHW, err := t.run.scaleCluster(exp.Cluster)
-	if err != nil {
-		return err
-	}
-	priceHW := t.hw
-	if newHW.NumGPUs() > priceHW.NumGPUs() {
-		priceHW = newHW
-	}
-	t.durable.PendingSwitchCostV += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
-	if err := t.pool.Close(); err != nil {
-		return fmt.Errorf("closing worker fleet: %w", err)
-	}
-	pool, err := t.opts.poolFactory(newHW.NumGPUs(), newHW.GPU.MemoryBytes)
-	if err != nil {
-		return fmt.Errorf("worker pool for %d GPUs: %w", newHW.NumGPUs(), err)
-	}
-	pool.SetWorkerTimeout(t.run.WorkerTimeout)
-	t.pool = pool
-	t.durable.Replans++
-	t.durable.Switches++
-	t.base.Nodes = nodes
-	t.plannedGenLen = exp.Config.GenLen
-	t.plan = exp.Plan
-	t.hw = newHW
-	t.durable.Drifted = false
 	return nil
 }
 
@@ -802,7 +770,7 @@ func (t *Trainer) Stats() TrainerStats {
 		TotalMakespanV:     d.TotalMakespanV,
 		WorkerFailures:     d.WorkerFailures,
 		Nodes:              t.base.Nodes,
-		PlanFingerprint:    t.incumbentLocked().fingerprint,
+		PlanFingerprint:    t.inc.fingerprint,
 		CalibrationFactors: t.calib.Factors(),
 	}
 }

@@ -347,6 +347,51 @@ func TestTrainerResize(t *testing.T) {
 	}
 }
 
+// TestTrainerResizeWarmStarts: Resize warm-starts its search from the
+// incumbent like every other replan, so the plan it adopts on the new mesh
+// is estimated no worse than the incumbent re-attached there under the same
+// calibration.
+func TestTrainerResizeWarmStarts(t *testing.T) {
+	ctx := context.Background()
+	cfg, err := PaperExperiment("ppo", "llama7b", "llama7b-critic", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cold 300-step search at this seed finds a 2-node plan estimated
+	// worse than the incumbent re-attached there.
+	cfg.SearchSteps, cfg.Seed = 300, 3
+	tr, err := NewPlanner(ClusterConfig{}).Train(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	incumbent := tr.inc.plan
+	tr.mu.Unlock()
+	if err := tr.Resize(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	moved := tr.base
+	moved.GenLen = tr.plannedGenLen
+	_, stale, err := tr.planner.attach(moved, tr.calib, incumbent.Assign)
+	if err != nil {
+		t.Fatalf("the 1-node incumbent does not re-attach to 2 nodes (precondition): %v", err)
+	}
+	_, fresh, err := tr.planner.attach(moved, tr.calib, tr.inc.plan.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Nodes != 2 || fresh.Cost > stale.Cost {
+		t.Fatalf("Resize to %d nodes adopted a plan estimated at %.4fs; the incumbent re-attached there costs %.4fs",
+			moved.Nodes, fresh.Cost, stale.Cost)
+	}
+}
+
 // TestTrainerLifecycle: closed sessions reject work; cancelled contexts
 // surface wrapped errors with the completed prefix; bad options are
 // rejected up front with the shared RunOptions checker.

@@ -149,5 +149,5 @@ func (e *Experiment) MarshalPlan() ([]byte, error) {
 // LoadExperiment. cfg reconstructs the dataflow graph and cost model; the
 // stored cluster shape and model cast must agree with it.
 func (p *Planner) LoadExperimentBytes(data []byte, cfg ExperimentConfig) (*Experiment, error) {
-	return p.loadExperiment(data, "plan bytes", cfg)
+	return p.loadExperiment(data, "bytes", cfg)
 }

@@ -228,6 +228,40 @@ func TestLoadExperimentBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadExperimentCastMismatchStable: a stored plan whose model cast
+// disagrees with the config in every role is rejected with one message on
+// every load, naming the role the workflow lists first and the source once,
+// so the error a served client gets for one request never changes between
+// calls.
+func TestLoadExperimentCastMismatchStable(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
+	exp, err := p.Plan(context.Background(), plannerConfig(3, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := exp.MarshalPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := plannerConfig(3, 200)
+	other.RPCs = PPORPCs("llama13b", "llama13b-critic")
+	var first string
+	for i := 0; i < 40; i++ {
+		_, err := p.LoadExperimentBytes(data, other)
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("load %d = %v, want wrapped ErrInvalidConfig", i, err)
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, `model "actor"`) || !strings.Contains(first, "plan bytes") || strings.Count(first, "plan") != 1 {
+				t.Fatalf("cast mismatch = %q, want it to name model \"actor\" and say \"plan bytes\" once", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("load %d = %q, load 0 = %q", i, err, first)
+		}
+	}
+}
+
 // fuzzPresets are the workflows FuzzLoadExperimentBytes loads plans for; a
 // corpus entry's preset byte selects one.
 var fuzzPresets = []string{"ppo", "dpo", "grpo", "remax"}
