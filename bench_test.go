@@ -297,13 +297,13 @@ func BenchmarkParallelMCMCWallClock(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		single, _, err := pr.SolveWith("mcmc", search.Options{
+		single, _, err := pr.Solve(false, search.Options{
 			TimeLimit: limit, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		multi, _, err := pr.SolveWith("mcmc", search.Options{
+		multi, _, err := pr.Solve(false, search.Options{
 			TimeLimit: limit, Seed: int64(i + 1), Chains: chains,
 		})
 		if err != nil {
@@ -327,11 +327,13 @@ func BenchmarkOverlapAwareSearch(b *testing.B) {
 	pr := experiments.NewProblem(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serial, _, err := pr.SearchPlanFor(false, benchSteps, 1)
+		serial, _, err := pr.SearchPlan(benchSteps, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		over, _, err := pr.SearchPlanOverlapWarm(benchSteps, 1, serial.Plan)
+		over, _, err := pr.Solve(true, search.Options{
+			MaxSteps: benchSteps, Seed: 1, SeedCandidates: []*core.Plan{serial.Plan},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,11 +364,11 @@ func BenchmarkOffloadSearch(b *testing.B) {
 	const offloadBenchSteps = 400
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		def, _, err := pr.SolveWith("mcmc", search.Options{MaxSteps: offloadBenchSteps, Seed: 60})
+		def, _, err := pr.SearchPlan(offloadBenchSteps, 60)
 		if err != nil {
 			b.Fatal(err)
 		}
-		off, _, err := pr.SolveWith("mcmc", search.Options{
+		off, _, err := pr.Solve(false, search.Options{
 			MaxSteps: offloadBenchSteps, Seed: 60, OffloadSearch: true,
 		})
 		if err != nil {
@@ -730,7 +732,7 @@ func BenchmarkGreedySeed(b *testing.B) {
 	pr := experiments.NewProblem(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := search.Solve(context.Background(), "greedy", pr.SearchProblem(), search.Options{}); err != nil {
+		if _, _, err := search.Solve(context.Background(), "greedy", pr.SearchProblem(false), search.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

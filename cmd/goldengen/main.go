@@ -1,8 +1,10 @@
 // Command goldengen regenerates testdata/golden_plans.txt: the pinned
 // fingerprints of the seed-fixed, step-bounded MCMC solver plus the
 // runtime engine's virtual timings (serialized and overlapped) for those
-// plans and for a fixed reallocation-heavy placement. A second section pins
-// the same solves under the overlap-aware cost semantics
+// plans and for a fixed reallocation-heavy placement. Each solve seeds its
+// walk as every MCMC solve does (the cheapest of the greedy and
+// REAL-Heuristic plans) and gets no caller seeds. A second section pins the
+// same solves under the overlap-aware cost semantics
 // (search.Problem.Overlap), so both search objectives are regression-gated.
 //
 // The file is a committed artifact. CI re-runs this tool and fails via
@@ -18,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -130,8 +131,8 @@ func main() {
 	b.WriteString("# Regenerate deliberately with: go run ./cmd/goldengen -out testdata/golden_plans.txt\n")
 	b.WriteString("# CI re-runs the generator and fails on `git diff --exit-code testdata/`.\n")
 
-	solve := func(prob search.Problem, opt search.Options) search.Solution {
-		sol, _, err := search.Solve(context.Background(), "mcmc", prob, opt)
+	solve := func(pr *experiments.Problem, overlap bool, opt search.Options) search.Solution {
+		sol, _, err := pr.Solve(overlap, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -139,8 +140,7 @@ func main() {
 	}
 
 	for _, seed := range []int64{1, 7, 42} {
-		pr := experiments.NewProblem(goldenSetting)
-		res := solve(pr.SearchProblem(), search.Options{MaxSteps: *steps, Seed: seed})
+		res := solve(experiments.NewProblem(goldenSetting), false, search.Options{MaxSteps: *steps, Seed: seed})
 		if err := checkAgreement(res, false); err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
 		}
@@ -168,8 +168,7 @@ func main() {
 	// byte-identical — the knob defaults off.
 	b.WriteString("# Overlap-aware search (candidates costed with estimator OverlapComm).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		pr := experiments.NewProblem(goldenSetting)
-		res := solve(pr.SearchProblemFor(true), search.Options{MaxSteps: *steps, Seed: seed})
+		res := solve(experiments.NewProblem(goldenSetting), true, search.Options{MaxSteps: *steps, Seed: seed})
 		if err := checkAgreement(res, true); err != nil {
 			log.Fatalf("overlap-aware seed %d: %v", seed, err)
 		}
@@ -188,7 +187,7 @@ func main() {
 	// defaults off and touches no default-path RNG stream.
 	b.WriteString("# Offload-aware search (host offload searched per call, memory as a hard constraint).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		res := solve(experiments.OffloadProblem().SearchProblem(),
+		res := solve(experiments.OffloadProblem(), false,
 			search.Options{MaxSteps: *steps, Seed: seed, OffloadSearch: true})
 		if res.Estimate.OOM {
 			log.Fatalf("offload-aware seed %d: chosen plan infeasible (max %d bytes)", seed, res.Estimate.MaxMem)

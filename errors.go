@@ -44,8 +44,9 @@ var (
 	// context cancellation or deadline expiry, before or during the solve.
 	ErrSolveCanceled = errors.New("solve canceled")
 	// ErrWorkerLost is wrapped when a training campaign loses a worker it
-	// cannot recover from: the last surviving node died, or the
-	// shrink-replan onto the survivor mesh failed. Recoverable losses are
+	// cannot recover from: the last surviving node died, the shrink-replan
+	// onto the survivor mesh failed, or a Step could not rebuild the fleet a
+	// failed rebuild left it without. Recoverable losses are
 	// absorbed by the Trainer (shrink-replan) and reported through
 	// IterationReport.WorkerLost instead of an error.
 	ErrWorkerLost = errors.New("worker lost")

@@ -197,7 +197,7 @@ func (p *Plan) RoleOffloaded(role dfg.Role) bool {
 }
 
 // appendFingerprint appends the assignment's canonical encoding: mesh
-// extent plus every strategy field, including ZeRO3 (two baseline seeds
+// extent plus every strategy field, including ZeRO3 (two baseline plans
 // differing only in ZeRO3 must not collide in a memoization map).
 func (a Assignment) appendFingerprint(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(a.Mesh.First), 10)

@@ -334,7 +334,7 @@ type OverlapSearchRow struct {
 // each setting it searches the plan space twice — once under each cost
 // semantics, same seed and step budget — and executes both winners on the
 // overlapped runtime. The overlap-aware solve warm-starts from the
-// serialized winner (on top of the shared baseline seeds), so its
+// serialized winner (on top of the solver's own seeds), so its
 // overlapped-cost *estimate* can only match or beat the serialized
 // winner's; on the paper workloads the overlapped runtime agrees.
 func AblationOverlapSearch(nodes, steps int) ([]OverlapSearchRow, string, error) {
@@ -346,11 +346,13 @@ func AblationOverlapSearch(nodes, steps int) ([]OverlapSearchRow, string, error)
 	for i, s := range settings {
 		pr := NewProblem(s)
 		seed := int64(50 + i)
-		serial, _, err := pr.SearchPlanFor(false, steps, seed)
+		serial, _, err := pr.SearchPlan(steps, seed)
 		if err != nil {
 			return nil, "", err
 		}
-		over, _, err := pr.SearchPlanOverlapWarm(steps, seed, serial.Plan)
+		over, _, err := pr.Solve(true, search.Options{
+			MaxSteps: steps, Seed: seed, SeedCandidates: []*core.Plan{serial.Plan},
+		})
 		if err != nil {
 			return nil, "", err
 		}
@@ -432,11 +434,11 @@ type OffloadRow struct {
 func AblationOffload(steps int) (OffloadRow, string, error) {
 	pr := OffloadProblem()
 	const seed = 60
-	def, _, err := pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed})
+	def, _, err := pr.SearchPlan(steps, seed)
 	if err != nil {
 		return OffloadRow{}, "", err
 	}
-	off, _, err := pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed, OffloadSearch: true})
+	off, _, err := pr.Solve(false, search.Options{MaxSteps: steps, Seed: seed, OffloadSearch: true})
 	if err != nil {
 		return OffloadRow{}, "", err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -222,7 +221,7 @@ func Fig9(s Setting, steps int, seed int64) ([]ProgressiveStage, string, error) 
 		best := cur
 		bestCost := math.Inf(1)
 		for chain := 0; chain < 3; chain++ {
-			res, _, err := search.Solve(context.Background(), "mcmc", pr.SearchProblem(), search.Options{
+			res, _, err := pr.Solve(false, search.Options{
 				MaxSteps: steps, Seed: seed + int64(gi) + int64(100*chain),
 				InitialPlan: cur, RestrictCalls: unlocked,
 			})

@@ -4,7 +4,10 @@
 // breakdowns, kernel traces, GPU-time decompositions, estimator/profiler
 // studies, search ablations, beyond-PPO algorithms, and strong scaling.
 // cmd/realbench runs each of them by name; DESIGN.md describes the
-// subsystems they exercise.
+// subsystems they exercise. Searches run through Problem.Solve, whose MCMC
+// walk seeds itself exactly as a Planner solve does (the cheaper of the
+// greedy and REAL-Heuristic plans); the baseline placements the figures
+// compare against are measured, never used as seeds.
 package experiments
 
 import (
@@ -88,76 +91,24 @@ func (pr *Problem) EmptyPlan() *core.Plan {
 }
 
 // SearchProblem bundles the problem for the search package's Solver
-// interface, under the historical serialized cost semantics.
-func (pr *Problem) SearchProblem() search.Problem {
-	return pr.SearchProblemFor(false)
-}
-
-// SearchProblemFor bundles the problem with an explicit cost semantics:
-// overlap=true makes solvers score candidates with the overlapped-engine
-// estimator (estimator.Estimator.OverlapComm) — the schedule the runtime
-// executes with communication streams enabled — instead of the serialized
-// one.
-func (pr *Problem) SearchProblemFor(overlap bool) search.Problem {
+// interface. overlap=true makes solvers score candidates with the
+// overlapped-engine estimator (estimator.Estimator.OverlapComm), the
+// schedule the runtime executes with communication streams enabled, instead
+// of the historical serialized one.
+func (pr *Problem) SearchProblem(overlap bool) search.Problem {
 	return search.Problem{Est: pr.Est, Plan: pr.EmptyPlan(), Overlap: overlap}
 }
 
-// WarmStarts builds the baseline placements (symmetric heuristic and the
-// split-placement systems) used as SeedCandidates: all of them lie inside
-// the search space, and starting from the cheapest lets the reduced step
-// budgets of this reproduction match the paper's
-// better-than-every-baseline outcome.
-func (pr *Problem) WarmStarts() []*core.Plan {
-	var seeds []*core.Plan
-	for _, sys := range []baselines.System{baselines.Heuristic, baselines.NeMoAligner, baselines.OpenRLHF} {
-		if p, err := baselines.Build(sys, pr.Cluster, pr.Graph, pr.Models); err == nil {
-			seeds = append(seeds, p)
-		}
-	}
-	return seeds
+// Solve runs the MCMC solver over the problem under the chosen cost
+// semantics. The solver seeds itself (greedy and REAL-Heuristic plans), so
+// opt.SeedCandidates carries only plans the caller already holds.
+func (pr *Problem) Solve(overlap bool, opt search.Options) (search.Solution, search.Stats, error) {
+	return search.Solve(context.Background(), "mcmc", pr.SearchProblem(overlap), opt)
 }
 
-// SolveWith runs the named solver from the registry over this problem,
-// warm-started with the baseline placements.
-func (pr *Problem) SolveWith(solver string, opt search.Options) (search.Solution, search.Stats, error) {
-	return pr.SolveFor(false, solver, opt)
-}
-
-// SolveFor is SolveWith under an explicit cost semantics (see
-// SearchProblemFor).
-func (pr *Problem) SolveFor(overlap bool, solver string, opt search.Options) (search.Solution, search.Stats, error) {
-	if opt.SeedCandidates == nil {
-		opt.SeedCandidates = pr.WarmStarts()
-	}
-	return search.Solve(context.Background(), solver, pr.SearchProblemFor(overlap), opt)
-}
-
-// SearchPlan runs the sequential MCMC planner with a fixed step budget and
-// seed — the pre-Solver entry point, now routed through the solver
-// registry.
+// SearchPlan is the serialized Solve with a fixed step budget and seed.
 func (pr *Problem) SearchPlan(steps int, seed int64) (search.Solution, search.Stats, error) {
-	return pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed})
-}
-
-// SearchPlanFor is SearchPlan with the cost semantics chosen by the caller:
-// overlap=true searches for the plan that minimizes the overlapped
-// runtime's makespan.
-func (pr *Problem) SearchPlanFor(overlap bool, steps int, seed int64) (search.Solution, search.Stats, error) {
-	return pr.SolveFor(overlap, "mcmc", search.Options{MaxSteps: steps, Seed: seed})
-}
-
-// SearchPlanOverlapWarm is the canonical overlap-aware solve of the
-// ±overlap-search comparisons (Table 6, the ablation, the CI benchmark):
-// MCMC under the overlapped cost semantics, warm-started from the
-// serialized winner on top of the shared baseline seeds — which guarantees
-// the result's overlapped-cost estimate never exceeds the serialized
-// plan's. Keeping the seeding policy in one place keeps that invariant
-// identical across every artifact that pins it.
-func (pr *Problem) SearchPlanOverlapWarm(steps int, seed int64, serialized *core.Plan) (search.Solution, search.Stats, error) {
-	return pr.SolveFor(true, "mcmc", search.Options{
-		MaxSteps: steps, Seed: seed,
-		SeedCandidates: append(pr.WarmStarts(), serialized),
-	})
+	return pr.Solve(false, search.Options{MaxSteps: steps, Seed: seed})
 }
 
 // HeuristicPlan builds the REAL-Heuristic baseline plan.

@@ -72,10 +72,7 @@ func Fig12(scales []int, steps int) ([]Fig12Point, string, error) {
 		}
 		res, _, err := search.Solve(context.Background(), "mcmc",
 			search.Problem{Est: profEst, Plan: pr.EmptyPlan()},
-			search.Options{
-				MaxSteps: steps, Seed: int64(nodes),
-				SeedCandidates: []*core.Plan{heur},
-			})
+			search.Options{MaxSteps: steps, Seed: int64(nodes)})
 		if err != nil {
 			return nil, "", err
 		}
@@ -207,18 +204,12 @@ func Fig14(steps int, caps []int) ([]ConvergenceCurve, string, error) {
 	}
 	s := PaperSetting(128, model.LLaMA70B, model.LLaMA7B)
 	pr := NewProblem(s)
-	heur, err := pr.HeuristicPlan()
-	if err != nil {
-		return nil, "", err
-	}
 	var curves []ConvergenceCurve
 	for _, cap := range caps {
-		_, st, err := search.Solve(context.Background(), "mcmc", pr.SearchProblem(),
-			search.Options{
-				MaxSteps: steps, Seed: int64(cap),
-				Prune: search.PruneModerate, MaxCandidatesPerCall: cap,
-				SeedCandidates: []*core.Plan{heur},
-			})
+		_, st, err := pr.Solve(false, search.Options{
+			MaxSteps: steps, Seed: int64(cap),
+			Prune: search.PruneModerate, MaxCandidatesPerCall: cap,
+		})
 		if err != nil {
 			return nil, "", err
 		}
@@ -261,7 +252,7 @@ func Fig15(steps, topK int) ([]Fig15Result, string, error) {
 			},
 		}
 		pr := NewProblem(s)
-		bf, _, err := search.Solve(context.Background(), "exhaustive", pr.SearchProblem(),
+		bf, _, err := search.Solve(context.Background(), "exhaustive", pr.SearchProblem(false),
 			search.Options{MaxCandidatesPerCall: topK})
 		if err != nil {
 			return nil, "", err

@@ -7,6 +7,7 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/model"
 	"realhf/internal/runtime"
+	"realhf/internal/search"
 )
 
 // Table1 renders the model-configuration table (paper Table 1), with the
@@ -105,7 +106,9 @@ func RunBreakdownCase(name string, s Setting, steps int, seed int64) (*Breakdown
 	}
 	bc.SearchedE2EOverlap = sOv.MakespanV
 	bc.HeuristicE2EOverlap = hOv.MakespanV
-	resOv, _, err := pr.SearchPlanOverlapWarm(steps, seed, res.Plan)
+	resOv, _, err := pr.Solve(true, search.Options{
+		MaxSteps: steps, Seed: seed, SeedCandidates: []*core.Plan{res.Plan},
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"realhf/internal/baselines"
 	"realhf/internal/core"
 	"realhf/internal/estimator"
 )
@@ -206,18 +207,24 @@ func (c *chainState) propose(sp *space, opt Options, start time.Time) bool {
 	return true
 }
 
-// startState resolves the shared initial plan: the caller-provided
-// InitialPlan or the greedy seed (minimizing over the full pre-shortlist
-// candidate sets, reusing the solver's enumeration), improved by any
-// cheaper SeedCandidates. Seeds are scored through sess, chain 0's session.
-// They are Plan.Validated first: the session assumes individually legal
-// assignments, and an illegal caller-provided plan must fail (for
-// InitialPlan) or be skipped (for SeedCandidates) exactly as it would
-// under Estimator.Evaluate.
+// startState resolves the shared initial plan, the one seeding policy of
+// every MCMC solve. The candidates are the caller's InitialPlan or, without
+// one, the greedy seed (minimizing over the full pre-shortlist candidate
+// sets, reusing the solver's enumeration) and the REAL-Heuristic plan, then
+// the SeedCandidates; the walk starts from the cheapest, the earliest on
+// ties. The greedy seed ignores memory, so the heuristic is what most
+// paper-scale walks start from. A walk with an InitialPlan gets no
+// heuristic, so the calls outside RestrictCalls stay where the caller froze
+// them. Seeds are scored through sess, chain 0's session. They are
+// Plan.Validated first: the session assumes individually legal assignments,
+// and an illegal caller-provided plan must fail (for InitialPlan) or be
+// skipped (for SeedCandidates) exactly as it would under
+// Estimator.Evaluate.
 func startState(sess *estimator.EvalSession, e *estimator.Estimator,
 	p *core.Plan, sp *space, opt Options) (*core.Plan, estimator.PlanCost, error) {
 	var cur *core.Plan
 	var err error
+	seeds := opt.SeedCandidates
 	if opt.InitialPlan != nil {
 		cur = opt.InitialPlan.Clone()
 		if err := cur.Validate(); err != nil {
@@ -228,14 +235,15 @@ func startState(sess *estimator.EvalSession, e *estimator.Estimator,
 		if err != nil {
 			return nil, estimator.PlanCost{}, err
 		}
+		if heur, err := baselines.BuildHeuristic(p.Cluster, p.Graph, p.Models); err == nil {
+			seeds = append([]*core.Plan{heur}, seeds...)
+		}
 	}
 	curPC, err := sess.Evaluate(cur)
 	if err != nil {
 		return nil, estimator.PlanCost{}, err
 	}
-	// Warm starts: adopt the cheapest of the greedy seed and any candidate
-	// plans the caller supplies.
-	for _, seed := range opt.SeedCandidates {
+	for _, seed := range seeds {
 		if seed == nil {
 			continue
 		}

@@ -2,9 +2,11 @@ package search
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"realhf/internal/baselines"
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
@@ -122,6 +124,77 @@ func TestSearchBeatsSymmetricHeuristic(t *testing.T) {
 	if res.Cost >= symRes.Cost {
 		t.Errorf("searched plan (%.1fs) should beat the symmetric plan (%.1fs)",
 			res.Cost, symRes.Cost)
+	}
+}
+
+// paperProblem is the 2-node 13B actor + 7B critic PPO problem at the
+// paper's workload (dfg.PaperSpec), on which the greedy seed overflows
+// device memory and the REAL-Heuristic plan fits.
+func paperProblem(t *testing.T) (*core.Plan, *estimator.Estimator, *estimator.Result) {
+	t.Helper()
+	cluster := hardware.DefaultCluster(2)
+	g := dfg.BuildPPO(dfg.PaperSpec(cluster.NumGPUs()))
+	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA13B, model.LLaMA7B))
+	e := estimator.NewOracle(cluster, p.Models, true)
+	heur, err := baselines.BuildHeuristic(cluster, g, p.Models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heurRes, err := e.Evaluate(heur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heurRes.OOM {
+		t.Fatal("the REAL-Heuristic plan must fit this problem")
+	}
+	return p, e, heurRes
+}
+
+// TestMCMCSeedsFromHeuristic: every MCMC solve seeds itself with the
+// REAL-Heuristic plan, so a one-step walk with no caller seeds on a problem
+// whose greedy seed overflows memory still returns a feasible plan no
+// costlier than the heuristic.
+func TestMCMCSeedsFromHeuristic(t *testing.T) {
+	p, e, heurRes := paperProblem(t)
+	greedyRes, err := e.Evaluate(greedySeed(t, e, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !greedyRes.OOM {
+		t.Fatal("the greedy seed fits this problem; the test needs one that does not")
+	}
+	sol, _ := mcmc(t, e, p, Options{MaxSteps: 1, Seed: 1})
+	if sol.Estimate.OOM || sol.Cost > heurRes.Cost {
+		t.Errorf("one-step walk returned cost %.2f (OOM %t), want a feasible plan no costlier than the heuristic's %.2f",
+			sol.Cost, sol.Estimate.OOM, heurRes.Cost)
+	}
+}
+
+// TestRestrictCallsFreezesOtherCalls: a walk from an InitialPlan moves only
+// the RestrictCalls calls. It gets no REAL-Heuristic seed, so every other
+// call keeps its initial assignment even where the heuristic is cheaper.
+func TestRestrictCallsFreezesOtherCalls(t *testing.T) {
+	p, e, heurRes := paperProblem(t)
+	initial := greedySeed(t, e, p)
+	initRes, err := e.Evaluate(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heurRes.Cost >= initRes.Cost {
+		t.Fatalf("the heuristic (%.2f) must be cheaper than the initial plan (%.2f)", heurRes.Cost, initRes.Cost)
+	}
+	free := []string{"ActorGen", "CriticInf"}
+	sol, st := mcmc(t, e, p, Options{MaxSteps: 300, Seed: 3, InitialPlan: initial, RestrictCalls: free})
+	if st.Accepted == 0 {
+		t.Error("the restricted walk accepted no move")
+	}
+	for _, name := range initial.CallNames() {
+		if slices.Contains(free, name) {
+			continue
+		}
+		if got := sol.Plan.Assign[name]; got != initial.Assign[name] {
+			t.Errorf("frozen call %s moved from %+v to %+v", name, initial.Assign[name], got)
+		}
 	}
 }
 

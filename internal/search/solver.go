@@ -2,9 +2,12 @@
 // a pluggable Solver interface: a greedy per-call seeder, a
 // Metropolis–Hastings MCMC walker (one chain, or several with periodic
 // best-plan exchange), and a bounded exhaustive search used as the
-// optimality reference of Fig. 15. Every MCMC chain and the exhaustive
-// sweep score plans through their own incremental estimator.EvalSession;
-// a solve consults the plan-level CostCache once, for its final estimate.
+// optimality reference of Fig. 15. An MCMC walk starts from the cheapest of
+// the greedy seed, the REAL-Heuristic plan (internal/baselines) and the
+// caller's Options.SeedCandidates, or from Options.InitialPlan. Every MCMC
+// chain and the exhaustive sweep score plans through their own incremental
+// estimator.EvalSession; a solve consults the plan-level CostCache once,
+// for its final estimate.
 package search
 
 import (
@@ -156,13 +159,15 @@ type Options struct {
 	// must be fast. Callback order across chains is scheduling-dependent;
 	// the chosen plan is not.
 	Progress func(ProgressPoint)
-	// InitialPlan seeds the chain instead of the greedy plan. It must be
-	// fully assigned.
+	// InitialPlan, when set, replaces the solver's own seeds: the walk
+	// starts from it (or a cheaper SeedCandidates plan) and evaluates
+	// neither the greedy seed nor the REAL-Heuristic plan. It must be fully
+	// assigned.
 	InitialPlan *core.Plan
-	// SeedCandidates are additional fully-assigned plans evaluated alongside
-	// the greedy seed; the chain starts from the cheapest. Warm-starting
-	// from e.g. the symmetric heuristic lets short search budgets match the
-	// paper's everywhere-better-than-baselines outcome.
+	// SeedCandidates are fully-assigned plans the caller already holds (a
+	// warm start from an earlier solve, say), evaluated after the solver's
+	// own seeds; the walk starts from the cheapest. The solver seeds itself
+	// with the REAL-Heuristic plan, so a caller never needs to pass it.
 	SeedCandidates []*core.Plan
 	// RestrictCalls, when non-empty, limits MCMC moves to the named calls;
 	// all other assignments stay frozen at the initial plan. Used by the

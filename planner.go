@@ -180,10 +180,10 @@ func WithProgress(fn func(search.ProgressPoint)) AutoOption {
 }
 
 // WithWarmStart seeds the search with previously found plans (e.g. loaded
-// via Planner.LoadExperiment from an earlier session): the solver starts from the
-// cheapest of the warm starts and its own greedy/heuristic seeds. Warm
-// starts participate in the plan-cache key, so requests with different
-// seeds never alias.
+// via Planner.LoadExperiment from an earlier session): the MCMC solver starts
+// from the cheapest of the warm starts and its own greedy and REAL-Heuristic
+// seeds. Warm starts participate in the plan-cache key, so requests with
+// different seeds never alias.
 func WithWarmStart(plans ...*core.Plan) AutoOption {
 	return func(o *autoOptions) { o.warmStarts = append(o.warmStarts, plans...) }
 }
@@ -296,21 +296,15 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	if err != nil {
 		return nil, err
 	}
-	plan := core.NewPlan(ps.hw, ps.graph, ps.models)
-	var seeds []*core.Plan
-	if heur, err := baselines.BuildHeuristic(ps.hw, ps.graph, ps.models); err == nil {
-		seeds = append(seeds, heur)
-	}
-	seeds = append(seeds, o.warmStarts...)
 	sol, stats, err := solver.Solve(ctx,
-		search.Problem{Est: ps.est, Plan: plan, Overlap: cfg.PlanForOverlap},
+		search.Problem{Est: ps.est, Plan: core.NewPlan(ps.hw, ps.graph, ps.models), Overlap: cfg.PlanForOverlap},
 		search.Options{
 			MaxSteps:       cfg.SearchSteps,
 			TimeLimit:      cfg.SearchTime,
 			Seed:           cfg.Seed,
 			Chains:         cfg.SearchParallelism,
 			OffloadSearch:  cfg.OffloadSearch,
-			SeedCandidates: seeds,
+			SeedCandidates: o.warmStarts,
 			Cache:          ps.cache,
 			Progress:       o.progress,
 		})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"realhf/internal/checkpoint"
+	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/search"
 )
@@ -1025,6 +1026,54 @@ func TestSearchBoundDecidesColdSolve(t *testing.T) {
 	}
 	if len(st.Chains) != 1 || st.Chains[0].BoundRejected != st.BoundRejected {
 		t.Errorf("per-chain bound rejections %+v do not sum to %d", st.Chains, st.BoundRejected)
+	}
+}
+
+// TestPlanSeedsLikeDirectSolve: the Planner adds no seeds of its own. For
+// PPO and GRPO at two seeds each, a Plan answer equals a direct search.Solve
+// of the same problem whose only SeedCandidates are the request's warm
+// starts, because the solver seeds itself with the greedy and REAL-Heuristic
+// plans. The warm start, the greedy answer, overflows device memory, so a
+// direct solve that skipped the heuristic would walk from it. The benchmark
+// harness's replayed solves rely on this equality.
+func TestPlanSeedsLikeDirectSolve(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlanner(ClusterConfig{})
+	for _, algo := range []string{"ppo", "grpo"} {
+		cfg, err := PaperExperiment(algo, "llama13b", "llama7b-critic", 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Solver = "greedy"
+		greedy, err := p.Plan(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !greedy.Estimate.OOM {
+			t.Fatalf("%s: the greedy plan fits; the test needs a warm start that does not", algo)
+		}
+		cfg.Solver, cfg.SearchSteps = "mcmc", 300
+		for _, seed := range []int64{1, 2} {
+			cfg.Seed = seed
+			exp, err := p.Plan(ctx, cfg, WithWarmStart(greedy.Plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := p.problemFor(exp.Config, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, _, err := search.Solve(ctx, "mcmc",
+				search.Problem{Est: ps.est, Plan: core.NewPlan(ps.hw, ps.graph, ps.models), Overlap: exp.Config.PlanForOverlap},
+				search.Options{MaxSteps: cfg.SearchSteps, Seed: seed, SeedCandidates: []*core.Plan{greedy.Plan}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Plan.Fingerprint() != exp.Plan.Fingerprint() || sol.Cost != exp.Estimate.Cost {
+				t.Errorf("%s seed %d: Plan answered %s at %.4f, a direct solve %s at %.4f",
+					algo, seed, exp.Plan.Fingerprint(), exp.Estimate.Cost, sol.Plan.Fingerprint(), sol.Cost)
+			}
+		}
 	}
 }
 

@@ -192,8 +192,8 @@ func failAfter(n int, build WorkerPoolFactory) WorkerPoolFactory {
 // switch charge as they were, so a session resumed from a checkpoint taken
 // after it charges no switch. A worker-loss shrink whose rebuild fails ends
 // the step with ErrWorkerLost and charges and counts no switch. Either way
-// the old fleet was closed before the factory ran, so the next Step fails
-// too.
+// the old fleet was closed before the factory ran, so the next Step asks the
+// factory again, and fails with ErrWorkerLost because it fails again.
 func TestTrainerMoveCommitsOnSuccess(t *testing.T) {
 	ctx := context.Background()
 	planner := NewPlanner(ClusterConfig{})
@@ -232,8 +232,8 @@ func TestTrainerMoveCommitsOnSuccess(t *testing.T) {
 		t.Errorf("resumed after a failed Resize: step on %d nodes charged %.3fs, want 1 node and no charge",
 			rep.Nodes, rep.ReallocSwitchCost)
 	}
-	if _, err := tr.Step(ctx); err == nil {
-		t.Error("a Step after a failed fleet rebuild ran on the closed fleet")
+	if _, err := tr.Step(ctx); !errors.Is(err, ErrWorkerLost) {
+		t.Errorf("a Step whose fleet rebuild fails = %v, want ErrWorkerLost", err)
 	}
 
 	rig := &chaosRig{}
@@ -268,8 +268,58 @@ func TestTrainerMoveCommitsOnSuccess(t *testing.T) {
 	if state.PendingSwitchCostV != 0 {
 		t.Errorf("a failed shrink left %.3fs of switch cost pending", state.PendingSwitchCostV)
 	}
-	if _, err := shrink.Step(ctx); err == nil {
-		t.Error("a Step after a failed shrink ran on the closed fleet")
+	if _, err := shrink.Step(ctx); !errors.Is(err, ErrWorkerLost) {
+		t.Errorf("a Step whose fleet rebuild fails after a failed shrink = %v, want ErrWorkerLost", err)
+	}
+}
+
+// TestTrainerRecoversFromFailedRebuild: a failed fleet rebuild does not end
+// the session. With a pool factory that fails only on its second call, a
+// Resize to 2 nodes fails, and the next Step rebuilds a 1-node fleet for
+// the incumbent and runs on it; Close after a failed rebuild is clean too.
+func TestTrainerRecoversFromFailedRebuild(t *testing.T) {
+	ctx := context.Background()
+	calls := 0
+	flaky := func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error) {
+		if calls++; calls == 2 {
+			return nil, errFleet
+		}
+		return runtime.NewWorkerPool(numGPUs, memoryBytes), nil
+	}
+	tr, err := NewPlanner(ClusterConfig{}).Train(ctx, trainerConfig(), WithWorkerPoolFactory(flaky))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	first, err := tr.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resize(ctx, 2); !errors.Is(err, errFleet) {
+		t.Fatalf("Resize with a failing pool factory = %v, want the factory's error", err)
+	}
+	rep, err := tr.Step(ctx)
+	if err != nil {
+		t.Fatalf("Step after a failed rebuild = %v, want it to rebuild the fleet and run", err)
+	}
+	if rep.Nodes != 1 || rep.PlanFingerprint != first.PlanFingerprint || rep.ReallocSwitchCost != 0 || calls != 3 {
+		t.Errorf("Step after a failed rebuild ran on %d nodes (plan %s, switch %.3fs, %d factory calls), "+
+			"want the 1-node incumbent %s, no switch and 3 calls",
+			rep.Nodes, rep.PlanFingerprint, rep.ReallocSwitchCost, calls, first.PlanFingerprint)
+	}
+
+	// A session closed while it has no fleet closes cleanly.
+	calls = 0
+	idle, err := NewPlanner(ClusterConfig{}).Train(ctx, trainerConfig(), WithWorkerPoolFactory(flaky))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if err := idle.Resize(ctx, 2); !errors.Is(err, errFleet) {
+		t.Fatalf("Resize with a failing pool factory = %v, want the factory's error", err)
+	}
+	if err := idle.Close(); err != nil {
+		t.Errorf("Close with no fleet = %v", err)
 	}
 }
 
